@@ -110,7 +110,6 @@ fn main() {
         workers,
         queue_depth,
         batch_max,
-        linger: Duration::from_millis(1),
         retries: scenario.retries,
         keep_history: false, // loadgen measures; the test suites hold the oracle
         ..ServeConfig::default()
@@ -197,7 +196,7 @@ fn main() {
         .with("latency_us_p99", tally.latency.percentile(0.99) as f64)
         .with("latency_us_p999", tally.latency.percentile(0.999) as f64);
     let title = format!("Serve loadgen — {connections} connections × {per_conn} over TCP loopback");
-    println!("{}", xp::render_table(&title, &[row.clone()]));
+    println!("{}", xp::render_table(&title, std::slice::from_ref(&row)));
     eprintln!(
         "server: admitted {} committed {} gave-up {} in {} batches, oracle failures {}",
         summary.admitted,

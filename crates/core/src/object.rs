@@ -168,6 +168,19 @@ impl ObjectBase {
         id
     }
 
+    /// Replaces the initial state of an existing object; its id, name and
+    /// type are unchanged.
+    ///
+    /// # Panics
+    /// Panics if `id` is the environment or is not in this base.
+    pub fn set_initial_state(&mut self, id: ObjectId, state: Value) {
+        assert!(
+            !id.is_environment() && id.index() < self.objects.len(),
+            "object {id:?} not present in object base"
+        );
+        self.objects[id.index()].initial_state = state;
+    }
+
     /// Looks up an object by id.
     pub fn get(&self, id: ObjectId) -> Option<&ObjectSpec> {
         if id.is_environment() {
@@ -271,6 +284,24 @@ mod tests {
         let a = base.add_object("a", Arc::new(IntRegister));
         let states = base.initial_states();
         assert_eq!(states.get(&a), Some(&Value::Int(0)));
+    }
+
+    #[test]
+    fn set_initial_state_keeps_identity() {
+        let mut base = ObjectBase::new();
+        let a = base.add_object("a", Arc::new(IntRegister));
+        let b = base.add_object("b", Arc::new(IntRegister));
+        base.set_initial_state(b, Value::Int(5));
+        assert_eq!(base.spec(a).initial_state, Value::Int(0));
+        assert_eq!(base.spec(b).initial_state, Value::Int(5));
+        assert_eq!(base.by_name("b").unwrap().id, b);
+        assert_eq!(base.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not present")]
+    fn set_initial_state_of_a_missing_object_panics() {
+        ObjectBase::new().set_initial_state(ObjectId(0), Value::Int(1));
     }
 
     #[test]

@@ -153,10 +153,13 @@ pub struct MethodDef {
 
 /// An object base together with the methods of each object: the static
 /// definition an engine run executes against.
+///
+/// Both halves sit behind an [`Arc`], so cloning a definition is O(1) and
+/// the mutators copy a half only while a clone still shares it.
 #[derive(Clone, Debug)]
 pub struct ObjectBaseDef {
     base: Arc<ObjectBase>,
-    methods: BTreeMap<(ObjectId, String), Arc<MethodDef>>,
+    methods: Arc<BTreeMap<(ObjectId, String), Arc<MethodDef>>>,
 }
 
 impl ObjectBaseDef {
@@ -164,7 +167,7 @@ impl ObjectBaseDef {
     pub fn new(base: Arc<ObjectBase>) -> Self {
         ObjectBaseDef {
             base,
-            methods: BTreeMap::new(),
+            methods: Arc::default(),
         }
     }
 
@@ -173,10 +176,16 @@ impl ObjectBaseDef {
         &self.base
     }
 
+    /// The object base for in-place updates. Copy-on-write: the base is
+    /// copied first only if another handle (a clone of this definition, a
+    /// history, a running engine) still shares it.
+    pub fn base_mut(&mut self) -> &mut ObjectBase {
+        Arc::make_mut(&mut self.base)
+    }
+
     /// Defines (or replaces) a method of an object.
     pub fn define_method(&mut self, object: ObjectId, def: MethodDef) {
-        self.methods
-            .insert((object, def.name.clone()), Arc::new(def));
+        Arc::make_mut(&mut self.methods).insert((object, def.name.clone()), Arc::new(def));
     }
 
     /// Looks up a method of an object.
@@ -270,5 +279,39 @@ mod tests {
         assert!(def.method(c, "bump").is_some());
         assert!(def.method(c, "missing").is_none());
         assert_eq!(def.method(c, "bump").unwrap().params, 1);
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let mut base = ObjectBase::new();
+        let c = base.add_object("c", Arc::new(Counter::default()));
+        let mut def = ObjectBaseDef::new(Arc::new(base));
+        let unshared = Arc::as_ptr(def.base());
+        def.base_mut().set_initial_state(c, Value::Int(3));
+        assert_eq!(
+            Arc::as_ptr(def.base()),
+            unshared,
+            "sole owner writes in place"
+        );
+
+        let snapshot = def.clone();
+        assert!(
+            Arc::ptr_eq(def.base(), snapshot.base()),
+            "clones share the base"
+        );
+        def.base_mut().set_initial_state(c, Value::Int(4));
+        assert_eq!(def.base().spec(c).initial_state, Value::Int(4));
+        assert_eq!(snapshot.base().spec(c).initial_state, Value::Int(3));
+
+        def.define_method(
+            c,
+            MethodDef {
+                name: "m".into(),
+                params: 0,
+                body: Program::Seq(vec![]),
+            },
+        );
+        assert_eq!(def.method_count(), 1);
+        assert_eq!(snapshot.method_count(), 0, "methods are copy-on-write too");
     }
 }

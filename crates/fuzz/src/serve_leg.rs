@@ -30,7 +30,6 @@ use crate::diff::{Failure, FailureKind};
 use crate::FuzzCase;
 use obase_runtime::SchedulerSpec;
 use obase_serve::{check_admitted, ServeClient, ServeConfig, Server, SubmitOutcome};
-use std::time::Duration;
 
 /// Connections the leg drives concurrently.
 const CONNECTIONS: usize = 3;
@@ -68,7 +67,6 @@ pub fn run_serve_leg(
         workers: workers.max(1),
         queue_depth: workload.transactions.len().max(1),
         batch_max: BATCH_MAX,
-        linger: Duration::from_millis(1),
         retries: scenario.retries,
         store_shards: 0,
         mvcc: case.mvcc,

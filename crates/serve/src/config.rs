@@ -1,7 +1,7 @@
 //! Declarative server configuration and the reconcile diff.
 //!
 //! A [`ServeConfig`] is the server's *desired state*: scheduler line-up,
-//! worker/shard counts, admission-queue depth, ingress-batching knobs.
+//! worker/shard counts, admission-queue depth, ingress batch cap.
 //! Reconciling means handing the server a new desired state; the server
 //! diffs it against the current one, swaps atomically, and reports which
 //! fields actually changed. Reconciling the same config twice is a no-op
@@ -16,7 +16,6 @@
 
 use obase_runtime::{ConfigError, SchedulerSpec};
 use obase_ser::Json;
-use std::time::Duration;
 
 /// The server's desired state.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,9 +29,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Most transactions one ingress batch may carry.
     pub batch_max: usize,
-    /// How long the executor lingers for more submissions once a batch has
-    /// its first one (group-commit-style ingress batching).
-    pub linger: Duration,
     /// Per-transaction retry budget inside a batch.
     pub retries: u32,
     /// Store shards of the parallel backend; `0` keeps the backend default.
@@ -54,7 +50,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 256,
             batch_max: 64,
-            linger: Duration::from_millis(2),
             retries: 8,
             store_shards: 0,
             mvcc: false,
@@ -95,9 +90,6 @@ impl ServeConfig {
         if self.batch_max != desired.batch_max {
             changed.push("batch_max");
         }
-        if self.linger != desired.linger {
-            changed.push("linger");
-        }
         if self.retries != desired.retries {
             changed.push("retries");
         }
@@ -121,7 +113,6 @@ impl ServeConfig {
             ("workers", Json::Int(self.workers as i64)),
             ("queue_depth", Json::Int(self.queue_depth as i64)),
             ("batch_max", Json::Int(self.batch_max as i64)),
-            ("linger_ms", Json::Int(self.linger.as_millis() as i64)),
             ("retries", Json::Int(i64::from(self.retries))),
             ("store_shards", Json::Int(self.store_shards as i64)),
             ("mvcc", Json::Bool(self.mvcc)),
@@ -133,7 +124,8 @@ impl ServeConfig {
     /// overridden by every field present in `json`. Absent fields keep
     /// their current value, so a frame may carry only what it wants to
     /// change while still being declarative (the result is a full desired
-    /// state, not a delta applied blindly).
+    /// state, not a delta applied blindly). Unknown fields are ignored,
+    /// including the `linger_ms` of older servers' configs.
     pub fn apply_json(&self, json: &Json) -> Result<ServeConfig, String> {
         let mut next = self.clone();
         if let Some(spec) = json.get("scheduler") {
@@ -158,9 +150,6 @@ impl ServeConfig {
         }
         if let Some(v) = usize_field("batch_max")? {
             next.batch_max = v;
-        }
-        if let Some(v) = usize_field("linger_ms")? {
-            next.linger = Duration::from_millis(v as u64);
         }
         if let Some(v) = usize_field("retries")? {
             next.retries = u32::try_from(v).map_err(|_| "retries must fit in u32".to_owned())?;

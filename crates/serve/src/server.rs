@@ -22,13 +22,15 @@
 //!
 //! ## Batching and state carry-forward
 //!
-//! The executor collects up to [`ServeConfig::batch_max`] admitted
-//! transactions (lingering [`ServeConfig::linger`] after the first, in
-//! the group-commit style), runs them as one workload, then re-seeds the
-//! object base with the batch's committed final states
-//! ([`obase_core::replay::final_states`]) so the next batch continues the
-//! same world. Because batches are totally ordered, the per-batch
-//! committed histories merge into one admitted history
+//! Whenever it is free, the executor takes whatever is admitted, up to
+//! [`ServeConfig::batch_max`] transactions, without waiting for more: a
+//! lone submission runs at once, and under load the queue refills while a
+//! batch runs. It runs the batch as one workload, then writes the batch's
+//! committed final states ([`obase_core::replay::final_states`]) into the
+//! object base as its new initial states, in place and only for the
+//! objects the batch touched, so the next batch continues the same world.
+//! Because batches are totally ordered, the per-batch committed histories
+//! merge into one admitted history
 //! ([`crate::merge_histories`]) that the serialisability oracle accepts
 //! or refutes wholesale.
 //!
@@ -44,13 +46,11 @@ use crate::config::ServeConfig;
 use crate::oracle::merge_histories;
 use crate::wire::{self, Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use obase_core::history::History;
-use obase_core::ids::ObjectId;
-use obase_core::value::Value;
 use obase_exec::{Expr, ObjRef, ObjectBaseDef, Program, RunMetrics, TxnSpec, WorkloadSpec};
 use obase_obs::{Histogram, LatencyReport};
 use obase_runtime::{ConfigError, ExecutionBackend, Observe, Runtime, Verify};
 use obase_ser::Json;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -284,8 +284,6 @@ impl Server {
         let changed = cfg.diff(&desired);
         *cfg = desired;
         drop(cfg);
-        // A linger-waiting executor should notice new batching knobs.
-        self.shared.work_cv.notify_all();
         Ok(changed)
     }
 
@@ -301,7 +299,6 @@ impl Server {
         {
             let mut q = self.shared.queue.lock().expect("queue lock");
             q.draining = true;
-            self.shared.work_cv.notify_all();
             while !(q.pending.is_empty() && q.in_flight == 0) {
                 q = self.shared.idle_cv.wait(q).expect("queue lock");
             }
@@ -589,7 +586,6 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
                             let changed = cfg.diff(&desired);
                             *cfg = desired;
                             drop(cfg);
-                            shared.work_cv.notify_all();
                             Frame::Reconciled {
                                 changed: changed.iter().map(|c| (*c).to_owned()).collect(),
                             }
@@ -646,25 +642,9 @@ fn executor_loop(shared: &Arc<Shared>) {
                 }
                 q = shared.work_cv.wait(q).expect("queue lock");
             }
-            // Group-commit-style linger: once a batch has its first
-            // member, wait briefly for companions (bounded by the batch
-            // cap and the linger deadline).
-            let (batch_max, linger) = {
-                let cfg = shared.cfg.lock().expect("config lock");
-                (cfg.batch_max, cfg.linger)
-            };
-            let deadline = Instant::now() + linger;
-            while q.pending.len() < batch_max && !q.shutdown && !q.draining {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared
-                    .work_cv
-                    .wait_timeout(q, deadline - now)
-                    .expect("queue lock");
-                q = guard;
-            }
+            // Take whatever is queued, up to the cap, and never wait for
+            // more: under load the queue refilled while the last batch ran.
+            let batch_max = shared.cfg.lock().expect("config lock").batch_max;
             let take = q.pending.len().min(batch_max);
             let batch: Vec<Pending> = q.pending.drain(..take).collect();
             q.in_flight = batch.len();
@@ -738,45 +718,55 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
         }
     };
 
-    // Committed top-level transaction names.
-    let committed_names: std::collections::BTreeSet<&str> = report
-        .history
-        .top_level_execs()
-        .into_iter()
-        .map(|e| report.history.exec(e).method.as_str())
-        .collect();
+    // Which submissions committed, by top-level transaction name.
+    let committed: Vec<bool> = {
+        let names: BTreeSet<&str> = report
+            .history
+            .top_level_execs()
+            .into_iter()
+            .map(|e| report.history.exec(e).method.as_str())
+            .collect();
+        batch
+            .iter()
+            .map(|p| names.contains(p.name.as_str()))
+            .collect()
+    };
+    let finals = obase_core::replay::final_states(&report.history);
+    let checks_ok = report.checks.all_passed() && finals.is_ok();
 
-    // Advance the world: re-seed the object base with the committed final
-    // states so the next batch continues where this one ended.
-    let advanced = obase_core::replay::final_states(&report.history)
-        .ok()
-        .map(|finals| advance_def(shared, &finals));
-    let checks_ok = report.checks.all_passed() && advanced.is_some();
+    // The workload and both histories share the object base with the
+    // world; let go of them (a kept history keeps its own base) so the
+    // update below writes in place instead of copying the whole base.
+    drop(report.raw_history);
+    drop(workload);
+    let kept = cfg.keep_history.then_some(report.history);
 
     {
         let mut w = shared.world.lock().expect("world lock");
         w.batches += 1;
-        if let Some(def) = advanced {
-            w.def = def;
-        }
         if !checks_ok {
             w.oracle_failures += 1;
         }
         w.metrics.absorb(&report.metrics);
-        if let Some(latency) = &report.latency {
+        if let Some(latency) = report.latency {
             match &mut w.latency {
-                Some(merged) => merged.merge(latency),
-                slot => *slot = Some(latency.clone()),
+                Some(merged) => merged.merge(&latency),
+                slot => *slot = Some(latency),
             }
         }
-        if cfg.keep_history {
-            w.histories.push(report.history.clone());
+        w.histories.extend(kept);
+        // Advance the world: the batch's committed final states become the
+        // next batch's initial states. Only the objects it touched change.
+        if let Ok(finals) = finals {
+            let base = w.def.base_mut();
+            for (id, state) in finals {
+                base.set_initial_state(id, state);
+            }
         }
     }
 
     // Answer every submitter.
-    for p in &batch {
-        let committed = committed_names.contains(p.name.as_str());
+    for (p, committed) in batch.iter().zip(committed) {
         let latency_us = p.enqueued.elapsed().as_micros() as u64;
         {
             let mut w = shared.world.lock().expect("world lock");
@@ -797,26 +787,6 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
             },
         );
     }
-}
-
-/// Rebuilds the object-base definition with `finals` as the new initial
-/// states (same names, types and insertion order, so object ids are
-/// stable), re-attaching every method definition.
-fn advance_def(shared: &Shared, finals: &BTreeMap<ObjectId, Value>) -> ObjectBaseDef {
-    let w = shared.world.lock().expect("world lock");
-    let mut base = obase_core::object::ObjectBase::new();
-    for spec in w.def.base().iter() {
-        let state = finals
-            .get(&spec.id)
-            .cloned()
-            .unwrap_or_else(|| spec.initial_state.clone());
-        base.add_object_with_state(spec.name.clone(), spec.ty.clone(), state);
-    }
-    let mut def = ObjectBaseDef::new(Arc::new(base));
-    for (object, method) in w.def.methods() {
-        def.define_method(object, method.clone());
-    }
-    def
 }
 
 fn send_to_session(shared: &Shared, sid: u64, frame: &Frame) {
@@ -884,9 +854,9 @@ fn status_json(shared: &Shared) -> Json {
             "serve_e2e_us",
             Json::object([
                 ("count", Json::Int(w.e2e.count() as i64)),
-                ("p50", Json::Int(w.e2e.percentile(50.0) as i64)),
-                ("p99", Json::Int(w.e2e.percentile(99.0) as i64)),
-                ("p999", Json::Int(w.e2e.percentile(99.9) as i64)),
+                ("p50", Json::Int(w.e2e.percentile(0.5) as i64)),
+                ("p99", Json::Int(w.e2e.percentile(0.99) as i64)),
+                ("p999", Json::Int(w.e2e.percentile(0.999) as i64)),
             ]),
         ),
     ])

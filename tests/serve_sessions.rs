@@ -10,7 +10,9 @@ use obase::serve::{
     PROTOCOL_VERSION,
 };
 use obase_ser::Json;
+use std::collections::BTreeMap;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The library scenario every test serves: two hot queues under a skewed
@@ -23,7 +25,6 @@ fn scenario() -> obase::scenario::Scenario {
 fn quick_config() -> ServeConfig {
     ServeConfig {
         batch_max: 4,
-        linger: Duration::from_millis(1),
         ..ServeConfig::default()
     }
 }
@@ -188,42 +189,91 @@ fn client_disconnect_mid_transaction_is_clean() {
 fn queue_full_is_a_typed_reject_not_a_hang() {
     let scenario = scenario();
     let workload = scenario.compile();
-    // Depth 2, a long linger and a large batch: the executor sits on the
-    // queue long enough that a third submission must find it full.
+    // Depth 1 and one transaction per batch: while the executor runs one
+    // submission, a single other one fits in the queue, so a pipelined
+    // burst must find it full.
     let config = ServeConfig {
-        queue_depth: 2,
-        batch_max: 64,
-        linger: Duration::from_millis(600),
+        queue_depth: 1,
+        batch_max: 1,
         ..ServeConfig::default()
     };
     let server = Server::for_scenario(&scenario, config, "127.0.0.1:0").expect("bind");
-    let mut client = ServeClient::connect(server.addr(), "pressure").expect("connect");
 
+    // A raw session, so answers can be read in the order they arrive.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    wire::write_frame(
+        &mut raw,
+        &Frame::Hello {
+            client: "pressure".into(),
+            protocol: PROTOCOL_VERSION,
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        wire::read_frame(&mut raw).expect("welcome"),
+        Frame::Welcome { .. }
+    ));
+    const BURST: u64 = 32;
     let txn = &workload.transactions[0];
-    let a = client.submit(&txn.name, txn.body.clone()).expect("submit");
-    let b = client.submit(&txn.name, txn.body.clone()).expect("submit");
-    let c = client.submit(&txn.name, txn.body.clone()).expect("submit");
+    let burst: Vec<u8> = (1..=BURST)
+        .flat_map(|id| {
+            wire::encode_frame(&Frame::Submit {
+                id,
+                name: txn.name.clone(),
+                body: txn.body.clone(),
+            })
+        })
+        .collect();
+    use std::io::Write;
+    raw.write_all(&burst).expect("the whole burst in one write");
 
-    // The reject must arrive immediately — well before the lingering batch
-    // settles — and carry the configured depth.
-    let started = Instant::now();
-    match client.wait(c).expect("reject frame") {
-        SubmitOutcome::Rejected(RejectReason::QueueFull { depth }) => assert_eq!(depth, 2),
-        other => panic!("expected a queue-full reject, got {other:?}"),
+    // Exactly one answer per submission, recorded in arrival order.
+    let mut rejects = Vec::new();
+    let mut result_at = BTreeMap::new();
+    for position in 0..BURST {
+        match wire::read_frame(&mut raw).expect("answer") {
+            Frame::Reject {
+                id,
+                reason: RejectReason::QueueFull { depth },
+            } => {
+                assert_eq!(depth, 1, "the reject carries the configured depth");
+                rejects.push((position, id));
+            }
+            Frame::Result { id, .. } => {
+                assert!(
+                    result_at.insert(id, position).is_none(),
+                    "two results for {id}"
+                );
+            }
+            other => panic!("expected a result or a queue-full reject, got {other:?}"),
+        }
     }
+    let &(reject_at, rejected) = rejects
+        .first()
+        .expect("a burst into a queue of depth 1 is refused somewhere");
+
+    // When `rejected` was refused, the last submission admitted before it
+    // sat in the full queue, so its batch had not run yet. The reject must
+    // not wait for that batch: it arrives before that batch's result.
+    let queued_ahead = (1..rejected)
+        .rev()
+        .find(|id| result_at.contains_key(id))
+        .expect("the queue was full, so something was admitted before the reject");
     assert!(
-        started.elapsed() < Duration::from_millis(400),
-        "the reject waited on the batch: backpressure is supposed to be immediate"
+        reject_at < result_at[&queued_ahead],
+        "the reject of {rejected} waited on the batch of {queued_ahead}: \
+         backpressure is supposed to be immediate"
     );
-    assert!(client.wait(a).expect("a").is_settled());
-    assert!(client.wait(b).expect("b").is_settled());
-    client.goodbye();
+    drop(raw);
 
     let summary = server.shutdown();
     assert_eq!(
-        summary.admitted, 2,
-        "the rejected submission was never admitted"
+        summary.admitted,
+        BURST - rejects.len() as u64,
+        "rejected submissions are never admitted"
     );
+    assert_eq!(summary.admitted, result_at.len() as u64);
+    assert_eq!(summary.committed + summary.gave_up, summary.admitted);
 }
 
 #[test]
@@ -273,7 +323,6 @@ fn reconcile_mid_load_loses_zero_in_flight_transactions() {
         workers: 2,
         queue_depth: 512,
         batch_max: 4,
-        linger: Duration::from_millis(1),
         ..ServeConfig::default()
     };
     let server = Server::for_scenario(&scenario, config, "127.0.0.1:0").expect("bind");
@@ -303,22 +352,17 @@ fn reconcile_mid_load_loses_zero_in_flight_transactions() {
     }
 
     // Mid-load: swap the scheduler spec AND resize the worker pool, over
-    // the wire, from an admin connection.
+    // the wire, from an admin connection. The `linger_ms` an old client
+    // still sends is an unknown field now, so it is ignored.
     std::thread::sleep(Duration::from_millis(30));
     let mut admin = ServeClient::connect(addr, "admin").expect("connect");
     let desired = Json::object([
         ("scheduler", SchedulerSpec::nto_conservative().to_json()),
         ("workers", Json::Int(4)),
+        ("linger_ms", Json::Int(600)),
     ]);
     let changed = admin.reconcile(desired.clone()).expect("reconcile");
-    assert!(
-        changed.contains(&"scheduler".to_string()),
-        "changed: {changed:?}"
-    );
-    assert!(
-        changed.contains(&"workers".to_string()),
-        "changed: {changed:?}"
-    );
+    assert_eq!(changed, ["scheduler", "workers"], "changed: {changed:?}");
     // Idempotent: the same desired state again changes nothing.
     assert!(admin
         .reconcile(desired)
@@ -388,6 +432,110 @@ fn status_document_reports_live_state() {
     }
     client.goodbye();
     server.shutdown();
+}
+
+#[test]
+fn status_percentiles_match_the_latencies_clients_saw() {
+    let scenario = scenario();
+    let workload = scenario.compile();
+    let server = Server::for_scenario(&scenario, quick_config(), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.addr(), "percentiles").expect("connect");
+
+    // A pipelined window, so queueing spreads the latencies out.
+    let ids: Vec<u64> = workload
+        .transactions
+        .iter()
+        .cycle()
+        .take(48)
+        .map(|t| client.submit(&t.name, t.body.clone()).expect("submit"))
+        .collect();
+    let mut latencies: Vec<u64> = ids
+        .into_iter()
+        .map(|id| match client.wait(id).expect("wait") {
+            SubmitOutcome::Committed { latency_us } | SubmitOutcome::GaveUp { latency_us } => {
+                latency_us
+            }
+            other => panic!("{id}: unexpected outcome {other:?}"),
+        })
+        .collect();
+    latencies.sort_unstable();
+    // The nearest-rank median, the rank `Histogram::percentile` uses.
+    let median = latencies[latencies.len().div_ceil(2) - 1];
+
+    let status = client.status().expect("status");
+    let e2e = status.get("serve_e2e_us").expect("latency block");
+    let at = |q: &str| e2e.get(q).and_then(Json::as_int).expect("percentile") as u64;
+    let p50 = at("p50");
+    // The histogram reports the floor of the median's bucket, and a bucket
+    // is at most 1/32 (3.2%) of the values in it.
+    assert!(
+        p50 <= median && (median - p50) * 32 <= median,
+        "status p50 {p50} is not within a bucket of the clients' median {median}"
+    );
+    assert!(p50 <= at("p99") && at("p99") <= at("p999"));
+    assert!(at("p999") <= *latencies.last().expect("latencies"));
+    client.goodbye();
+    server.shutdown();
+}
+
+#[test]
+fn state_carries_across_one_transaction_batches() {
+    use obase::adt::Account;
+    use obase::core::object::ObjectBase;
+    use obase::core::replay;
+    use obase::core::value::Value;
+    use obase::exec::{Expr, MethodDef, ObjectBaseDef, Program};
+
+    const OPENING: i64 = 1_000;
+    let mut base = ObjectBase::new();
+    let account = base.add_object("account", Arc::new(Account::with_initial(OPENING)));
+    let mut def = ObjectBaseDef::new(Arc::new(base));
+    for (name, params, op) in [("deposit", 1, "Deposit"), ("balance", 0, "Balance")] {
+        def.define_method(
+            account,
+            MethodDef {
+                name: name.into(),
+                params,
+                body: Program::Local {
+                    op: op.into(),
+                    args: (0..params).map(Expr::Param).collect(),
+                },
+            },
+        );
+    }
+    let server = Server::bind(def, ServeConfig::default(), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.addr(), "depositor").expect("connect");
+
+    // One at a time, so every batch holds one transaction. Each reads the
+    // balance after its deposit, so the merged history is legal only if
+    // every batch started from the state the previous one left.
+    let deposits: Vec<i64> = (1..=12).collect();
+    for &amount in &deposits {
+        let body = Program::Seq(vec![
+            Program::invoke(account, "deposit", [Value::Int(amount)]),
+            Program::invoke(account, "balance", []),
+        ]);
+        let outcome = client.submit_wait("deposit", body).expect("settle");
+        assert!(outcome.is_committed(), "deposit {amount}: {outcome:?}");
+    }
+    client.goodbye();
+
+    let summary = server.shutdown();
+    assert_eq!(summary.batches, deposits.len() as u64);
+    assert_eq!(summary.committed, deposits.len() as u64);
+    assert_eq!(summary.oracle_failures, 0);
+    let history = summary.history.expect("keep_history is on by default");
+    check_admitted(&history).expect("the carried-forward history is serialisable");
+    assert_eq!(
+        replay::final_state(&history, account).expect("replay"),
+        Value::Int(OPENING + deposits.iter().sum::<i64>())
+    );
+    // The first batch's history still holds the base as it was: advancing
+    // the served base copied it rather than writing under the history.
+    assert_eq!(
+        history.base().spec(account).initial_state,
+        Value::Int(OPENING)
+    );
 }
 
 #[test]
