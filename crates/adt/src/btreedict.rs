@@ -20,12 +20,14 @@ use obase_core::value::Value;
 /// An integer-keyed ordered dictionary with `Insert(k, v)`, `Delete(k)`,
 /// `Lookup(k)` and `Range(lo, hi)` operations.
 ///
-/// The state is a sorted list of `[k, v]` pairs; every operation round-trips
-/// it through a [`BTree`] so the physical structure of the paper's Section 2
-/// example is genuinely exercised. `Insert` returns the previous value (or
-/// `Unit`), `Delete` the removed value (or `Unit`), `Lookup` the present
-/// value (or `Unit`) and `Range` the list of values whose keys lie in the
-/// *inclusive* interval `[lo, hi]`.
+/// The state is a sorted list of `[k, v]` pairs; every operation loads it
+/// into a [`BTree`] so the physical structure of the paper's Section 2
+/// example is genuinely exercised, and a mutation that changes the tree
+/// encodes it back (reads and no-op deletes return the input state).
+/// `Insert` returns the previous value (or `Unit`), `Delete` the removed
+/// value (or `Unit`), `Lookup` the present value (or `Unit`) and `Range`
+/// the list of values whose keys lie in the *inclusive* interval
+/// `[lo, hi]`.
 #[derive(Clone, Debug, Default)]
 pub struct BTreeDict;
 
@@ -51,10 +53,9 @@ impl BTreeDict {
     }
 
     fn state(&self, tree: &BTree<i64, i64>) -> Value {
-        Value::List(
+        Value::list(
             tree.iter()
-                .map(|(k, v)| Value::list([Value::Int(*k), Value::Int(*v)]))
-                .collect(),
+                .map(|(k, v)| Value::list([Value::Int(*k), Value::Int(*v)])),
         )
     }
 
@@ -90,7 +91,7 @@ impl SemanticType for BTreeDict {
     }
 
     fn initial_state(&self) -> Value {
-        Value::List(Vec::new())
+        Value::list([])
     }
 
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError> {
@@ -105,25 +106,25 @@ impl SemanticType for BTreeDict {
             }
             "Delete" => {
                 let k = self.int_arg(op, 0)?;
-                let removed = tree.remove(&k);
-                Ok((self.state(&tree), opt(removed)))
+                match tree.remove(&k) {
+                    Some(removed) => Ok((self.state(&tree), Value::Int(removed))),
+                    None => Ok((state.clone(), Value::Unit)),
+                }
             }
             "Lookup" => {
                 let k = self.int_arg(op, 0)?;
-                let found = tree.get(&k).copied();
-                Ok((self.state(&tree), opt(found)))
+                Ok((state.clone(), opt(tree.get(&k).copied())))
             }
             "Range" => {
                 let lo = self.int_arg(op, 0)?;
                 let hi = self.int_arg(op, 1)?;
-                let values: Vec<Value> = tree
+                let values = tree
                     .range(&lo, &hi)
                     .into_iter()
-                    .map(|(_, v)| Value::Int(*v))
-                    .collect();
-                Ok((self.state(&tree), Value::List(values)))
+                    .map(|(_, v)| Value::Int(*v));
+                Ok((state.clone(), Value::list(values)))
             }
-            _ if op.is_abort() => Ok((self.state(&tree), Value::Unit)),
+            _ if op.is_abort() => Ok((state.clone(), Value::Unit)),
             _ => Err(TypeError::UnknownOperation {
                 type_name: self.type_name().into(),
                 op: op.clone(),
@@ -174,7 +175,7 @@ impl SemanticType for BTreeDict {
     fn sample_states(&self) -> Vec<Value> {
         let pair = |k: i64, v: i64| Value::list([Value::Int(k), Value::Int(v)]);
         vec![
-            Value::List(vec![]),
+            Value::list([]),
             Value::list([pair(1, 10)]),
             Value::list([pair(1, 10), pair(3, 30)]),
         ]

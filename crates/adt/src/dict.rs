@@ -12,6 +12,7 @@ use obase_core::object::SemanticType;
 use obase_core::op::{LocalStep, Operation};
 use obase_core::value::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A dictionary with `Insert(key, value)`, `Delete(key)`, `Lookup(key)` and
 /// `Size()` operations. Keys are strings (other key types can be encoded);
@@ -21,11 +22,14 @@ use std::collections::BTreeMap;
 pub struct Dictionary;
 
 impl Dictionary {
-    fn entries(&self, state: &Value) -> Result<BTreeMap<String, Value>, TypeError> {
-        state.as_map().cloned().ok_or_else(|| TypeError::BadState {
-            type_name: "Dictionary".into(),
-            expected: "Map of entries".into(),
-        })
+    fn entries<'a>(&self, state: &'a Value) -> Result<&'a Arc<BTreeMap<String, Value>>, TypeError> {
+        match state {
+            Value::Map(m) => Ok(m),
+            _ => Err(TypeError::BadState {
+                type_name: "Dictionary".into(),
+                expected: "Map of entries".into(),
+            }),
+        }
     }
 
     fn key(&self, op: &Operation) -> Result<String, TypeError> {
@@ -52,11 +56,11 @@ impl SemanticType for Dictionary {
     }
 
     fn initial_state(&self) -> Value {
-        Value::Map(BTreeMap::new())
+        Value::Map(Arc::default())
     }
 
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError> {
-        let mut entries = self.entries(state)?;
+        let entries = self.entries(state)?;
         match op.name.as_str() {
             "Insert" => {
                 let k = self.key(op)?;
@@ -65,24 +69,26 @@ impl SemanticType for Dictionary {
                     op: op.clone(),
                     expected: "Insert(key, value)".into(),
                 })?;
-                let old = entries.insert(k, v).unwrap_or(Value::Unit);
-                Ok((Value::Map(entries), old))
+                let mut next = Arc::clone(entries);
+                let old = Arc::make_mut(&mut next).insert(k, v).unwrap_or(Value::Unit);
+                Ok((Value::Map(next), old))
             }
             "Delete" => {
                 let k = self.key(op)?;
-                let removed = entries.remove(&k).is_some();
-                Ok((Value::Map(entries), Value::Bool(removed)))
+                if !entries.contains_key(&k) {
+                    return Ok((state.clone(), Value::Bool(false)));
+                }
+                let mut next = Arc::clone(entries);
+                Arc::make_mut(&mut next).remove(&k);
+                Ok((Value::Map(next), Value::Bool(true)))
             }
             "Lookup" => {
                 let k = self.key(op)?;
                 let v = entries.get(&k).cloned().unwrap_or(Value::Unit);
-                Ok((Value::Map(entries), v))
+                Ok((state.clone(), v))
             }
-            "Size" => {
-                let n = entries.len() as i64;
-                Ok((Value::Map(entries), Value::Int(n)))
-            }
-            _ if op.is_abort() => Ok((Value::Map(entries), Value::Unit)),
+            "Size" => Ok((state.clone(), Value::Int(entries.len() as i64))),
+            _ if op.is_abort() => Ok((state.clone(), Value::Unit)),
             _ => Err(TypeError::UnknownOperation {
                 type_name: self.type_name().into(),
                 op: op.clone(),
@@ -133,7 +139,7 @@ impl SemanticType for Dictionary {
 
     fn sample_states(&self) -> Vec<Value> {
         vec![
-            Value::Map(BTreeMap::new()),
+            self.initial_state(),
             Value::map([("a", Value::Int(1))]),
             Value::map([("a", Value::Int(1)), ("b", Value::Int(2))]),
         ]

@@ -61,6 +61,7 @@ pub fn all_types() -> Vec<TypeHandle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obase_core::value::Value;
 
     #[test]
     fn all_types_are_distinctly_named() {
@@ -99,6 +100,43 @@ mod tests {
                 ty.type_name(),
                 violations.first()
             );
+        }
+    }
+
+    /// Whether two states are the same payload: pointer equality for the
+    /// shared `List`/`Map` payloads, plain equality for scalars.
+    fn same_storage(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::List(x), Value::List(y)) => Arc::ptr_eq(x, y),
+            (Value::Map(x), Value::Map(y)) => Arc::ptr_eq(x, y),
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn apply_copies_on_write_and_shares_on_read() {
+        for ty in all_types() {
+            let name = ty.type_name();
+            for (i, state) in ty.sample_states().into_iter().enumerate() {
+                for op in ty.sample_operations() {
+                    let (next, _) = ty
+                        .apply(&state, &op)
+                        .unwrap_or_else(|e| panic!("{name}: {op:?} on {state:?}: {e}"));
+                    // The input is never written through, even though the
+                    // result may share its payload.
+                    assert_eq!(
+                        state,
+                        ty.sample_states()[i],
+                        "{name}: {op:?} changed its input state"
+                    );
+                    if ty.op_is_readonly(&op) {
+                        assert!(
+                            same_storage(&state, &next),
+                            "{name}: read-only {op:?} copied state {state:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -11,6 +11,7 @@ use obase_core::error::TypeError;
 use obase_core::object::SemanticType;
 use obase_core::op::{LocalStep, Operation};
 use obase_core::value::Value;
+use std::sync::Arc;
 
 /// A FIFO queue with `Enqueue(v)`, `Dequeue()`, `Size()` and `Peek()`
 /// operations. `Dequeue` on an empty queue returns [`Value::Unit`].
@@ -18,14 +19,14 @@ use obase_core::value::Value;
 pub struct FifoQueue;
 
 impl FifoQueue {
-    fn items(&self, state: &Value) -> Result<Vec<Value>, TypeError> {
-        state
-            .as_list()
-            .map(<[Value]>::to_vec)
-            .ok_or_else(|| TypeError::BadState {
+    fn items<'a>(&self, state: &'a Value) -> Result<&'a Arc<Vec<Value>>, TypeError> {
+        match state {
+            Value::List(items) => Ok(items),
+            _ => Err(TypeError::BadState {
                 type_name: "FifoQueue".into(),
                 expected: "List of items".into(),
-            })
+            }),
+        }
     }
 }
 
@@ -35,11 +36,11 @@ impl SemanticType for FifoQueue {
     }
 
     fn initial_state(&self) -> Value {
-        Value::List(Vec::new())
+        Value::list([])
     }
 
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError> {
-        let mut items = self.items(state)?;
+        let items = self.items(state)?;
         match op.name.as_str() {
             "Enqueue" => {
                 let v = op.arg(0).cloned().ok_or_else(|| TypeError::BadArguments {
@@ -47,26 +48,24 @@ impl SemanticType for FifoQueue {
                     op: op.clone(),
                     expected: "Enqueue(value)".into(),
                 })?;
-                items.push(v);
-                Ok((Value::List(items), Value::Unit))
+                let mut next = Arc::clone(items);
+                Arc::make_mut(&mut next).push(v);
+                Ok((Value::List(next), Value::Unit))
             }
             "Dequeue" => {
                 if items.is_empty() {
-                    Ok((Value::List(items), Value::Unit))
-                } else {
-                    let front = items.remove(0);
-                    Ok((Value::List(items), front))
+                    return Ok((state.clone(), Value::Unit));
                 }
+                let mut next = Arc::clone(items);
+                let front = Arc::make_mut(&mut next).remove(0);
+                Ok((Value::List(next), front))
             }
             "Peek" => {
                 let front = items.first().cloned().unwrap_or(Value::Unit);
-                Ok((Value::List(items), front))
+                Ok((state.clone(), front))
             }
-            "Size" => {
-                let n = items.len() as i64;
-                Ok((Value::List(items), Value::Int(n)))
-            }
-            _ if op.is_abort() => Ok((Value::List(items), Value::Unit)),
+            "Size" => Ok((state.clone(), Value::Int(items.len() as i64))),
+            _ if op.is_abort() => Ok((state.clone(), Value::Unit)),
             _ => Err(TypeError::UnknownOperation {
                 type_name: self.type_name().into(),
                 op: op.clone(),
@@ -121,7 +120,7 @@ impl SemanticType for FifoQueue {
 
     fn sample_states(&self) -> Vec<Value> {
         vec![
-            Value::List(vec![]),
+            Value::list([]),
             Value::list([Value::Int(1)]),
             Value::list([Value::Int(1), Value::Int(2)]),
         ]

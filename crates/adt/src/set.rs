@@ -9,6 +9,7 @@ use obase_core::error::TypeError;
 use obase_core::object::SemanticType;
 use obase_core::op::{LocalStep, Operation};
 use obase_core::value::Value;
+use std::sync::Arc;
 
 /// A set of values with `Insert(v)`, `Remove(v)`, `Contains(v)` and `Size()`
 /// operations. `Insert`/`Remove` return whether they changed the set.
@@ -16,14 +17,14 @@ use obase_core::value::Value;
 pub struct SetObject;
 
 impl SetObject {
-    fn members(&self, state: &Value) -> Result<Vec<Value>, TypeError> {
-        state
-            .as_list()
-            .map(<[Value]>::to_vec)
-            .ok_or_else(|| TypeError::BadState {
+    fn members<'a>(&self, state: &'a Value) -> Result<&'a Arc<Vec<Value>>, TypeError> {
+        match state {
+            Value::List(items) => Ok(items),
+            _ => Err(TypeError::BadState {
                 type_name: "SetObject".into(),
                 expected: "sorted List of members".into(),
-            })
+            }),
+        }
     }
 
     fn element<'a>(&self, op: &'a Operation) -> Result<&'a Value, TypeError> {
@@ -41,40 +42,38 @@ impl SemanticType for SetObject {
     }
 
     fn initial_state(&self) -> Value {
-        Value::List(Vec::new())
+        Value::list([])
     }
 
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError> {
-        let mut members = self.members(state)?;
+        let members = self.members(state)?;
         match op.name.as_str() {
             "Insert" => {
-                let v = self.element(op)?.clone();
-                let added = if members.contains(&v) {
-                    false
-                } else {
-                    members.push(v);
-                    members.sort();
-                    true
-                };
-                Ok((Value::List(members), Value::Bool(added)))
+                let v = self.element(op)?;
+                if members.contains(v) {
+                    return Ok((state.clone(), Value::Bool(false)));
+                }
+                let mut next = Arc::clone(members);
+                let items = Arc::make_mut(&mut next);
+                items.push(v.clone());
+                items.sort();
+                Ok((Value::List(next), Value::Bool(true)))
             }
             "Remove" => {
                 let v = self.element(op)?;
-                let before = members.len();
-                members.retain(|m| m != v);
-                let removed = members.len() != before;
-                Ok((Value::List(members), Value::Bool(removed)))
+                if !members.contains(v) {
+                    return Ok((state.clone(), Value::Bool(false)));
+                }
+                let mut next = Arc::clone(members);
+                Arc::make_mut(&mut next).retain(|m| m != v);
+                Ok((Value::List(next), Value::Bool(true)))
             }
             "Contains" => {
-                let v = self.element(op)?;
-                let present = members.contains(v);
-                Ok((Value::List(members), Value::Bool(present)))
+                let present = members.contains(self.element(op)?);
+                Ok((state.clone(), Value::Bool(present)))
             }
-            "Size" => {
-                let n = members.len() as i64;
-                Ok((Value::List(members), Value::Int(n)))
-            }
-            _ if op.is_abort() => Ok((Value::List(members), Value::Unit)),
+            "Size" => Ok((state.clone(), Value::Int(members.len() as i64))),
+            _ if op.is_abort() => Ok((state.clone(), Value::Unit)),
             _ => Err(TypeError::UnknownOperation {
                 type_name: self.type_name().into(),
                 op: op.clone(),
@@ -144,7 +143,7 @@ impl SemanticType for SetObject {
 
     fn sample_states(&self) -> Vec<Value> {
         vec![
-            Value::List(vec![]),
+            Value::list([]),
             Value::list([Value::Int(1)]),
             Value::list([Value::Int(1), Value::Int(2)]),
         ]

@@ -45,6 +45,12 @@ pub trait SemanticType: Send + Sync + fmt::Debug {
     ///
     /// Returns an error if the operation is unknown or its arguments are
     /// malformed for this type. Operation application must be deterministic.
+    ///
+    /// States are shared values (see [`crate::value`]): cloning one is
+    /// O(1). An implementation returns `state.clone()` when the operation
+    /// changes nothing (reads, aborts, no-op mutations), mutates only
+    /// through [`Arc::make_mut`] on a clone of the input, and never writes
+    /// through a payload that may be shared.
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError>;
 
     /// Conservative operation-level conflict relation: `a` conflicts with

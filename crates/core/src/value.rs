@@ -6,10 +6,26 @@
 //! We use a small dynamically-typed value universe so that heterogeneous
 //! object types (counters, queues, dictionaries, B-trees, ...) can coexist in
 //! one object base and one history.
+//!
+//! # Sharing contract
+//!
+//! Compound payloads ([`Value::List`], [`Value::Map`]) sit behind an [`Arc`],
+//! so cloning a value — and with it a whole object base, a history's initial
+//! states or a replayed state — costs O(1) whatever the object's size. Every
+//! [`SemanticType::apply`](crate::object::SemanticType::apply) keeps to three
+//! rules that make this sharing safe:
+//!
+//! * when an operation changes nothing (a read, an abort, a no-op mutation),
+//!   return `state.clone()`, which shares the input's payload;
+//! * mutate only through [`Arc::make_mut`] on a clone of the input, which
+//!   copies the payload exactly when someone else still holds it;
+//! * never write through a payload that may be shared: a state once handed
+//!   out is immutable for every holder.
 
 use crate::ids::ObjectId;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dynamically typed value.
 ///
@@ -29,10 +45,11 @@ pub enum Value {
     /// A reference to an object in the object base (used to pass objects as
     /// method arguments, e.g. the accounts involved in a transfer).
     Obj(ObjectId),
-    /// An ordered list of values.
-    List(Vec<Value>),
-    /// A string-keyed map of values (used for record-like object states).
-    Map(BTreeMap<String, Value>),
+    /// An ordered list of values, shared on clone.
+    List(Arc<Vec<Value>>),
+    /// A string-keyed map of values (used for record-like object states),
+    /// shared on clone.
+    Map(Arc<BTreeMap<String, Value>>),
 }
 
 impl Value {
@@ -42,7 +59,9 @@ impl Value {
         I: IntoIterator<Item = (K, Value)>,
         K: Into<String>,
     {
-        Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Map(Arc::new(
+            entries.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ))
     }
 
     /// Builds a list value.
@@ -50,7 +69,7 @@ impl Value {
     where
         I: IntoIterator<Item = Value>,
     {
-        Value::List(items.into_iter().collect())
+        Value::List(Arc::new(items.into_iter().collect()))
     }
 
     /// Returns the integer payload, if this is an [`Value::Int`].
@@ -167,8 +186,8 @@ impl fmt::Debug for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Str(s) => write!(f, "{s:?}"),
             Value::Obj(o) => write!(f, "{o:?}"),
-            Value::List(items) => f.debug_list().entries(items).finish(),
-            Value::Map(m) => f.debug_map().entries(m).finish(),
+            Value::List(items) => f.debug_list().entries(items.iter()).finish(),
+            Value::Map(m) => f.debug_map().entries(m.iter()).finish(),
         }
     }
 }

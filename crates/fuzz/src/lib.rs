@@ -6,7 +6,7 @@
 //! *specs* themselves and holds every backend to the oracle differentially:
 //!
 //! * [`gen`] — a seeded generator random-walking the full
-//!   [`Scenario`](obase_scenario::Scenario) space: ADT mixes (including
+//!   [`Scenario`] space: ADT mixes (including
 //!   `BTreeDict` ranges), key distributions, nesting depth/width/`Par`,
 //!   scheduler line-ups, `FaultPlan` chaos and WAL `CrashPlan` cut points,
 //!   plus the MVCC snapshot-read knob;
@@ -15,8 +15,8 @@
 //!   backend and the durable backend, under `check_serialisable()` plus
 //!   cross-backend structural equivalence, WAL recovery equality and
 //!   no-resurrection crash checks. Failures are *captured* as typed
-//!   [`Failure`](diff::Failure)s, never panics;
-//! * [`shrink`] — the greedy auto-shrinker: on failure, drop scheduler
+//!   [`Failure`]s, never panics;
+//! * [`shrink`](mod@shrink) — the greedy auto-shrinker: on failure, drop scheduler
 //!   specs, client classes and ADT groups, halve depth/width/rounds, narrow
 //!   fault windows and strip chaos while re-checking that the failure still
 //!   reproduces, down to a fixed point;

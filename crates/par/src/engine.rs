@@ -33,12 +33,12 @@ use crate::store::{ObjectSlot, ShardedStore};
 use crate::waiters::{Signal, Waiters};
 use obase_core::graph::DiGraph;
 use obase_core::ids::{ExecId, ObjectId, StepId};
-use obase_core::lifecycle::{resolve_abort, ExecutionDriver};
+use obase_core::lifecycle::{resolve_abort, ExecTable, ExecutionDriver};
 use obase_core::op::{LocalStep, Operation};
 use obase_core::record::{stitch, BufferedRecorder, EventBuffer, HistoryRecorder, RecordClock};
 use obase_core::sched::{AbortReason, Decision, Scheduler};
 use obase_core::value::Value;
-use obase_exec::kernel::LifecycleKernel;
+use obase_exec::kernel::{LifecycleKernel, Pending};
 use obase_exec::mvcc::{self, SnapshotPlan, VersionedStore};
 use obase_exec::{ExecParams, Program, RunResult, TxnSpec, WorkloadSpec};
 use obase_obs::{ObsEvent, ObsHandle, ObsLane};
@@ -135,6 +135,43 @@ struct Life {
     /// the abort at its next gate. Kept here (not in thread bookkeeping) so
     /// doom decisions serialise with commit settling.
     doomed: BTreeMap<ExecId, (AbortReason, bool)>,
+    /// For each deadlock victim's spec, the top-level transactions the
+    /// victim was blocked on. Its retry is not admitted until they have
+    /// all settled: started at once, the retry can take the lock its woken
+    /// partner is about to take, deadlock with that partner again, and do
+    /// so attempt after attempt until its retry budget runs out.
+    retry_after: BTreeMap<usize, Vec<ExecId>>,
+    /// Retries popped from the kernel queue while their partners were
+    /// still live, in the order they were popped.
+    held: Vec<(Pending, Vec<ExecId>)>,
+}
+
+impl Life {
+    /// The next transaction to admit: the first held retry whose partners
+    /// have all settled (any held retry once nothing runs), else the first
+    /// queued one that is not held back.
+    fn next_admissible(&mut self) -> Option<Pending> {
+        let (execs, idle) = (&self.kernel.execs, self.running == 0);
+        if let Some(i) = self
+            .held
+            .iter()
+            .position(|(_, a)| idle || all_settled(execs, a))
+        {
+            return Some(self.held.remove(i).0);
+        }
+        while let Some(p) = self.kernel.next_pending() {
+            match self.retry_after.remove(&p.spec) {
+                Some(a) if !idle && !all_settled(&self.kernel.execs, &a) => self.held.push((p, a)),
+                _ => return Some(p),
+            }
+        }
+        None
+    }
+
+    /// `true` if no transaction is queued, held back or running.
+    fn settled(&self) -> bool {
+        self.running == 0 && self.held.is_empty() && self.kernel.queue_is_empty()
+    }
 }
 
 /// Behind the thread-bookkeeping mutex: activity stacks for the monitor and
@@ -308,6 +345,8 @@ pub fn execute_parallel_observed(
             kernel,
             running: 0,
             doomed: BTreeMap::new(),
+            retry_after: BTreeMap::new(),
+            held: Vec::new(),
         }),
         work_cv: Condvar::new(),
         control: Mutex::new(Control::default()),
@@ -376,7 +415,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
         let pending = {
             let mut l = life(shared);
             loop {
-                if let Some(p) = l.kernel.next_pending() {
+                if let Some(p) = l.next_admissible() {
                     l.running += 1;
                     break Some(p);
                 }
@@ -400,7 +439,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
         let idle = {
             let mut l = life(shared);
             l.running -= 1;
-            l.running == 0 && l.kernel.queue_is_empty()
+            l.settled()
         };
         shared.bump();
         if idle {
@@ -409,7 +448,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
     }
 }
 
-fn run_top_level(shared: &Shared, p: obase_exec::kernel::Pending, widx: usize) {
+fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
     let spec: &TxnSpec = &shared.workload.transactions[p.spec];
     let mut actx = ActCtx {
         act: usize::MAX,
@@ -484,7 +523,7 @@ fn run_top_level(shared: &Shared, p: obase_exec::kernel::Pending, widx: usize) {
 /// the read itself touches nothing but the version store. Returns `false`
 /// (and touches nothing) when the transaction must take the scheduled path,
 /// including when a read-only plan trips a `TypeError` on committed state.
-fn try_snapshot(shared: &Shared, actx: &mut ActCtx, p: obase_exec::kernel::Pending) -> bool {
+fn try_snapshot(shared: &Shared, actx: &mut ActCtx, p: Pending) -> bool {
     let Some(plan) = shared.plans.get(p.spec).and_then(Option::as_ref) else {
         return false;
     };
@@ -1169,11 +1208,8 @@ fn monitor_loop(shared: &Shared, done: &Signal, started: Instant) {
         if done.wait_timeout(shared.params.monitor_tick) {
             return;
         }
-        {
-            let l = life(shared);
-            if l.kernel.queue_is_empty() && l.running == 0 {
-                return;
-            }
+        if life(shared).settled() {
+            return;
         }
         if !shared.shutdown.load(Ordering::Acquire) && started.elapsed() > shared.params.deadline {
             shared.shutdown.store(true, Ordering::Release);
@@ -1181,6 +1217,7 @@ fn monitor_loop(shared: &Shared, done: &Signal, started: Instant) {
                 let mut l = life(shared);
                 l.kernel.metrics.timed_out = true;
                 l.kernel.clear_queue();
+                l.held.clear();
             }
             shared.bump();
             shared.waiters.wake_all();
@@ -1191,6 +1228,10 @@ fn monitor_loop(shared: &Shared, done: &Signal, started: Instant) {
         let c = control(shared);
         if let Some(victim) = deadlock_victim(&l, &c) {
             l.kernel.metrics.deadlocks += 1;
+            if let Some((spec, _)) = l.kernel.execs.record(victim).spec {
+                let after = blockers_of(&l, &c, victim);
+                l.retry_after.insert(spec, after);
+            }
             l.doomed.insert(victim, (AbortReason::Deadlock, false));
             shared.index.set_flags(victim, DOOMED);
             drop(c);
@@ -1201,6 +1242,28 @@ fn monitor_loop(shared: &Shared, done: &Signal, started: Instant) {
             shared.waiters.wake_top(victim);
         }
     }
+}
+
+/// `true` if every one of `tops` has committed or aborted.
+fn all_settled(execs: &ExecTable, tops: &[ExecId]) -> bool {
+    tops.iter().all(|&t| {
+        let r = execs.record(t);
+        r.committed || r.aborted
+    })
+}
+
+/// The top-level transactions other than `top` that `top`'s blocked
+/// activities wait for.
+fn blockers_of(l: &Life, c: &Control, top: ExecId) -> Vec<ExecId> {
+    let execs = &l.kernel.execs;
+    c.activities
+        .iter()
+        .filter(|a| a.active && a.stack.first().is_some_and(|&e| execs.top_of(e) == top))
+        .flat_map(|a| &a.blocked_on)
+        .filter(|owner| owner.index() < execs.len())
+        .map(|&owner| execs.top_of(owner))
+        .filter(|&t| t != top)
+        .collect()
 }
 
 /// Scans the registered activities for a waits-for cycle and applies the

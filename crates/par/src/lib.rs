@@ -31,7 +31,7 @@
 //! |---|---|---|
 //! | store shards ([`ShardedStore`], one mutex per shard) | object states + installed-step logs | every local step (one shard), abort undo (shard by shard) |
 //! | scheduler shards ([`SchedPlane`], one mutex per shard — or one total for non-decomposable schedulers) | per-object concurrency-control state | grant/validate requests (one shard), lifecycle broadcasts (touched shards only, one at a time) |
-//! | lifecycle mutex ([`LifecycleKernel`] + admission state + doom verdicts) | execution registry, retry queue, lifecycle metrics | admission, nested begin, commit settling, abort marking/accounting — never per step |
+//! | lifecycle mutex ([`LifecycleKernel`](obase_exec::kernel::LifecycleKernel) + admission state + doom verdicts) | execution registry, retry queue, lifecycle metrics | admission, nested begin, commit settling, abort marking/accounting — never per step |
 //! | bookkeeping mutex | activity stacks (waits-for edges), touched-shard sets | blocking transitions, monitor ticks |
 //! | waiter registry ([`engine`]'s targeted parking) | blocked-transaction → signal map | park/unpark only |
 //! | history | *nothing shared* — per-activity append-only event buffers + one atomic sequence counter ([`obase_core::record`]), stitched at run end | every record, without locks |
@@ -76,7 +76,10 @@
 //! abort loop: marking the subtree, replaying the surviving per-object logs
 //! through the *same* undo routine as the simulator
 //! ([`obase_exec::store::replay_log`]), releasing scheduler resources only
-//! after the undo, and re-submitting up to the retry budget.
+//! after the undo, and re-submitting up to the retry budget. A deadlock
+//! victim's retry is held back until the transactions it was blocked on
+//! have settled; started at once, it could take the lock its woken partner
+//! is about to take and deadlock with the same partner on every attempt.
 //! Surviving steps whose recorded return values no longer replay are dirty
 //! reads; their transactions are cascade-aborted (dooming them if they are
 //! still running). Because locks are released only after the undo, strict
@@ -249,15 +252,19 @@ mod tests {
                 },
             ],
         };
-        // Run several times: with only two transactions the deadlock window
+        // Run many times: with only two transactions the deadlock window
         // is not hit on every OS interleaving, but every run must settle
-        // with both committed and a serialisable history.
-        for _ in 0..20 {
+        // with both committed and a serialisable history. One retry is
+        // enough: the victim's retry waits for the partner it was blocked
+        // on, so it cannot take the partner's next lock first and deadlock
+        // with it again.
+        for _ in 0..200 {
             let result = execute_parallel(
                 &wl,
                 Box::new(N2plScheduler::operation_locks()),
                 &ParParams {
                     workers: 2,
+                    max_retries: 1,
                     ..Default::default()
                 },
             );

@@ -73,7 +73,7 @@ impl fmt::Debug for Wrapper {
 ///
 /// All backends are drivers over the one lifecycle kernel
 /// (`obase_exec::kernel`): they run the same commit/abort/undo code, drive
-/// the same [`Scheduler`](obase_core::sched::Scheduler) contract and
+/// the same [`Scheduler`] contract and
 /// produce the same artefacts (history, metrics — including the
 /// per-reason abort histogram — and theory checks), so any
 /// [`SchedulerSpec`] runs unchanged on any of them.
@@ -132,7 +132,7 @@ impl ExecutionBackend {
 /// What a run observes: the runtime's grip on `obase-obs`.
 ///
 /// The default is [`Observe::Off`], which hands the engines the collapsed
-/// [`ObsHandle`](obase_obs::ObsHandle) — one branch at startup, nothing on
+/// [`ObsHandle`] — one branch at startup, nothing on
 /// the hot path. [`Observe::Latency`] records the lifecycle stream in memory
 /// and distils it into [`RunReport::latency`]; [`Observe::Trace`] shares a
 /// [`ChromeTraceObserver`] with the caller (who exports the Perfetto JSON
@@ -143,7 +143,7 @@ pub enum Observe {
     #[default]
     Off,
     /// Record lifecycle events per run and attach a
-    /// [`LatencyReport`](obase_obs::LatencyReport) to the [`RunReport`].
+    /// [`LatencyReport`] to the [`RunReport`].
     Latency,
     /// Stream events into the given trace observer (shared with the caller,
     /// which renders `chrome://tracing` JSON after the run). The latency
@@ -449,7 +449,7 @@ impl RuntimeBuilder {
     /// Installs a scheduler decorator applied to every scheduler this
     /// runtime instantiates (after the registry built it, before a run
     /// starts). Decorators interpose on the full
-    /// [`Scheduler`](obase_core::sched::Scheduler) contract, so they work
+    /// [`Scheduler`] contract, so they work
     /// identically on both backends — `obase-scenario` uses this to inject
     /// seeded faults (doomed transactions, stalls) into otherwise-correct
     /// schedulers.
@@ -471,10 +471,10 @@ impl RuntimeBuilder {
     /// Sets the observation plan (default [`Observe::Off`]).
     ///
     /// [`Observe::Latency`] attaches a per-phase
-    /// [`LatencyReport`](obase_obs::LatencyReport) to every
-    /// [`RunReport`](crate::RunReport); [`Observe::Trace`] additionally
+    /// [`LatencyReport`] to every
+    /// [`RunReport`]; [`Observe::Trace`] additionally
     /// streams the run into a shared
-    /// [`ChromeTraceObserver`](obase_obs::ChromeTraceObserver) for Perfetto
+    /// [`ChromeTraceObserver`] for Perfetto
     /// export.
     pub fn observe(mut self, observe: Observe) -> Self {
         self.observe = observe;

@@ -1,5 +1,5 @@
 //! Compiling a [`Scenario`] into an executable
-//! [`WorkloadSpec`](obase_exec::WorkloadSpec).
+//! [`WorkloadSpec`].
 //!
 //! Compilation is fully seeded: the object base, the per-class method
 //! bodies (the read/write mix is baked into a small set of body variants,

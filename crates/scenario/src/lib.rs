@@ -18,7 +18,7 @@
 //!   plan, installed via
 //!   [`RuntimeBuilder::wrap_scheduler`](obase_runtime::RuntimeBuilder::wrap_scheduler),
 //!   so both backends run the same chaos;
-//! * [`library`] — twelve built-in scenarios (`hot-queue`, `deep-nesting`,
+//! * [`library`](mod@library) — twelve built-in scenarios (`hot-queue`, `deep-nesting`,
 //!   `abort-storm`, `btree-range-contention`, `read-only-rush`, ...), each
 //!   stressing one mechanism; the backend-equivalence oracle sweeps all of
 //!   them.

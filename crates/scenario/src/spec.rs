@@ -90,18 +90,14 @@ impl AdtKind {
             AdtKind::Dictionary if keys > 0 => Some(Value::map(
                 (0..keys).map(|k| (format!("k{k}"), Value::Int(k as i64))),
             )),
-            AdtKind::BTreeDict if keys > 0 => Some(Value::List(
-                (0..keys)
-                    .map(|k| Value::list([Value::Int(k as i64), Value::Int(10 * k as i64)]))
-                    .collect(),
-            )),
-            AdtKind::Set if keys > 0 => Some(Value::List(
-                (0..keys).map(|k| Value::Int(k as i64)).collect(),
-            )),
-            AdtKind::Queue if keys > 0 => Some(Value::List(
-                (0..keys)
-                    .map(|j| Value::Int((obj * 10_000 + j) as i64))
-                    .collect(),
+            AdtKind::BTreeDict if keys > 0 => {
+                Some(Value::list((0..keys).map(|k| {
+                    Value::list([Value::Int(k as i64), Value::Int(10 * k as i64)])
+                })))
+            }
+            AdtKind::Set if keys > 0 => Some(Value::list((0..keys).map(|k| Value::Int(k as i64)))),
+            AdtKind::Queue if keys > 0 => Some(Value::list(
+                (0..keys).map(|j| Value::Int((obj * 10_000 + j) as i64)),
             )),
             _ => None,
         }

@@ -19,7 +19,6 @@ use obase_core::ids::ObjectId;
 use obase_core::value::Value;
 use obase_exec::{Expr, ObjRef, Program, TxnSpec};
 use obase_ser::Json;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -284,14 +283,14 @@ pub fn value_from_json(j: &Json) -> Result<Value, WireError> {
             .iter()
             .map(value_from_json)
             .collect::<Result<Vec<_>, _>>()
-            .map(Value::List),
+            .map(Value::list),
         ("m", Some(p)) => p
             .as_object()
             .ok_or_else(|| bad("m"))?
             .iter()
             .map(|(k, v)| value_from_json(v).map(|v| (k.clone(), v)))
-            .collect::<Result<BTreeMap<_, _>, _>>()
-            .map(Value::Map),
+            .collect::<Result<Vec<(String, Value)>, _>>()
+            .map(Value::map),
         (other, _) => Err(bad(&format!("unknown value tag {other:?}"))),
     }
 }

@@ -183,14 +183,14 @@ pub fn value_from_json(j: &Json) -> Result<Value, String> {
             .iter()
             .map(value_from_json)
             .collect::<Result<Vec<_>, _>>()
-            .map(Value::List),
+            .map(Value::list),
         ("m", Some(p)) => p
             .as_object()
             .ok_or_else(bad(tag))?
             .iter()
             .map(|(k, v)| value_from_json(v).map(|v| (k.clone(), v)))
-            .collect::<Result<std::collections::BTreeMap<_, _>, _>>()
-            .map(Value::Map),
+            .collect::<Result<Vec<(String, Value)>, _>>()
+            .map(Value::map),
         _ => Err(format!("unknown value tag {tag:?}")),
     }
 }
@@ -442,7 +442,6 @@ impl WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn round_trip(rec: WalRecord) {
         let text = rec.to_json().to_string();
@@ -452,13 +451,10 @@ mod tests {
 
     #[test]
     fn all_record_kinds_round_trip() {
-        let deep = Value::Map(BTreeMap::from([
-            (
-                "k".to_owned(),
-                Value::List(vec![Value::Int(-3), Value::Unit]),
-            ),
-            ("o".to_owned(), Value::Obj(ObjectId(7))),
-        ]));
+        let deep = Value::map([
+            ("k", Value::list([Value::Int(-3), Value::Unit])),
+            ("o", Value::Obj(ObjectId(7))),
+        ]);
         round_trip(WalRecord::Header {
             version: FORMAT_VERSION,
             objects: vec!["x".into(), "emoji-✓".into()],

@@ -235,10 +235,8 @@ pub fn queues(params: &QueueParams) -> WorkloadSpec {
     let ty = Arc::new(FifoQueue);
     let ids: Vec<ObjectId> = (0..params.queues)
         .map(|i| {
-            let preload: Vec<Value> = (0..params.preload)
-                .map(|j| Value::Int((i * 10_000 + j) as i64))
-                .collect();
-            base.add_object_with_state(format!("queue{i}"), ty.clone(), Value::List(preload))
+            let preload = (0..params.preload).map(|j| Value::Int((i * 10_000 + j) as i64));
+            base.add_object_with_state(format!("queue{i}"), ty.clone(), Value::list(preload))
         })
         .collect();
     let mut def = ObjectBaseDef::new(Arc::new(base));

@@ -216,3 +216,81 @@ fn null_scheduler_is_the_negative_control() {
         "the null scheduler should admit a non-serialisable interleaving"
     );
 }
+
+#[test]
+fn dictionary_states_are_shared_through_the_engine_not_copied() {
+    // A 1,024-key dictionary served on the parallel backend. A read-only
+    // transaction must leave the history's initial state and its replayed
+    // final state on the base's own payload (no deep copy anywhere on the
+    // path), and a writing transaction must copy on write rather than
+    // mutate the base through the shared payload.
+    use obase::adt::Dictionary;
+    use obase::core::replay;
+    use std::sync::Arc;
+
+    // Built afresh on each call, so comparing against it is not comparing
+    // a payload with itself.
+    let preload = || Value::map((0..1024).map(|k| (format!("k{k:04}"), Value::Int(k))));
+    let mut base = ObjectBase::new();
+    let dict = base.add_object_with_state("dict", Arc::new(Dictionary), preload());
+    let mut def = ObjectBaseDef::new(Arc::new(base));
+    for (name, params, op) in [("lookup", 1, "Lookup"), ("put", 2, "Insert")] {
+        def.define_method(
+            dict,
+            MethodDef {
+                name: name.into(),
+                params,
+                body: Program::Local {
+                    op: op.into(),
+                    args: (0..params).map(Expr::Param).collect(),
+                },
+            },
+        );
+    }
+    let payload = |v: &Value| match v {
+        Value::Map(m) => Arc::clone(m),
+        other => panic!("expected a Map state, got {other:?}"),
+    };
+    let base_payload = payload(&def.base().spec(dict).initial_state);
+    let run = |body: Program| {
+        let workload = WorkloadSpec {
+            def: def.clone(),
+            transactions: vec![TxnSpec {
+                name: "T0".into(),
+                body,
+            }],
+        };
+        let report = Runtime::builder()
+            .scheduler(SchedulerSpec::n2pl_step())
+            .backend(ExecutionBackend::Parallel { workers: 2 })
+            .seed(5)
+            .verify(Verify::Quick)
+            .build()
+            .unwrap()
+            .run(&workload)
+            .unwrap();
+        assert_eq!(report.metrics.committed, 1);
+        report
+    };
+
+    let lookups = run(Program::Seq(vec![
+        Program::invoke(dict, "lookup", [Value::from("k0007")]),
+        Program::invoke(dict, "lookup", [Value::from("absent")]),
+    ]));
+    assert!(Arc::ptr_eq(
+        &payload(&lookups.history.initial_state(dict)),
+        &base_payload
+    ));
+    let after_lookups = replay::final_state(&lookups.history, dict).expect("replay");
+    assert!(Arc::ptr_eq(&payload(&after_lookups), &base_payload));
+
+    let writes = run(Program::Seq(vec![
+        Program::invoke(dict, "put", [Value::from("k0007"), Value::Int(-7)]),
+        Program::invoke(dict, "put", [Value::from("new"), Value::Int(1)]),
+    ]));
+    let after_writes = replay::final_state(&writes.history, dict).expect("replay");
+    assert_eq!(after_writes.get_int("k0007"), Some(-7));
+    assert_eq!(after_writes.as_map().map(|m| m.len()), Some(1025));
+    assert_eq!(def.base().spec(dict).initial_state, preload());
+    assert_eq!(writes.history.initial_state(dict), preload());
+}

@@ -11,7 +11,6 @@ use obase::serve::wire::{
 };
 use obase::serve::{Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use obase_ser::Json;
-use std::collections::BTreeMap;
 
 /// A transaction body exercising every `Program`, `Expr` and `ObjRef`
 /// shape the DSL has.
@@ -33,11 +32,11 @@ fn rich_body() -> Program {
             },
             Program::Local {
                 op: "Write".into(),
-                args: vec![Expr::Const(Value::List(vec![
+                args: vec![Expr::Const(Value::list([
                     Value::Unit,
                     Value::Bool(true),
                     Value::Obj(ObjectId(9)),
-                    Value::Map(BTreeMap::from([("x".to_string(), Value::Int(1))])),
+                    Value::map([("x", Value::Int(1))]),
                 ]))],
             },
         ]),
@@ -124,11 +123,8 @@ fn values_round_trip_through_the_tagged_encoding() {
         Value::Str(String::new()),
         Value::Str("nested \"quotes\" and \\ slashes\n".into()),
         Value::Obj(ObjectId(0)),
-        Value::List(vec![Value::List(vec![Value::Int(1)]), Value::Unit]),
-        Value::Map(BTreeMap::from([
-            ("a".to_string(), Value::Map(BTreeMap::new())),
-            ("b".to_string(), Value::Int(2)),
-        ])),
+        Value::list([Value::list([Value::Int(1)]), Value::Unit]),
+        Value::map([("a", Value::Map(Default::default())), ("b", Value::Int(2))]),
     ];
     for v in values {
         let back = value_from_json(&value_to_json(&v)).expect("round trip");
