@@ -1,5 +1,6 @@
-//! The parallel execution engine: a worker pool over the sharded store and
-//! the decomposed control plane.
+//! The parallel execution engine: worker loops on the resident pool over the
+//! sharded store and the decomposed control plane, with the monitor on the
+//! calling thread.
 //!
 //! The control plane is split into independently contended pieces (see the
 //! crate docs for the full lock map):
@@ -25,9 +26,14 @@
 //! What lives here is the genuinely parallel machinery: the worker loop,
 //! the recursive program walker (`Par` branches on real scoped threads),
 //! the gates that turn [`Decision::Block`] into targeted parking, the
-//! doomed-victim protocol, and the deadlock/deadline monitor.
+//! doomed-victim protocol, and the deadlock/deadline monitor. A run submits
+//! its worker loops to the process-wide pool, owns its workload and control
+//! state behind an `Arc` so the pool threads borrow nothing from the
+//! caller, and ticks the monitor on the calling thread until the workers
+//! are done.
 
 use crate::exec_index::{ExecIndex, ABORTED, COMMITTED, DOOMED, LIVE};
+use crate::pool::{Job, Latch, Pool};
 use crate::sched_plane::SchedPlane;
 use crate::store::{ObjectSlot, ShardedStore};
 use crate::waiters::{Signal, Waiters};
@@ -50,16 +56,17 @@ use std::time::{Duration, Instant};
 /// Parameters of a parallel run.
 #[derive(Clone, Debug)]
 pub struct ParParams {
-    /// Number of worker threads; each runs one top-level transaction at a
-    /// time, so this is also the maximum inter-transaction concurrency.
+    /// Number of workers, each on a resident pool thread for the run; each
+    /// runs one top-level transaction at a time, so this is also the
+    /// maximum inter-transaction concurrency.
     pub workers: usize,
     /// How many times an aborted top-level transaction is re-submitted.
     pub max_retries: u32,
     /// Wall-clock bound on the whole run (guards against livelock; the run
     /// is flagged `timed_out` if it trips).
     pub deadline: Duration,
-    /// Cadence of the monitor thread's deadlock/deadline ticks (also the
-    /// re-poll backstop of parked waiters).
+    /// Cadence of the monitor's deadlock/deadline ticks (also the re-poll
+    /// backstop of parked waiters).
     pub monitor_tick: Duration,
     /// Number of store (and scheduler-plane) shards; `0` applies the
     /// default — the next power of two at least twice the worker count.
@@ -184,7 +191,7 @@ struct Control {
     touched: BTreeMap<ExecId, BTreeSet<usize>>,
 }
 
-struct Shared<'w> {
+struct Shared {
     store: ShardedStore,
     plane: SchedPlane,
     life: Mutex<Life>,
@@ -201,7 +208,9 @@ struct Shared<'w> {
     gen: AtomicU64,
     installed_steps: AtomicU64,
     blocked_events: AtomicU64,
-    workload: &'w WorkloadSpec,
+    /// The run's own handle on the workload (`ObjectBaseDef` clones in
+    /// O(1)), so resident pool threads borrow nothing from the caller.
+    workload: WorkloadSpec,
     params: ParParams,
     obs: ObsHandle,
     /// The multi-version mirror of committed object states (present iff
@@ -268,7 +277,7 @@ fn vs<'a>(shared: &'a Shared) -> Option<MutexGuard<'a, VersionedStore>> {
     })
 }
 
-impl Shared<'_> {
+impl Shared {
     /// Lock-free: `true` if the given top-level transaction must stop
     /// executing (doomed, aborted, or the run is shutting down).
     fn is_interrupted(&self, top: ExecId) -> bool {
@@ -297,11 +306,11 @@ impl Shared<'_> {
     }
 }
 
-/// Executes a workload on a pool of OS worker threads against the sharded
+/// Executes a workload on the resident worker pool against the sharded
 /// store, under the given scheduler. Blocking decisions park the worker in
-/// the waiter registry until a targeted wakeup (or the tick backstop); a
-/// monitor thread breaks waits-for cycles and enforces the wall-clock
-/// deadline.
+/// the waiter registry until a targeted wakeup (or the tick backstop); the
+/// calling thread runs the monitor, which breaks waits-for cycles and
+/// enforces the wall-clock deadline, until the workers are done.
 ///
 /// The returned [`RunResult`] has exactly the simulator's shape: a committed
 /// (legal) history, the raw history including aborted attempts, and the run
@@ -325,6 +334,17 @@ pub fn execute_parallel_observed(
     params: &ParParams,
     obs: &ObsHandle,
 ) -> RunResult {
+    execute_on(Pool::global(), workload, scheduler, params, obs)
+}
+
+/// [`execute_parallel_observed`] on a given pool.
+pub(crate) fn execute_on(
+    pool: &Pool,
+    workload: &WorkloadSpec,
+    scheduler: Box<dyn Scheduler>,
+    params: &ParParams,
+    obs: &ObsHandle,
+) -> RunResult {
     let params = ParParams {
         workers: params.workers.max(1),
         ..params.clone()
@@ -338,7 +358,7 @@ pub fn execute_parallel_observed(
         scheduler.name(),
         format!("parallel({})", params.workers),
     );
-    let shared = Shared {
+    let shared = Arc::new(Shared {
         store: ShardedStore::new(Arc::clone(&base), shards),
         plane: SchedPlane::new(scheduler, shards),
         life: Mutex::new(Life {
@@ -358,7 +378,7 @@ pub fn execute_parallel_observed(
         gen: AtomicU64::new(0),
         installed_steps: AtomicU64::new(0),
         blocked_events: AtomicU64::new(0),
-        workload,
+        workload: workload.clone(),
         obs: obs.clone(),
         vs: params
             .mvcc
@@ -369,7 +389,7 @@ pub fn execute_parallel_observed(
             Vec::new()
         },
         params,
-    };
+    });
     if shared.obs.is_on() {
         // Every workload transaction's first attempt is submitted up front;
         // retries re-submit through the abort path.
@@ -379,19 +399,23 @@ pub fn execute_parallel_observed(
         }
     }
     let started = Instant::now();
-    let done = Signal::new();
-    std::thread::scope(|s| {
-        let monitor = s.spawn(|| monitor_loop(&shared, &done, started));
-        let shared = &shared;
-        let workers: Vec<_> = (0..shared.params.workers)
-            .map(|widx| s.spawn(move || worker_loop(shared, widx)))
-            .collect();
-        for w in workers {
-            w.join().expect("worker thread panicked");
-        }
-        done.notify();
-        monitor.join().expect("monitor thread panicked");
-    });
+    let jobs: Vec<Job> = (0..shared.params.workers)
+        .map(|widx| {
+            let shared = Arc::clone(&shared);
+            Box::new(move || {
+                let _stop = StopOnPanic(&shared);
+                worker_loop(&shared, widx);
+            }) as Job
+        })
+        .collect();
+    let latch = pool.submit(jobs);
+    monitor_loop(&shared, &latch, started);
+    if latch.wait() {
+        panic!("worker thread panicked");
+    }
+    let Ok(shared) = Arc::try_unwrap(shared) else {
+        unreachable!("finished worker jobs hold no handle on the run");
+    };
     let life = shared
         .life
         .into_inner()
@@ -409,6 +433,20 @@ pub fn execute_parallel_observed(
 }
 
 // ----- worker loop ----------------------------------------------------------
+
+/// Shuts the run down if its worker panics, so the other workers (which
+/// would otherwise wait for the lost transaction until the deadline) wind
+/// down at their next gate or tick and the caller learns of the panic.
+struct StopOnPanic<'a>(&'a Shared);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.shutdown.store(true, Ordering::Release);
+            self.0.work_cv.notify_all();
+        }
+    }
+}
 
 fn worker_loop(shared: &Shared, widx: usize) {
     loop {
@@ -1053,12 +1091,12 @@ fn handle_interrupt(shared: &Shared, actx: &mut ActCtx, top: ExecId) {
 /// not torn down in place: it is *doomed* (under the lifecycle lock, so the
 /// verdict serialises with commit settling), and its owner unwinds and
 /// aborts it at its next gate.
-struct ParDriver<'w, 's, 'a> {
-    shared: &'s Shared<'w>,
+struct ParDriver<'s, 'a> {
+    shared: &'s Shared,
     actx: &'a mut ActCtx,
 }
 
-impl ExecutionDriver for ParDriver<'_, '_, '_> {
+impl ExecutionDriver for ParDriver<'_, '_> {
     fn mark_aborted(
         &mut self,
         top: ExecId,
@@ -1192,13 +1230,15 @@ fn process_abort(
 
 // ----- the monitor ----------------------------------------------------------
 
-/// The deadlock/deadline ticker: on every tick it rebuilds the waits-for
-/// graph from the registered activities (stack edges for parents waiting on
-/// invoked children, blocked edges from scheduler `Block` decisions), dooms
-/// the youngest execution's transaction on any cycle (with a targeted wakeup
-/// of that transaction only), and enforces the wall-clock deadline. Exits on
-/// its own once the run settles.
-fn monitor_loop(shared: &Shared, done: &Signal, started: Instant) {
+/// The deadlock/deadline ticker, run on the calling thread while the workers
+/// run on the pool: on every tick it rebuilds the waits-for graph from the
+/// registered activities (stack edges for parents waiting on invoked
+/// children, blocked edges from scheduler `Block` decisions), dooms the
+/// youngest execution's transaction on any cycle (with a targeted wakeup of
+/// that transaction only), and enforces the wall-clock deadline. Returns
+/// once the run settles or the workers are done. A poisoned lock means a
+/// worker panicked: the monitor returns and the latch reports the panic.
+fn monitor_loop(shared: &Shared, done: &Latch, started: Instant) {
     let mut mlane = if shared.obs.is_on() {
         shared.obs.lane("control")
     } else {
@@ -1208,24 +1248,26 @@ fn monitor_loop(shared: &Shared, done: &Signal, started: Instant) {
         if done.wait_timeout(shared.params.monitor_tick) {
             return;
         }
-        if life(shared).settled() {
+        let Ok(mut l) = shared.life.lock() else {
+            return;
+        };
+        if l.settled() {
             return;
         }
         if !shared.shutdown.load(Ordering::Acquire) && started.elapsed() > shared.params.deadline {
             shared.shutdown.store(true, Ordering::Release);
-            {
-                let mut l = life(shared);
-                l.kernel.metrics.timed_out = true;
-                l.kernel.clear_queue();
-                l.held.clear();
-            }
+            l.kernel.metrics.timed_out = true;
+            l.kernel.clear_queue();
+            l.held.clear();
+            drop(l);
             shared.bump();
             shared.waiters.wake_all();
             shared.work_cv.notify_all();
             continue;
         }
-        let mut l = life(shared);
-        let c = control(shared);
+        let Ok(c) = shared.control.lock() else {
+            return;
+        };
         if let Some(victim) = deadlock_victim(&l, &c) {
             l.kernel.metrics.deadlocks += 1;
             if let Some((spec, _)) = l.kernel.execs.record(victim).spec {

@@ -41,7 +41,12 @@ pub const COMMITTED: u8 = 1 << 2;
 pub const DOOMED: u8 = 1 << 3;
 
 const CHUNK: usize = 1024;
-const MAX_CHUNKS: usize = 16 * 1024;
+/// Chunk slots per directory block.
+const BLOCK: usize = 128;
+/// Directory blocks. Blocks are created on first use, so an index costs one
+/// small directory up front instead of slots for its whole capacity.
+const BLOCKS: usize = 128;
+const MAX_CHUNKS: usize = BLOCKS * BLOCK;
 
 #[derive(Debug)]
 struct Slot {
@@ -75,23 +80,24 @@ impl Chunk {
     }
 }
 
+type Block = [OnceLock<Box<Chunk>>; BLOCK];
+
 /// The lock-free genealogy/liveness mirror. See the module docs.
 #[derive(Debug)]
 pub struct ExecIndex {
     base: Arc<ObjectBase>,
     len: AtomicUsize,
-    chunks: Vec<OnceLock<Box<Chunk>>>,
+    /// Two-level directory: `blocks[c / BLOCK][c % BLOCK]` holds chunk `c`.
+    blocks: Box<[OnceLock<Box<Block>>]>,
 }
 
 impl ExecIndex {
     /// An empty mirror over the given object base.
     pub fn new(base: Arc<ObjectBase>) -> Self {
-        let mut chunks = Vec::with_capacity(MAX_CHUNKS);
-        chunks.resize_with(MAX_CHUNKS, OnceLock::new);
         ExecIndex {
             base,
             len: AtomicUsize::new(0),
-            chunks,
+            blocks: (0..BLOCKS).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -116,8 +122,10 @@ impl ExecIndex {
             "execution mirror capacity exceeded ({} executions)",
             MAX_CHUNKS * CHUNK
         );
-        let chunk = self.chunks[i / CHUNK].get_or_init(Chunk::new);
-        let slot = &chunk.slots[i % CHUNK];
+        let c = i / CHUNK;
+        let block = self.blocks[c / BLOCK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        let slot = &block[c % BLOCK].get_or_init(Chunk::new).slots[i % CHUNK];
         slot.parent
             .store(parent.map_or(u32::MAX, |p| p.0), Ordering::Relaxed);
         slot.object.store(object.0, Ordering::Relaxed);
@@ -128,8 +136,10 @@ impl ExecIndex {
     fn slot(&self, e: ExecId) -> &Slot {
         let i = e.index();
         assert!(i < self.len(), "execution {e} not mirrored yet");
-        let chunk = self.chunks[i / CHUNK]
+        let c = i / CHUNK;
+        let chunk = self.blocks[c / BLOCK]
             .get()
+            .and_then(|block| block[c % BLOCK].get())
             .expect("chunk published before len");
         &chunk.slots[i % CHUNK]
     }
@@ -241,6 +251,25 @@ mod tests {
         }
         assert_eq!(idx.len(), CHUNK + 5);
         assert_eq!(idx.parent(ExecId(CHUNK as u32 + 2)), Some(ExecId(0)));
+    }
+
+    #[test]
+    fn directory_blocks_are_created_on_demand() {
+        let idx = index();
+        assert!(idx.blocks.iter().all(|b| b.get().is_none()));
+        let n = BLOCK * CHUNK + 3;
+        for i in 0..n as u32 {
+            let parent = i.checked_sub(1).map(ExecId);
+            idx.push(ExecId(i), parent, ObjectId(i % 2));
+        }
+        let made = idx.blocks.iter().filter(|b| b.get().is_some()).count();
+        assert_eq!(made, 2);
+        for i in 0..n {
+            let e = ExecId(i as u32);
+            assert_eq!(idx.parent(e), i.checked_sub(1).map(|p| ExecId(p as u32)));
+            assert_eq!(idx.object(e), ObjectId(i as u32 % 2));
+            assert_eq!(idx.flags(e), LIVE);
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper's point is that object-base concurrency control exists to
 //! *exploit* intra- and inter-transaction parallelism. The simulator in
 //! `obase-exec` models that parallelism on a virtual round clock; this crate
-//! executes it for real: top-level transactions run on a pool of OS worker
-//! threads against a sharded object store, `Par` blocks fork real threads,
-//! lock waits really block, and the makespan is wall-clock time. Every
+//! executes it for real: top-level transactions run on a resident pool of OS
+//! worker threads against a sharded object store, `Par` blocks fork real
+//! threads, lock waits really block, and the makespan is wall-clock time. Every
 //! [`SchedulerSpec`](https://docs.rs/obase-runtime) runs unchanged on either
 //! backend (select it with `Runtime::builder().backend(...)`), and a
 //! parallel run yields the same artefacts as a simulated one — a committed
@@ -63,12 +63,12 @@
 //! install waking every blocked worker) is gone; a tick-cadence re-poll
 //! remains as a liveness backstop for exotic scheduler predicates. Waits-for
 //! edges (who blocks on whom, and which invoked child each execution is
-//! waiting on) are registered with the bookkeeping plane, and a monitor
-//! thread — the deadlock *ticker* — periodically assembles them into a
-//! graph, picks the youngest execution on any cycle, and dooms its
-//! top-level transaction. The same ticker enforces a wall-clock deadline so
-//! livelocks cannot hang a run (the result is then flagged `timed_out`,
-//! like the simulator's round bound).
+//! waiting on) are registered with the bookkeeping plane, and the monitor
+//! — the deadlock *ticker*, on the calling thread — periodically assembles
+//! them into a graph, picks the youngest execution on any cycle, and dooms
+//! its top-level transaction. The same ticker enforces a wall-clock
+//! deadline so livelocks cannot hang a run (the result is then flagged
+//! `timed_out`, like the simulator's round bound).
 //!
 //! A doomed transaction is not torn down from outside: its own worker (and
 //! any `Par` branch threads) observe the verdict at their next scheduler
@@ -86,6 +86,20 @@
 //! schedulers (N2PL, the flat baselines) never cascade on this backend
 //! either — the integration suite asserts it across hundreds of seeded
 //! runs.
+//!
+//! ## Threads: a resident pool, the monitor on the caller
+//!
+//! Worker threads outlive the run. Each run hands its
+//! [`ParParams::workers`] worker loops to one process-wide pool as jobs and
+//! waits for them on a latch; the pool creates a thread only when no idle
+//! one is waiting, and its threads never exit, so it settles at the peak
+//! number of workers requested at once and, once warm, a run creates no OS
+//! threads (`Par` branches excepted: they still run on scoped threads). The
+//! monitor runs on the calling thread, which has nothing else to do until
+//! the workers are done. A panicking worker shuts its run down and is
+//! caught by its pool thread, which survives; the caller then panics with
+//! "worker thread panicked". Every lock lives in the run's own state, so no
+//! poisoned lock outlives the run.
 //!
 //! ## What is, and is not, deterministic
 //!
@@ -140,6 +154,7 @@
 
 pub mod engine;
 pub mod exec_index;
+mod pool;
 pub mod sched_plane;
 pub mod store;
 pub mod waiters;
@@ -310,6 +325,89 @@ mod tests {
         assert_eq!(result.metrics.committed, 1);
         assert_eq!(result.metrics.installed_steps, 2);
         assert!(obase_core::legality::is_legal(&result.history));
+    }
+
+    /// Asserts a run committed all `n` transactions with a legal,
+    /// SG-acyclic history.
+    fn assert_clean(result: &obase_exec::RunResult, n: usize) {
+        assert_eq!(result.metrics.committed, n, "{:?}", result.metrics);
+        assert!(!result.metrics.timed_out);
+        assert!(obase_core::legality::is_legal(&result.history));
+        assert!(obase_core::sg::certifies_serialisable(&result.history));
+    }
+
+    #[test]
+    fn a_panicking_worker_reaches_the_caller_and_the_pool_survives() {
+        // An undefined method, passed straight to the engine so nothing
+        // validates it first: the worker that reaches it panics.
+        let mut wl = counter_workload(4);
+        let c0 = wl.def.base().object_ids().next().expect("an object");
+        wl.transactions.push(TxnSpec {
+            name: "bad".into(),
+            body: Program::invoke(c0, "nope", []),
+        });
+        let params = ParParams {
+            deadline: std::time::Duration::from_secs(60),
+            ..ParParams::default()
+        };
+        let started = std::time::Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_parallel(&wl, Box::new(N2plScheduler::operation_locks()), &params)
+        }));
+        let payload = outcome.expect_err("the run must panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"worker thread panicked")
+        );
+        // The other workers wind down at once instead of at the deadline.
+        assert!(started.elapsed() < std::time::Duration::from_secs(30));
+        let result = execute_parallel(
+            &counter_workload(8),
+            Box::new(N2plScheduler::operation_locks()),
+            &ParParams::default(),
+        );
+        assert_clean(&result, 8);
+    }
+
+    #[test]
+    fn consecutive_runs_reuse_resident_threads() {
+        // A private pool, so runs of concurrently executing tests do not
+        // count towards its size.
+        let pool = pool::Pool::new();
+        let wl = counter_workload(8);
+        for workers in [4, 1, 2].into_iter().cycle().take(60) {
+            let result = engine::execute_on(
+                &pool,
+                &wl,
+                Box::new(N2plScheduler::operation_locks()),
+                &ParParams {
+                    workers,
+                    ..ParParams::default()
+                },
+                &obase_obs::ObsHandle::off(),
+            );
+            assert_clean(&result, 8);
+            assert_eq!(pool.threads(), 4);
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_share_the_pool() {
+        let wl = counter_workload(8);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10 {
+                        let result = execute_parallel(
+                            &wl,
+                            Box::new(N2plScheduler::operation_locks()),
+                            &ParParams::default(),
+                        );
+                        assert_clean(&result, 8);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

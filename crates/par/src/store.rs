@@ -35,7 +35,6 @@ pub struct Shard {
 #[derive(Debug)]
 pub struct ShardedStore {
     base: Arc<ObjectBase>,
-    initial: BTreeMap<ObjectId, Value>,
     shards: Vec<Mutex<Shard>>,
 }
 
@@ -55,7 +54,6 @@ impl ShardedStore {
     pub fn new(base: Arc<ObjectBase>, shards: usize) -> Self {
         let shards = shards.max(1);
         ShardedStore {
-            initial: base.initial_states(),
             base,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
         }
@@ -70,11 +68,8 @@ impl ShardedStore {
         o.index() % self.shards.len()
     }
 
-    fn initial_state(&self, o: ObjectId) -> Value {
-        self.initial
-            .get(&o)
-            .cloned()
-            .unwrap_or_else(|| self.base.spec(o).initial_state.clone())
+    fn initial_state(&self, o: ObjectId) -> &Value {
+        &self.base.spec(o).initial_state
     }
 
     /// Locks the shard holding `o` and returns a slot for working with it.
@@ -112,7 +107,7 @@ impl ShardedStore {
                 }
                 removed += before - log.len();
                 let ty = self.base.type_of(o);
-                let (state, bad) = replay_log(&ty, &self.initial_state(o), log);
+                let (state, bad) = replay_log(&ty, self.initial_state(o), log);
                 invalidated.extend(bad);
                 shard.states.insert(o, state);
             }
@@ -145,10 +140,13 @@ impl ShardedStore {
 impl ObjectSlot<'_> {
     /// The object's current state.
     pub fn state(&self) -> Value {
+        self.state_ref().clone()
+    }
+
+    fn state_ref(&self) -> &Value {
         self.guard
             .states
             .get(&self.object)
-            .cloned()
             .unwrap_or_else(|| self.store.initial_state(self.object))
     }
 
@@ -156,7 +154,7 @@ impl ObjectSlot<'_> {
     /// the would-be new state and return value without installing anything.
     pub fn provisional(&self, op: &Operation) -> Result<(Value, Value), TypeError> {
         let ty = self.store.base.type_of(self.object);
-        ty.apply(&self.state(), op)
+        ty.apply(self.state_ref(), op)
     }
 
     /// Installs a step computed by [`provisional`](Self::provisional):

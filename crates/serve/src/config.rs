@@ -9,10 +9,12 @@
 //! a retrying operator loop safe.
 //!
 //! Config changes take effect at the next *batch boundary*: the batch in
-//! flight finishes under the old scheduler and worker pool (the pool is
-//! per-batch, so "drain and resize" falls out of the batching design), and
-//! everything admitted afterwards runs under the new one. No in-flight
-//! transaction is ever dropped by a reconcile.
+//! flight finishes under the old scheduler and worker count, and
+//! everything admitted afterwards runs under the new one. Each batch takes
+//! its workers from the parallel backend's resident pool, which keeps its
+//! threads across batches and grows to the largest worker count ever asked
+//! for, so "drain and resize" falls out of the batching design. No
+//! in-flight transaction is ever dropped by a reconcile.
 
 use obase_runtime::{ConfigError, SchedulerSpec};
 use obase_ser::Json;

@@ -39,8 +39,11 @@
 //! [`Server::reconcile`] swaps the desired [`ServeConfig`] atomically and
 //! reports which fields changed. The batch in flight finishes under the
 //! old config; the next batch picks up the new scheduler, worker count
-//! and batching knobs. Worker pools are per-batch, so "drain and resize"
-//! needs no extra machinery and no admitted transaction is ever dropped.
+//! and batching knobs. Scheduler instances are per-batch, and each batch
+//! asks the parallel backend's resident worker pool for as many workers
+//! as its config names (the pool grows to the largest count ever asked
+//! for and keeps its threads), so "drain and resize" needs no extra
+//! machinery and no admitted transaction is ever dropped.
 
 use crate::config::ServeConfig;
 use crate::oracle::merge_histories;
@@ -701,19 +704,12 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
             // A batch the runtime refuses outright (should be impossible
             // past admission validation): answer every submitter, count,
             // and keep serving.
-            let mut w = shared.world.lock().expect("world lock");
-            w.batch_errors += 1;
-            drop(w);
-            for p in &batch {
-                send_to_session(
-                    shared,
-                    p.session,
-                    &Frame::Error {
-                        code: "batch-failed".into(),
-                        detail: detail.clone(),
-                    },
-                );
-            }
+            shared.world.lock().expect("world lock").batch_errors += 1;
+            let error = Frame::Error {
+                code: "batch-failed".into(),
+                detail,
+            };
+            send_frames(shared, batch.iter().map(|p| (p.session, &error)));
             return;
         }
     };
@@ -741,7 +737,7 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
     drop(workload);
     let kept = cfg.keep_history.then_some(report.history);
 
-    {
+    let answers: Vec<(u64, Frame)> = {
         let mut w = shared.world.lock().expect("world lock");
         w.batches += 1;
         if !checks_ok {
@@ -763,49 +759,50 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
                 base.set_initial_state(id, state);
             }
         }
-    }
+        // Count every outcome before any frame is written, so a client
+        // holding its result never reads a status that lacks it.
+        batch
+            .iter()
+            .zip(committed)
+            .map(|(p, committed)| {
+                let latency_us = p.enqueued.elapsed().as_micros() as u64;
+                if committed {
+                    w.committed += 1;
+                } else {
+                    w.gave_up += 1;
+                }
+                w.e2e.record(latency_us);
+                let result = Frame::Result {
+                    id: p.id,
+                    committed,
+                    latency_us,
+                };
+                (p.session, result)
+            })
+            .collect()
+    };
 
     // Answer every submitter.
-    for (p, committed) in batch.iter().zip(committed) {
-        let latency_us = p.enqueued.elapsed().as_micros() as u64;
-        {
-            let mut w = shared.world.lock().expect("world lock");
-            if committed {
-                w.committed += 1;
-            } else {
-                w.gave_up += 1;
-            }
-            w.e2e.record(latency_us);
-        }
-        send_to_session(
-            shared,
-            p.session,
-            &Frame::Result {
-                id: p.id,
-                committed,
-                latency_us,
-            },
-        );
-    }
+    send_frames(shared, answers.iter().map(|(sid, frame)| (*sid, frame)));
 }
 
-fn send_to_session(shared: &Shared, sid: u64, frame: &Frame) {
-    let session = shared
-        .sessions
-        .lock()
-        .expect("sessions lock")
-        .get(&sid)
-        .cloned();
-    let delivered = match session {
-        Some(s) => s.write(frame).is_ok(),
-        None => false,
+/// Writes each frame to its session: the sessions are resolved under one
+/// `sessions` lock, the frames written with no server lock held, and the
+/// delivery counts added under one `world` lock.
+fn send_frames<'f>(shared: &Shared, frames: impl Iterator<Item = (u64, &'f Frame)>) {
+    let targets: Vec<(Option<Arc<Session>>, &Frame)> = {
+        let sessions = shared.sessions.lock().expect("sessions lock");
+        frames
+            .map(|(sid, frame)| (sessions.get(&sid).cloned(), frame))
+            .collect()
     };
+    let delivered = targets
+        .iter()
+        .filter(|(session, frame)| session.as_ref().is_some_and(|s| s.write(frame).is_ok()))
+        .count() as u64;
     let mut w = shared.world.lock().expect("world lock");
-    if delivered {
-        w.results_sent += 1;
-    } else {
-        w.send_failures += 1;
-    }
+    w.results_sent += delivered;
+    w.send_failures += targets.len() as u64 - delivered;
 }
 
 // ---------------------------------------------------------------------------
