@@ -21,20 +21,22 @@
 
 use crate::error::LegalityError;
 use crate::history::History;
-use crate::ids::{ExecId, StepId};
+use crate::ids::{ExecId, ObjectId, StepId};
 use crate::replay;
 use crate::step::StepKind;
+use crate::value::Value;
+use std::collections::BTreeMap;
 
 /// Checks every legality condition of Definition 6, returning the first
-/// violation found (structural checks first, then conditions 1–3 in order).
-pub fn check_legal(h: &History) -> Result<(), LegalityError> {
+/// violation found (structural checks first, then conditions 1–3 in order),
+/// or the final states condition 3 replays.
+pub fn check_legal(h: &History) -> Result<BTreeMap<ObjectId, Value>, LegalityError> {
     check_structure(h)?;
     check_condition1(h)?;
     check_condition2a(h)?;
     check_condition2b(h)?;
     check_condition2c(h)?;
-    check_condition3(h)?;
-    Ok(())
+    check_condition3(h)
 }
 
 /// Returns `true` if the history satisfies every legality condition.
@@ -188,12 +190,10 @@ pub fn check_condition2c(h: &History) -> Result<(), LegalityError> {
 }
 
 /// Condition 3: for every object, the topological sort of its local steps by
-/// initiation time is legal on the object's initial state.
-pub fn check_condition3(h: &History) -> Result<(), LegalityError> {
-    for o in h.objects_touched() {
-        replay::final_state(h, o)?;
-    }
-    Ok(())
+/// initiation time is legal on the object's initial state. Returns the final
+/// state of every object the history touches.
+pub fn check_condition3(h: &History) -> Result<BTreeMap<ObjectId, Value>, LegalityError> {
+    replay::final_states(h)
 }
 
 /// The set of executions that issued at least one step ordered inconsistently

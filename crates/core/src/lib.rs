@@ -21,6 +21,9 @@
 //!   (Definition 9, Theorem 2): [`sg`].
 //! * **Per-object graphs and the intra-/inter-object separation**
 //!   (Definition 10, Theorem 5): [`local_graphs`].
+//! * **The serialisability oracle** — legality, Theorem 2 and optionally
+//!   Theorem 5 composed into one check that returns the committed final
+//!   states: [`oracle`].
 //! * **Abort semantics** (Section 3): [`aborts`].
 //! * **Append-only history recording** for concurrent backends (per-worker
 //!   event buffers stitched by a global sequence counter): [`record`].
@@ -77,6 +80,7 @@ pub mod lifecycle;
 pub mod local_graphs;
 pub mod object;
 pub mod op;
+pub mod oracle;
 pub mod record;
 pub mod replay;
 pub mod sched;

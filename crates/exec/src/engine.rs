@@ -727,20 +727,11 @@ impl<R: HistoryRecorder> EngineState<R> {
 }
 
 /// Runs a workload under a scheduler and returns the recorded history and
-/// metrics.
+/// metrics. Every admission, grant, blocked span, certification and settle
+/// is emitted through `obs` (on the `"sim"` lane, with submissions on
+/// `"control"`); with [`ObsHandle::off`] that costs one branch per
+/// would-be event.
 pub fn execute(
-    workload: &WorkloadSpec,
-    scheduler: &mut dyn Scheduler,
-    config: &ExecParams,
-) -> RunResult {
-    execute_observed(workload, scheduler, config, &ObsHandle::off())
-}
-
-/// [`execute`] with lifecycle observation: every admission, grant, blocked
-/// span, certification and settle is emitted through `obs` (on the `"sim"`
-/// lane, with submissions on `"control"`). With a disabled handle this *is*
-/// [`execute`] — the off path costs one branch per would-be event.
-pub fn execute_observed(
     workload: &WorkloadSpec,
     scheduler: &mut dyn Scheduler,
     config: &ExecParams,
@@ -865,14 +856,12 @@ mod tests {
     fn commits_everything_and_records_a_legal_history() {
         let wl = counter_workload(6);
         let mut sched = N2plScheduler::operation_locks();
-        let result = execute(&wl, &mut sched, &ExecParams::default());
+        let result = execute(&wl, &mut sched, &ExecParams::default(), &ObsHandle::off());
         assert_eq!(result.metrics.committed, 6);
         assert_eq!(result.metrics.gave_up, 0);
         assert!(!result.metrics.timed_out);
-        assert!(obase_core::legality::is_legal(&result.history));
-        assert!(obase_core::sg::certifies_serialisable(&result.history));
+        let final_states = obase_core::oracle::check(&result.history, false).expect("serialisable");
         // Each transaction adds 1 to each counter.
-        let final_states = obase_core::replay::final_states(&result.history).unwrap();
         for (_, v) in final_states {
             assert_eq!(v, Value::Int(6));
         }
@@ -884,7 +873,7 @@ mod tests {
         // produces a serialisable history.
         let wl = counter_workload(4);
         let mut sched = NullScheduler;
-        let result = execute(&wl, &mut sched, &ExecParams::default());
+        let result = execute(&wl, &mut sched, &ExecParams::default(), &ObsHandle::off());
         assert_eq!(result.metrics.committed, 4);
         assert!(obase_core::sg::certifies_serialisable(&result.history));
     }
@@ -896,8 +885,9 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let a = execute(&wl, &mut N2plScheduler::operation_locks(), &cfg);
-        let b = execute(&wl, &mut N2plScheduler::operation_locks(), &cfg);
+        let off = ObsHandle::off();
+        let a = execute(&wl, &mut N2plScheduler::operation_locks(), &cfg, &off);
+        let b = execute(&wl, &mut N2plScheduler::operation_locks(), &cfg, &off);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.blocked_events, b.metrics.blocked_events);
         assert_eq!(a.history.step_count(), b.history.step_count());
@@ -943,12 +933,11 @@ mod tests {
         ];
         let wl = WorkloadSpec { def, transactions };
         let mut sched = N2plScheduler::operation_locks();
-        let result = execute(&wl, &mut sched, &ExecParams::default());
+        let result = execute(&wl, &mut sched, &ExecParams::default(), &ObsHandle::off());
         assert_eq!(result.metrics.committed, 2);
         assert!(result.metrics.deadlocks >= 1);
         assert!(result.metrics.retries >= 1);
-        assert!(obase_core::legality::is_legal(&result.history));
-        assert!(obase_core::sg::certifies_serialisable(&result.history));
+        obase_core::oracle::check(&result.history, false).expect("serialisable");
         // Strict locking never cascades.
         assert_eq!(result.metrics.cascading_aborts, 0);
         // Abort reasons are recorded under their variant key.
@@ -986,6 +975,7 @@ mod tests {
             &wl,
             &mut N2plScheduler::operation_locks(),
             &ExecParams::default(),
+            &ObsHandle::off(),
         );
         assert_eq!(result.metrics.committed, 1);
         assert_eq!(result.metrics.installed_steps, 2);

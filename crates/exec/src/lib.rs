@@ -60,6 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod engine;
 pub mod kernel;
 pub mod metrics;
@@ -68,7 +69,7 @@ pub mod mvcc;
 pub mod program;
 pub mod store;
 
-pub use engine::{drive, execute, execute_observed, ExecParams, RunResult};
+pub use engine::{drive, execute, ExecParams, RunResult};
 pub use kernel::LifecycleKernel;
 pub use metrics::RunMetrics;
 pub use mixed::MixedScheduler;

@@ -29,7 +29,7 @@ use obase_runtime::{
     ExecutionBackend, Observe, RunReport, SchedulerSpec, SchedulerWrapper, Verify,
 };
 use obase_scenario::{FaultInjector, Scenario};
-use obase_wal::{crash, log, WalBackend, WalRecord};
+use obase_wal::{crash, log, Recovered, RecoveryViolation, WalBackend, WalRecord};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -280,62 +280,61 @@ fn logged_commits(dir: &std::path::Path) -> std::io::Result<BTreeSet<obase_core:
     Ok(committed.difference(&aborted).copied().collect())
 }
 
-/// Recovers `dir` and holds the result to the oracle (legal history,
-/// acyclic serialisation graph, replayable final states) plus the
-/// no-resurrection bound — all without panicking.
+/// Recovers `dir` and holds the result to [`hold_recovery`] — all without
+/// panicking.
 fn check_recovery(
     scenario: &Scenario,
     dir: &std::path::Path,
     leg: &str,
     spec_label: &str,
-) -> Result<obase_wal::Recovered, Failure> {
+) -> Result<Recovered, Failure> {
     guarded(leg, spec_label, || {
         let base = scenario.compile().def.base().clone();
         let recovered = WalBackend::new(base)
             .recover(dir)
             .map_err(|e| fail(FailureKind::Recovery, leg, spec_label, e.to_string()))?;
-        if !recovered.is_serialisable() {
-            return Err(fail(
-                FailureKind::Oracle,
-                leg,
-                spec_label,
-                "recovered history failed the serialisability oracle",
-            ));
-        }
-        let replayed = obase_core::replay::final_states(&recovered.history)
-            .map_err(|e| fail(FailureKind::Recovery, leg, spec_label, e.to_string()))?;
-        for (o, v) in &replayed {
-            if recovered.final_states.get(o) != Some(v) {
-                return Err(fail(
-                    FailureKind::Recovery,
-                    leg,
-                    spec_label,
-                    format!("recovered state of {o} diverges from committed-history replay"),
-                ));
-            }
-        }
-        let promised = logged_commits(dir)
-            .map_err(|e| fail(FailureKind::Recovery, leg, spec_label, e.to_string()))?;
-        for top in &recovered.committed {
-            if !promised.contains(top) {
-                return Err(fail(
-                    FailureKind::Resurrection,
-                    leg,
-                    spec_label,
-                    format!("recovery resurrected {top:?} without a logged commit"),
-                ));
-            }
-            if recovered.rolled_back.contains(top) {
-                return Err(fail(
-                    FailureKind::Recovery,
-                    leg,
-                    spec_label,
-                    format!("{top:?} both committed and rolled back"),
-                ));
-            }
-        }
+        hold_recovery(&recovered, dir, leg, spec_label)?;
         Ok(recovered)
     })
+}
+
+/// Holds a recovery of `dir` to the oracle (legal history, acyclic
+/// serialisation graph, recovered states equal to the replayed ones) plus
+/// the no-resurrection bound.
+fn hold_recovery(
+    recovered: &Recovered,
+    dir: &std::path::Path,
+    leg: &str,
+    spec_label: &str,
+) -> Result<(), Failure> {
+    recovered.check_serialisable().map_err(|v| {
+        let kind = match v {
+            RecoveryViolation::Oracle(_) => FailureKind::Oracle,
+            RecoveryViolation::StateDiverges { .. } => FailureKind::Recovery,
+        };
+        fail(kind, leg, spec_label, v.to_string())
+    })?;
+    let promised = logged_commits(dir)
+        .map_err(|e| fail(FailureKind::Recovery, leg, spec_label, e.to_string()))?;
+    for top in &recovered.committed {
+        if !promised.contains(top) {
+            return Err(fail(
+                FailureKind::Resurrection,
+                leg,
+                spec_label,
+                format!("recovery resurrected {top:?} without a logged commit"),
+            ));
+        }
+        if recovered.rolled_back.contains(top) {
+            return Err(fail(
+                FailureKind::Recovery,
+                leg,
+                spec_label,
+                format!("{top:?} both committed and rolled back"),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Runs the full differential battery over one case. `Ok` carries run
@@ -509,6 +508,28 @@ mod tests {
             run_differential(&case, &cfg)
                 .unwrap_or_else(|f| panic!("case {i} ({}): {f}", case.scenario.name));
         }
+    }
+
+    #[test]
+    fn a_tampered_recovered_state_is_a_recovery_failure() {
+        let scenario = obase_scenario::by_name("hot-queue").expect("library");
+        let dir = obase_wal::scratch_dir("fuzz-tampered");
+        let backend = ExecutionBackend::Durable {
+            dir: dir.clone(),
+            group_commit: 4,
+        };
+        run_leg(&scenario, &scenario.specs[0], backend, false, None).expect("clean durable run");
+        let mut recovered = WalBackend::new(scenario.compile().def.base().clone())
+            .recover(&dir)
+            .expect("recovers");
+        hold_recovery(&recovered, &dir, "recovery", "spec").expect("untampered recovery passes");
+        for state in recovered.final_states.values_mut() {
+            *state = obase_core::value::Value::Str("tampered".into());
+        }
+        let failure = hold_recovery(&recovered, &dir, "recovery", "spec")
+            .expect_err("a tampered state is caught");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(failure.kind, FailureKind::Recovery, "{failure}");
     }
 
     #[test]

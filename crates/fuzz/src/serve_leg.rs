@@ -29,7 +29,7 @@
 use crate::diff::{Failure, FailureKind};
 use crate::FuzzCase;
 use obase_runtime::SchedulerSpec;
-use obase_serve::{check_admitted, ServeClient, ServeConfig, Server, SubmitOutcome};
+use obase_serve::{ServeClient, ServeConfig, Server, SubmitOutcome};
 
 /// Connections the leg drives concurrently.
 const CONNECTIONS: usize = 3;
@@ -166,7 +166,7 @@ pub fn run_serve_leg(
             "server kept no admitted history despite keep_history",
         )
     })?;
-    check_admitted(&history).map_err(|v| {
+    obase_core::oracle::check(&history, true).map_err(|v| {
         fail(
             FailureKind::Oracle,
             &spec_label,

@@ -315,20 +315,12 @@ impl Shared {
 /// The returned [`RunResult`] has exactly the simulator's shape: a committed
 /// (legal) history, the raw history including aborted attempts, and the run
 /// metrics — so every post-hoc theory check applies unchanged.
+///
+/// Lifecycle events go to `obs`: each worker buffers its events on an own
+/// `worker-N` lane (`Par` branches on `branch` lanes, the monitor and
+/// submissions on `control`), flushed at transaction boundaries — no new
+/// locks on the grant/install path.
 pub fn execute_parallel(
-    workload: &WorkloadSpec,
-    scheduler: Box<dyn Scheduler>,
-    params: &ParParams,
-) -> RunResult {
-    execute_parallel_observed(workload, scheduler, params, &ObsHandle::off())
-}
-
-/// [`execute_parallel`] with lifecycle observation: each worker buffers its
-/// events on an own `worker-N` lane (`Par` branches on `branch` lanes, the
-/// monitor and submissions on `control`), flushed at transaction boundaries —
-/// no new locks on the grant/install path. With a disabled handle this *is*
-/// [`execute_parallel`].
-pub fn execute_parallel_observed(
     workload: &WorkloadSpec,
     scheduler: Box<dyn Scheduler>,
     params: &ParParams,
@@ -337,7 +329,7 @@ pub fn execute_parallel_observed(
     execute_on(Pool::global(), workload, scheduler, params, obs)
 }
 
-/// [`execute_parallel_observed`] on a given pool.
+/// [`execute_parallel`] on a given pool.
 pub(crate) fn execute_on(
     pool: &Pool,
     workload: &WorkloadSpec,

@@ -142,6 +142,7 @@
 //!     &wl,
 //!     Box::new(N2plScheduler::operation_locks()),
 //!     &ParParams { workers: 2, ..ParParams::default() },
+//!     &obase_obs::ObsHandle::off(),
 //! );
 //! assert_eq!(result.metrics.committed, 4);
 //! // The wall clock is the makespan, and the recorded history passes the
@@ -159,7 +160,7 @@ pub mod sched_plane;
 pub mod store;
 pub mod waiters;
 
-pub use engine::{execute_parallel, execute_parallel_observed, ParParams};
+pub use engine::{execute_parallel, ParParams};
 pub use sched_plane::SchedPlane;
 pub use store::{ObjectSlot, Shard, ShardedStore};
 
@@ -170,6 +171,7 @@ mod tests {
     use obase_core::value::Value;
     use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
     use obase_lock::N2plScheduler;
+    use obase_obs::ObsHandle;
     use std::sync::Arc;
 
     /// `n` transactions each bumping both of two counters through nested
@@ -211,14 +213,13 @@ mod tests {
             &wl,
             Box::new(N2plScheduler::operation_locks()),
             &ParParams::default(),
+            &ObsHandle::off(),
         );
         assert_eq!(result.metrics.committed, 8);
         assert_eq!(result.metrics.gave_up, 0);
         assert!(!result.metrics.timed_out);
-        assert!(obase_core::legality::is_legal(&result.history));
-        assert!(obase_core::sg::certifies_serialisable(&result.history));
+        let finals = obase_core::oracle::check(&result.history, false).expect("serialisable");
         // Each transaction adds 1 to each counter.
-        let finals = obase_core::replay::final_states(&result.history).unwrap();
         for (_, v) in finals {
             assert_eq!(v, Value::Int(8));
         }
@@ -282,11 +283,11 @@ mod tests {
                     max_retries: 1,
                     ..Default::default()
                 },
+                &ObsHandle::off(),
             );
             assert_eq!(result.metrics.committed, 2, "{:?}", result.metrics);
             assert!(!result.metrics.timed_out);
-            assert!(obase_core::legality::is_legal(&result.history));
-            assert!(obase_core::sg::certifies_serialisable(&result.history));
+            obase_core::oracle::check(&result.history, false).expect("serialisable");
             assert_eq!(result.metrics.cascading_aborts, 0);
         }
     }
@@ -321,6 +322,7 @@ mod tests {
             &wl,
             Box::new(N2plScheduler::operation_locks()),
             &ParParams::default(),
+            &ObsHandle::off(),
         );
         assert_eq!(result.metrics.committed, 1);
         assert_eq!(result.metrics.installed_steps, 2);
@@ -332,8 +334,7 @@ mod tests {
     fn assert_clean(result: &obase_exec::RunResult, n: usize) {
         assert_eq!(result.metrics.committed, n, "{:?}", result.metrics);
         assert!(!result.metrics.timed_out);
-        assert!(obase_core::legality::is_legal(&result.history));
-        assert!(obase_core::sg::certifies_serialisable(&result.history));
+        obase_core::oracle::check(&result.history, false).expect("serialisable");
     }
 
     #[test]
@@ -352,7 +353,12 @@ mod tests {
         };
         let started = std::time::Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_parallel(&wl, Box::new(N2plScheduler::operation_locks()), &params)
+            execute_parallel(
+                &wl,
+                Box::new(N2plScheduler::operation_locks()),
+                &params,
+                &ObsHandle::off(),
+            )
         }));
         let payload = outcome.expect_err("the run must panic");
         assert_eq!(
@@ -365,6 +371,7 @@ mod tests {
             &counter_workload(8),
             Box::new(N2plScheduler::operation_locks()),
             &ParParams::default(),
+            &ObsHandle::off(),
         );
         assert_clean(&result, 8);
     }
@@ -384,7 +391,7 @@ mod tests {
                     workers,
                     ..ParParams::default()
                 },
-                &obase_obs::ObsHandle::off(),
+                &ObsHandle::off(),
             );
             assert_clean(&result, 8);
             assert_eq!(pool.threads(), 4);
@@ -402,6 +409,7 @@ mod tests {
                             &wl,
                             Box::new(N2plScheduler::operation_locks()),
                             &ParParams::default(),
+                            &ObsHandle::off(),
                         );
                         assert_clean(&result, 8);
                     }
@@ -417,10 +425,10 @@ mod tests {
             &wl,
             Box::new(obase_occ::SgtCertifier::new()),
             &ParParams::default(),
+            &ObsHandle::off(),
         );
         assert!(!result.metrics.timed_out);
         assert_eq!(result.metrics.committed + result.metrics.gave_up, 6);
-        assert!(obase_core::legality::is_legal(&result.history));
-        assert!(obase_core::sg::certifies_serialisable(&result.history));
+        obase_core::oracle::check(&result.history, false).expect("serialisable");
     }
 }

@@ -5,9 +5,10 @@
 //! validates instead and reports one of the error types here, all of which
 //! implement [`std::error::Error`].
 
-use obase_core::error::LegalityError;
-use obase_core::ids::{ExecId, ObjectId};
+use obase_core::ids::ObjectId;
 use std::fmt;
+
+pub use obase_core::oracle::TheoryViolation;
 
 /// A problem with the runtime configuration, detected at build time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,54 +193,3 @@ impl From<ConfigError> for RuntimeError {
         RuntimeError::Config(e)
     }
 }
-
-/// A violation of the paper's theory detected when verifying a run report:
-/// the committed history failed legality, Theorem 2 or Theorem 5, or the run
-/// never settled.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TheoryViolation {
-    /// The run hit its round limit before all transactions settled, so the
-    /// recorded history is a prefix and the checks are not meaningful.
-    TimedOut,
-    /// The committed history is not legal (Definition 6).
-    NotLegal(LegalityError),
-    /// The serialisation graph has a cycle (Theorem 2 refutes
-    /// serialisability via this certificate).
-    CyclicSerialisationGraph {
-        /// A witness cycle of top-level transactions.
-        cycle: Vec<ExecId>,
-    },
-    /// The Theorem 5 per-object condition fails.
-    Theorem5Violated {
-        /// Objects whose combined local graph is cyclic.
-        objects: Vec<ObjectId>,
-        /// Executions whose intra-method message order is cyclic.
-        executions: Vec<ExecId>,
-    },
-}
-
-impl fmt::Display for TheoryViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TheoryViolation::TimedOut => {
-                write!(f, "the run hit its round limit before settling")
-            }
-            TheoryViolation::NotLegal(e) => {
-                write!(f, "committed history is not legal: {e}")
-            }
-            TheoryViolation::CyclicSerialisationGraph { cycle } => {
-                write!(f, "serialisation graph has a cycle: {cycle:?}")
-            }
-            TheoryViolation::Theorem5Violated {
-                objects,
-                executions,
-            } => write!(
-                f,
-                "Theorem 5 condition violated (cyclic objects: {objects:?}, \
-                 cyclic executions: {executions:?})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TheoryViolation {}

@@ -11,9 +11,12 @@ use crate::error::TheoryViolation;
 use crate::runtime::Verify;
 use crate::spec::SchedulerSpec;
 use obase_core::history::History;
+use obase_core::ids::ObjectId;
+use obase_core::value::Value;
 use obase_exec::{RunMetrics, RunResult};
 use obase_obs::LatencyReport;
 use obase_ser::Json;
+use std::collections::BTreeMap;
 
 /// The outcome of the theory checks recorded in a report.
 ///
@@ -33,25 +36,32 @@ pub struct TheoryChecks {
 }
 
 impl TheoryChecks {
-    fn compute(history: &History, level: Verify) -> Self {
-        match level {
-            Verify::None => TheoryChecks::default(),
-            Verify::Quick => TheoryChecks {
-                legal: Some(obase_core::legality::is_legal(history)),
+    /// The checks `level` asks for, and the committed final states that
+    /// legality's condition 3 replays (`None` under [`Verify::None`] or when
+    /// the history is illegal).
+    fn compute(history: &History, level: Verify) -> (Self, Option<BTreeMap<ObjectId, Value>>) {
+        let finals = match level {
+            Verify::None => return (TheoryChecks::default(), None),
+            Verify::Quick | Verify::Full => obase_core::legality::check_legal(history).ok(),
+        };
+        let legal = Some(finals.is_some());
+        let checks = if level == Verify::Full {
+            let analysis = obase_core::sg::analyse(history);
+            TheoryChecks {
+                legal,
+                sg_acyclic: Some(analysis.acyclic),
+                witness_verified: analysis.witness_verified,
+                theorem5: Some(obase_core::local_graphs::theorem5_condition_holds(history)),
+            }
+        } else {
+            TheoryChecks {
+                legal,
                 sg_acyclic: Some(obase_core::sg::serialisation_graph(history).is_acyclic()),
                 witness_verified: None,
                 theorem5: None,
-            },
-            Verify::Full => {
-                let analysis = obase_core::sg::analyse(history);
-                TheoryChecks {
-                    legal: Some(obase_core::legality::is_legal(history)),
-                    sg_acyclic: Some(analysis.acyclic),
-                    witness_verified: analysis.witness_verified,
-                    theorem5: Some(obase_core::local_graphs::theorem5_condition_holds(history)),
-                }
             }
-        }
+        };
+        (checks, finals)
     }
 
     /// `true` if no recorded check failed (skipped checks are not failures).
@@ -91,6 +101,10 @@ pub struct RunReport {
     pub metrics: RunMetrics,
     /// The theory checks performed at the configured level.
     pub checks: TheoryChecks,
+    /// The committed final state of every object the history touches, as
+    /// legality's condition 3 replays it (`None` under [`Verify::None`] or
+    /// when the history is illegal).
+    pub final_states: Option<BTreeMap<ObjectId, Value>>,
     /// Per-phase latency histograms and blocked-time attribution, when the
     /// runtime was built with an observing [`Observe`](crate::Observe) plan
     /// (`None` under [`Observe::Off`](crate::Observe::Off) and
@@ -105,7 +119,7 @@ impl RunReport {
         level: Verify,
         latency: Option<LatencyReport>,
     ) -> Self {
-        let checks = TheoryChecks::compute(&result.history, level);
+        let (checks, final_states) = TheoryChecks::compute(&result.history, level);
         RunReport {
             spec,
             scheduler: result.metrics.scheduler.clone(),
@@ -114,6 +128,7 @@ impl RunReport {
             raw_history: result.raw_history,
             metrics: result.metrics,
             checks,
+            final_states,
             latency,
         }
     }
@@ -134,27 +149,10 @@ impl RunReport {
         }
         // A report built at Verify::Full already holds all three verdicts;
         // recompute (for the detailed certificate) only if one failed.
-        if self.verify_level == Verify::Full
-            && self.checks.legal == Some(true)
-            && self.checks.sg_acyclic == Some(true)
-            && self.checks.theorem5 == Some(true)
-            && self.checks.witness_verified != Some(false)
-        {
+        if self.verify_level == Verify::Full && self.checks.all_passed() {
             return Ok(());
         }
-        obase_core::legality::check_legal(&self.history).map_err(TheoryViolation::NotLegal)?;
-        let sg = obase_core::sg::serialisation_graph(&self.history);
-        if let Some(cycle) = sg.find_cycle() {
-            return Err(TheoryViolation::CyclicSerialisationGraph { cycle });
-        }
-        let t5 = obase_core::local_graphs::theorem5_report(&self.history);
-        if !t5.condition_holds() {
-            return Err(TheoryViolation::Theorem5Violated {
-                objects: t5.cyclic_objects.iter().map(|(o, _)| *o).collect(),
-                executions: t5.cyclic_executions.iter().map(|(e, _)| *e).collect(),
-            });
-        }
-        Ok(())
+        obase_core::oracle::check(&self.history, true).map(drop)
     }
 
     /// Asserts that the committed history passes legality, Theorem 2 and

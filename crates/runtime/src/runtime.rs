@@ -32,7 +32,7 @@ use crate::report::{Faceoff, RunReport};
 use crate::spec::SchedulerSpec;
 use obase_core::ids::ObjectId;
 use obase_core::sched::Scheduler;
-use obase_exec::engine::{execute_observed, ExecParams};
+use obase_exec::engine::{execute, ExecParams};
 use obase_exec::{ObjRef, Program, RunResult, WorkloadSpec};
 use obase_obs::{ChromeTraceObserver, LatencyReport, ObsHandle, Observer, RecordingObserver};
 use obase_par::ParParams;
@@ -261,16 +261,11 @@ impl Runtime {
         match &self.backend {
             ExecutionBackend::Simulated => {
                 let mut scheduler = scheduler;
-                Ok(execute_observed(
-                    workload,
-                    scheduler.as_mut(),
-                    &self.params,
-                    obs,
-                ))
+                Ok(execute(workload, scheduler.as_mut(), &self.params, obs))
             }
             ExecutionBackend::Parallel { workers } => {
                 let defaults = ParParams::from_exec(&self.params, *workers);
-                Ok(obase_par::execute_parallel_observed(
+                Ok(obase_par::execute_parallel(
                     workload,
                     scheduler,
                     &ParParams {
@@ -283,7 +278,7 @@ impl Runtime {
             }
             ExecutionBackend::Durable { dir, group_commit } => {
                 let mut scheduler = scheduler;
-                obase_wal::execute_durable_observed(
+                obase_wal::execute_durable(
                     workload,
                     scheduler.as_mut(),
                     &self.params,
@@ -739,18 +734,26 @@ mod tests {
 
     #[test]
     fn run_produces_a_verified_report() {
-        let runtime = Runtime::builder()
-            .scheduler(SchedulerSpec::n2pl_operation())
-            .verify(Verify::Full)
-            .build()
-            .unwrap();
-        let report = runtime.run(&tiny_workload()).unwrap();
-        assert_eq!(report.metrics.committed, 1);
-        assert_eq!(report.checks.legal, Some(true));
-        assert_eq!(report.checks.sg_acyclic, Some(true));
-        assert_eq!(report.checks.witness_verified, Some(true));
-        assert_eq!(report.checks.theorem5, Some(true));
-        report.assert_serialisable();
+        for level in [Verify::None, Verify::Quick, Verify::Full] {
+            let runtime = Runtime::builder()
+                .scheduler(SchedulerSpec::n2pl_operation())
+                .verify(level)
+                .build()
+                .unwrap();
+            let report = runtime.run(&tiny_workload()).unwrap();
+            assert_eq!(report.metrics.committed, 1);
+            report.assert_serialisable();
+            // The final states legality replays ride along whenever it ran.
+            let replayed = obase_core::replay::final_states(&report.history).unwrap();
+            let expected = (level != Verify::None).then_some(replayed);
+            assert_eq!(report.final_states, expected, "{level:?}");
+            if level == Verify::Full {
+                assert_eq!(report.checks.legal, Some(true));
+                assert_eq!(report.checks.sg_acyclic, Some(true));
+                assert_eq!(report.checks.witness_verified, Some(true));
+                assert_eq!(report.checks.theorem5, Some(true));
+            }
+        }
     }
 
     #[test]

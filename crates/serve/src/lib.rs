@@ -9,7 +9,8 @@
 //! group-commit-style ingress batching, and the Hadzilacos & Hadzilacos
 //! serialisability oracle still holds over *everything that was admitted*
 //! — the per-batch committed histories merge into one admitted history
-//! ([`merge_histories`]) the test battery verifies wholesale.
+//! ([`merge_histories`]) that [`obase_core::oracle::check`] verifies
+//! wholesale.
 //!
 //! * [`wire`] — frames, the length-prefixed codec, and typed
 //!   [`WireError`]s (decoding is total: torn, oversized, non-UTF-8 or
@@ -52,6 +53,6 @@ pub mod wire;
 
 pub use client::{ServeClient, SubmitOutcome};
 pub use config::ServeConfig;
-pub use oracle::{check_admitted, merge_histories};
+pub use oracle::merge_histories;
 pub use server::{ServeError, ServeSummary, Server};
 pub use wire::{Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -8,11 +8,10 @@
 //! every step interval past the previous batch's last completion — and
 //! simple to reason about: the merged committed history replays exactly
 //! like the batches did in sequence, so if every batch is serialisable the
-//! merged history is too. [`merge_histories`] builds that history;
-//! the session test battery then holds it to
-//! `RunReport::assert_serialisable`'s underlying checks via
-//! [`obase_core`]'s own verifiers — one oracle over *everything* the
-//! server ever admitted.
+//! merged history is too. [`merge_histories`] builds that history; the
+//! session test battery and the fuzzer's serve leg then hold it to
+//! [`obase_core::oracle::check`] with Theorem 5 — one oracle over
+//! *everything* the server ever admitted.
 
 use obase_core::history::{History, Interval};
 use obase_core::ids::{ExecId, StepId};
@@ -70,28 +69,4 @@ pub fn merge_histories(parts: &[History]) -> Option<History> {
         steps,
         intervals,
     ))
-}
-
-/// Holds a (merged) admitted history to the full serialisability oracle:
-/// legality (Definition 6), Theorem 2 serialisation-graph acyclicity and
-/// the Theorem 5 per-object condition — the same three verdicts
-/// `RunReport::check_serialisable` computes, for histories that never
-/// belonged to a single run.
-pub fn check_admitted(h: &History) -> Result<(), String> {
-    obase_core::legality::check_legal(h).map_err(|e| format!("history is not legal: {e}"))?;
-    let sg = obase_core::sg::serialisation_graph(h);
-    if let Some(cycle) = sg.find_cycle() {
-        return Err(format!("serialisation graph has a cycle: {cycle:?}"));
-    }
-    let t5 = obase_core::local_graphs::theorem5_report(h);
-    if !t5.condition_holds() {
-        return Err(format!(
-            "theorem 5 per-object condition violated at objects {:?}",
-            t5.cyclic_objects
-                .iter()
-                .map(|(o, _)| o.0)
-                .collect::<Vec<_>>()
-        ));
-    }
-    Ok(())
 }

@@ -25,14 +25,18 @@
 //! Whenever it is free, the executor takes whatever is admitted, up to
 //! [`ServeConfig::batch_max`] transactions, without waiting for more: a
 //! lone submission runs at once, and under load the queue refills while a
-//! batch runs. It runs the batch as one workload, then writes the batch's
-//! committed final states ([`obase_core::replay::final_states`]) into the
-//! object base as its new initial states, in place and only for the
-//! objects the batch touched, so the next batch continues the same world.
-//! Because batches are totally ordered, the per-batch committed histories
-//! merge into one admitted history
-//! ([`crate::merge_histories`]) that the serialisability oracle accepts
-//! or refutes wholesale.
+//! batch runs. It runs the batch as one workload under
+//! [`Verify::Quick`], then writes the committed final states that the
+//! batch's legality check replayed
+//! ([`RunReport::final_states`](obase_runtime::RunReport::final_states))
+//! into the object base as its new initial states, in place and only for
+//! the objects the batch touched, so the next batch continues the same
+//! world. That replay is the only one a batch pays for. An illegal batch
+//! has no final states: it leaves the world as it was and counts as an
+//! oracle failure. Because batches are totally ordered, the per-batch
+//! committed histories merge into one admitted history
+//! ([`crate::merge_histories`]) that [`obase_core::oracle::check`]
+//! accepts or refutes wholesale.
 //!
 //! ## Reconcile
 //!
@@ -128,10 +132,10 @@ struct WorldState {
     gave_up: u64,
     results_sent: u64,
     send_failures: u64,
-    /// Batches whose report failed its own theory checks, or whose final
-    /// states could not be replayed. Always zero unless the engine has a
-    /// bug; surfaced in the status document rather than panicking a
-    /// server.
+    /// Batches whose report failed its own theory checks (an illegal
+    /// batch among them, which also leaves the world unchanged). Always
+    /// zero unless the engine has a bug; surfaced in the status document
+    /// rather than panicking a server.
     oracle_failures: u64,
     /// Batches refused by the runtime with a typed error.
     batch_errors: u64,
@@ -282,12 +286,7 @@ impl Server {
     /// Takes effect at the next batch boundary; nothing in flight is
     /// dropped.
     pub fn reconcile(&self, desired: ServeConfig) -> Result<Vec<&'static str>, ConfigError> {
-        desired.validate()?;
-        let mut cfg = self.shared.cfg.lock().expect("config lock");
-        let changed = cfg.diff(&desired);
-        *cfg = desired;
-        drop(cfg);
-        Ok(changed)
+        reconcile(&self.shared, desired)
     }
 
     /// The current desired config.
@@ -321,24 +320,7 @@ impl Server {
     /// Drains, stops every thread, and returns the lifetime summary.
     pub fn shutdown(mut self) -> ServeSummary {
         self.drain();
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            q.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        // Unblock every session reader.
-        for session in self.shared.sessions.lock().expect("sessions lock").values() {
-            let _ = session.stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.executor_thread.take() {
-            let _ = t.join();
-        }
+        self.stop();
         let threads = std::mem::take(&mut *self.session_threads.lock().expect("threads lock"));
         for t in threads {
             let _ = t.join();
@@ -359,11 +341,10 @@ impl Server {
             history: merge_histories(&w.histories),
         }
     }
-}
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        // A dropped (not shut-down) server still stops its threads.
+    /// Closes admission, wakes and joins the listener and the executor, and
+    /// unblocks every session reader. Idempotent.
+    fn stop(&mut self) {
         if self.listener_thread.is_none() && self.executor_thread.is_none() {
             return;
         }
@@ -374,6 +355,7 @@ impl Drop for Server {
         }
         self.shared.work_cv.notify_all();
         self.shared.stop.store(true, Ordering::SeqCst);
+        // Wake the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         for session in self.shared.sessions.lock().expect("sessions lock").values() {
             let _ = session.stream.shutdown(std::net::Shutdown::Both);
@@ -384,6 +366,13 @@ impl Drop for Server {
         if let Some(t) = self.executor_thread.take() {
             let _ = t.join();
         }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        // A dropped (not shut-down) server still stops its threads.
+        self.stop();
     }
 }
 
@@ -450,6 +439,16 @@ fn validate_top(def: &ObjectBaseDef, p: &Program) -> Result<(), String> {
             Ok(())
         }
     }
+}
+
+/// Validates `desired`, swaps it in atomically and returns the names of the
+/// fields that changed.
+fn reconcile(shared: &Shared, desired: ServeConfig) -> Result<Vec<&'static str>, ConfigError> {
+    desired.validate()?;
+    let mut cfg = shared.cfg.lock().expect("config lock");
+    let changed = cfg.diff(&desired);
+    *cfg = desired;
+    Ok(changed)
 }
 
 fn try_admit(shared: &Shared, pending: Pending) -> Result<(), RejectReason> {
@@ -574,25 +573,16 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
             }
             Ok(Frame::Reconcile { config }) => {
                 let current = shared.cfg.lock().expect("config lock").clone();
-                let answer = match current.apply_json(&config) {
+                let answer = match current
+                    .apply_json(&config)
+                    .and_then(|desired| reconcile(shared, desired).map_err(|e| e.to_string()))
+                {
                     Err(detail) => Frame::Error {
                         code: "bad-config".into(),
                         detail,
                     },
-                    Ok(desired) => match desired.validate() {
-                        Err(e) => Frame::Error {
-                            code: "bad-config".into(),
-                            detail: e.to_string(),
-                        },
-                        Ok(()) => {
-                            let mut cfg = shared.cfg.lock().expect("config lock");
-                            let changed = cfg.diff(&desired);
-                            *cfg = desired;
-                            drop(cfg);
-                            Frame::Reconciled {
-                                changed: changed.iter().map(|c| (*c).to_owned()).collect(),
-                            }
-                        }
+                    Ok(changed) => Frame::Reconciled {
+                        changed: changed.iter().map(|c| (*c).to_owned()).collect(),
                     },
                 };
                 if session.write(&answer).is_err() {
@@ -668,10 +658,7 @@ fn executor_loop(shared: &Arc<Shared>) {
 
 fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
     let cfg = shared.cfg.lock().expect("config lock").clone();
-    let (def, seed) = {
-        let w = shared.world.lock().expect("world lock");
-        (w.def.clone(), w.batches)
-    };
+    let def = shared.world.lock().expect("world lock").def.clone();
     let transactions: Vec<TxnSpec> = batch
         .iter()
         .map(|p| TxnSpec {
@@ -688,7 +675,6 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
         })
         .retries(cfg.retries)
         .mvcc(cfg.mvcc)
-        .seed(seed)
         .verify(Verify::Quick)
         .observe(Observe::Latency);
     if cfg.store_shards > 0 {
@@ -727,8 +713,6 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
             .map(|p| names.contains(p.name.as_str()))
             .collect()
     };
-    let finals = obase_core::replay::final_states(&report.history);
-    let checks_ok = report.checks.all_passed() && finals.is_ok();
 
     // The workload and both histories share the object base with the
     // world; let go of them (a kept history keeps its own base) so the
@@ -740,7 +724,7 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
     let answers: Vec<(u64, Frame)> = {
         let mut w = shared.world.lock().expect("world lock");
         w.batches += 1;
-        if !checks_ok {
+        if !report.checks.all_passed() {
             w.oracle_failures += 1;
         }
         w.metrics.absorb(&report.metrics);
@@ -751,9 +735,10 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
             }
         }
         w.histories.extend(kept);
-        // Advance the world: the batch's committed final states become the
-        // next batch's initial states. Only the objects it touched change.
-        if let Ok(finals) = finals {
+        // Advance the world: the committed final states the legality check
+        // replayed become the next batch's initial states. Only the objects
+        // the batch touched change; an illegal batch changes none.
+        if let Some(finals) = report.final_states {
             let base = w.def.base_mut();
             for (id, state) in finals {
                 base.set_initial_state(id, state);

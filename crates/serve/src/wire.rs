@@ -2,9 +2,10 @@
 //!
 //! Every frame is `[len: u32 big-endian][len bytes of JSON]`. The JSON
 //! dialect is `obase-ser` (deterministic printing, no external crates);
-//! dynamic [`Value`]s ride in the same tagged-array encoding the WAL uses
-//! (`["i", 5]`, `["l", [...]]`), so a wire capture is readable with the
-//! same eyes as a log dump.
+//! dynamic [`Value`](obase_core::value::Value)s ride in the tagged-array
+//! encoding the WAL uses too ([`obase_exec::codec`]: `["i", 5]`,
+//! `["l", [...]]`), so a wire capture is readable with the same eyes as a
+//! log dump.
 //!
 //! Decoding is *total* in the WAL sense: any byte sequence decodes to a
 //! frame or to a typed [`WireError`], never a panic — the protocol test
@@ -16,11 +17,12 @@
 //! client cannot make the server allocate unboundedly.
 
 use obase_core::ids::ObjectId;
-use obase_core::value::Value;
 use obase_exec::{Expr, ObjRef, Program, TxnSpec};
 use obase_ser::Json;
 use std::fmt;
 use std::io::{Read, Write};
+
+pub use obase_exec::codec::{value_from_json, value_to_json};
 
 /// Protocol version carried in `hello`/`welcome`. A server refuses a
 /// mismatched hello with a typed `error` frame rather than guessing.
@@ -230,70 +232,7 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Value / program codec (tagged arrays, same dialect as the WAL).
-
-/// Encodes a [`Value`] as a tagged array.
-pub fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Unit => Json::Array(vec![Json::str("u")]),
-        Value::Bool(b) => Json::Array(vec![Json::str("b"), Json::Bool(*b)]),
-        Value::Int(i) => Json::Array(vec![Json::str("i"), Json::Int(*i)]),
-        Value::Str(s) => Json::Array(vec![Json::str("s"), Json::str(s.clone())]),
-        Value::Obj(o) => Json::Array(vec![Json::str("o"), Json::Int(i64::from(o.0))]),
-        Value::List(items) => Json::Array(vec![
-            Json::str("l"),
-            Json::Array(items.iter().map(value_to_json).collect()),
-        ]),
-        Value::Map(map) => Json::Array(vec![
-            Json::str("m"),
-            Json::Object(
-                map.iter()
-                    .map(|(k, v)| (k.clone(), value_to_json(v)))
-                    .collect(),
-            ),
-        ]),
-    }
-}
-
-/// Decodes a [`Value`] from its tagged-array encoding.
-pub fn value_from_json(j: &Json) -> Result<Value, WireError> {
-    let bad = |d: &str| WireError::BadFrame(format!("bad value encoding: {d}"));
-    let arr = j.as_array().ok_or_else(|| bad("not a tagged array"))?;
-    let tag = arr
-        .first()
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("no string tag"))?;
-    let payload = arr.get(1);
-    match (tag, payload) {
-        ("u", None) => Ok(Value::Unit),
-        ("b", Some(p)) => p.as_bool().map(Value::Bool).ok_or_else(|| bad("b")),
-        ("i", Some(p)) => p.as_int().map(Value::Int).ok_or_else(|| bad("i")),
-        ("s", Some(p)) => p
-            .as_str()
-            .map(|s| Value::Str(s.to_owned()))
-            .ok_or_else(|| bad("s")),
-        ("o", Some(p)) => p
-            .as_int()
-            .and_then(|i| u32::try_from(i).ok())
-            .map(|i| Value::Obj(ObjectId(i)))
-            .ok_or_else(|| bad("o")),
-        ("l", Some(p)) => p
-            .as_array()
-            .ok_or_else(|| bad("l"))?
-            .iter()
-            .map(value_from_json)
-            .collect::<Result<Vec<_>, _>>()
-            .map(Value::list),
-        ("m", Some(p)) => p
-            .as_object()
-            .ok_or_else(|| bad("m"))?
-            .iter()
-            .map(|(k, v)| value_from_json(v).map(|v| (k.clone(), v)))
-            .collect::<Result<Vec<(String, Value)>, _>>()
-            .map(Value::map),
-        (other, _) => Err(bad(&format!("unknown value tag {other:?}"))),
-    }
-}
+// Program codec (tagged arrays; values in the shared `obase_exec::codec`).
 
 fn expr_to_json(e: &Expr) -> Json {
     match e {
@@ -306,7 +245,7 @@ fn expr_from_json(j: &Json) -> Result<Expr, WireError> {
     let bad = |d: &str| WireError::BadFrame(format!("bad expr encoding: {d}"));
     let arr = j.as_array().ok_or_else(|| bad("not a tagged array"))?;
     match (arr.first().and_then(Json::as_str), arr.get(1)) {
-        (Some("c"), Some(v)) => value_from_json(v).map(Expr::Const),
+        (Some("c"), Some(v)) => value_from_json(v).map(Expr::Const).map_err(|e| bad(&e)),
         (Some("p"), Some(i)) => i
             .as_int()
             .and_then(|i| usize::try_from(i).ok())

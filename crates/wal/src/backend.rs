@@ -28,8 +28,9 @@
 //!    so recovery and runtime agree on what survives.
 //! 5. **Oracle** — the result carries the committed projection of the
 //!    recovered history plus the re-derived object states;
-//!    [`Recovered::assert_serialisable`] holds them to the same
-//!    Definition-3/Theorem-2 checks as a live run.
+//!    [`Recovered::check_serialisable`] holds them to
+//!    [`obase_core::oracle::check`] (legality and Theorem 2) and compares
+//!    the states with the ones it replays.
 
 use crate::codec::WalRecord;
 use crate::log::{self, log_path, WalWriter};
@@ -39,6 +40,7 @@ use obase_core::builder::HistoryBuilder;
 use obase_core::history::History;
 use obase_core::ids::{ExecId, ObjectId};
 use obase_core::object::ObjectBase;
+use obase_core::oracle::TheoryViolation;
 use obase_core::sched::{AbortReason, Scheduler};
 use obase_core::value::Value;
 use obase_exec::store::{replay_log, LogEntry};
@@ -51,28 +53,9 @@ use std::sync::Arc;
 /// Runs a workload durably: the simulator loop of [`obase_exec::execute`],
 /// with every event logged to `dir` before the run reports. `group_commit`
 /// is the fsync window in commit records (`1` = fsync per commit, `0` =
-/// never fsync — a benchmark baseline).
+/// never fsync — a benchmark baseline). Lifecycle events go to `obs`, plus
+/// an fsync begin/end span per group-commit sync on the `"wal"` lane.
 pub fn execute_durable(
-    workload: &WorkloadSpec,
-    scheduler: &mut dyn Scheduler,
-    config: &ExecParams,
-    dir: &Path,
-    group_commit: usize,
-) -> Result<RunResult, WalError> {
-    execute_durable_observed(
-        workload,
-        scheduler,
-        config,
-        dir,
-        group_commit,
-        &ObsHandle::off(),
-    )
-}
-
-/// [`execute_durable`] with lifecycle observation: the simulator loop's
-/// events plus an fsync begin/end span per group-commit sync, emitted on the
-/// `"wal"` lane. With a disabled handle this *is* [`execute_durable`].
-pub fn execute_durable_observed(
     workload: &WorkloadSpec,
     scheduler: &mut dyn Scheduler,
     config: &ExecParams,
@@ -444,38 +427,54 @@ impl Recovered {
         out
     }
 
-    /// `true` if the recovered committed history passes the paper's checks:
-    /// legal (Definition 6) with an acyclic serialisation graph (Theorem 2).
-    pub fn is_serialisable(&self) -> bool {
-        obase_core::legality::is_legal(&self.history)
-            && obase_core::sg::certifies_serialisable(&self.history)
+    /// Holds the recovery to the oracle: the committed history must be
+    /// legal with an acyclic serialisation graph (Theorem 5 is not asked),
+    /// and every object state the oracle replays must equal the recovered
+    /// one.
+    pub fn check_serialisable(&self) -> Result<(), RecoveryViolation> {
+        let replayed =
+            obase_core::oracle::check(&self.history, false).map_err(RecoveryViolation::Oracle)?;
+        match replayed
+            .iter()
+            .find(|(o, v)| self.final_states.get(o) != Some(v))
+        {
+            Some((&object, _)) => Err(RecoveryViolation::StateDiverges { object }),
+            None => Ok(()),
+        }
     }
 
-    /// Holds the recovery to the oracle: the committed history must be
-    /// legal, its serialisation graph acyclic, and the re-derived object
-    /// states must equal the states obtained by replaying the committed
-    /// history in the core model.
+    /// [`Recovered::check_serialisable`] as an assertion.
     ///
     /// # Panics
-    /// Panics if any check fails.
+    /// Panics with the violation if any check fails.
     pub fn assert_serialisable(&self) {
-        assert!(
-            obase_core::legality::is_legal(&self.history),
-            "recovered history is not legal: {:?}",
-            obase_core::legality::check_legal(&self.history)
-        );
-        assert!(
-            obase_core::sg::certifies_serialisable(&self.history),
-            "recovered serialisation graph is cyclic"
-        );
-        let replayed =
-            obase_core::replay::final_states(&self.history).expect("legal history replays");
-        for (o, v) in &replayed {
-            assert_eq!(
-                self.final_states.get(o),
-                Some(v),
-                "recovered state of {o} diverges from committed-history replay"
-            );
+        if let Err(violation) = self.check_serialisable() {
+            panic!("{violation}");
+        }
+    }
+}
+
+/// Why a recovery failed [`Recovered::check_serialisable`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecoveryViolation {
+    /// The recovered committed history failed the oracle.
+    Oracle(TheoryViolation),
+    /// The recovered state of `object` differs from the state the oracle
+    /// replays from the committed history.
+    StateDiverges {
+        /// The first diverging object.
+        object: ObjectId,
+    },
+}
+
+impl std::fmt::Display for RecoveryViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoveryViolation::Oracle(v) => write!(f, "recovered history: {v}"),
+            RecoveryViolation::StateDiverges { object } => write!(
+                f,
+                "recovered state of {object} diverges from committed-history replay"
+            ),
         }
     }
 }
@@ -497,8 +496,15 @@ mod tests {
         });
         let dir = crate::scratch_dir(tag);
         let mut sched = obase_lock::N2plScheduler::step_locks();
-        execute_durable(&workload, &mut sched, &ExecParams::default(), &dir, 1)
-            .expect("sample run executes");
+        execute_durable(
+            &workload,
+            &mut sched,
+            &ExecParams::default(),
+            &dir,
+            1,
+            &ObsHandle::off(),
+        )
+        .expect("sample run executes");
         (workload, dir)
     }
 
@@ -550,5 +556,22 @@ mod tests {
             .expect_err("a non-header first record is a foreign log");
         assert!(matches!(err, WalError::MissingHeader(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Recovered states that disagree with the replay of the recovered
+    /// history fail the oracle, even though the history itself passes.
+    #[test]
+    #[should_panic(expected = "diverges from committed-history replay")]
+    fn a_tampered_recovered_state_fails_the_oracle() {
+        let (workload, dir) = run_sample("wal-tampered");
+        let mut recovered = WalBackend::new(Arc::clone(workload.def.base()))
+            .recover(&dir)
+            .expect("recovers");
+        std::fs::remove_dir_all(&dir).ok();
+        recovered.assert_serialisable();
+        for state in recovered.final_states.values_mut() {
+            *state = Value::Str("tampered".into());
+        }
+        recovered.assert_serialisable();
     }
 }

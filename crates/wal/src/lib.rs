@@ -26,7 +26,7 @@
 //!   whose reads no longer replay — they observed state of a transaction
 //!   that died in flight — are cascade-rolled-back until the surviving
 //!   history is consistent. The recovered history is held to the same
-//!   Definition-3 oracle as a live run.
+//!   oracle ([`obase_core::oracle`]) as a live run.
 //! * [`crash`] — fault helpers for the kill-at-any-point tests: truncate a
 //!   log at an arbitrary byte offset, or flip a single byte.
 //!
@@ -50,6 +50,7 @@
 //!     &obase_exec::ExecParams::default(),
 //!     &dir,
 //!     8, // fsync once per 8 commit records
+//!     &obase_obs::ObsHandle::off(),
 //! )?;
 //!
 //! // Recovery from the full log reproduces the run's committed history.
@@ -69,7 +70,7 @@ pub mod crash;
 pub mod log;
 pub mod recorder;
 
-pub use backend::{execute_durable, execute_durable_observed, Recovered, WalBackend};
+pub use backend::{execute_durable, Recovered, RecoveryViolation, WalBackend};
 pub use codec::WalRecord;
 pub use log::{log_path, LogScan, WalWriter};
 pub use recorder::WalRecorder;

@@ -648,15 +648,19 @@ pub fn scaling(params: &ScalingParams) -> WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obase_exec::{execute, ExecParams};
+    use obase_core::sched::Scheduler;
+    use obase_exec::{execute, ExecParams, RunResult};
     use obase_lock::N2plScheduler;
+    use obase_obs::ObsHandle;
 
-    fn small_config() -> ExecParams {
-        ExecParams {
+    /// Runs `wl` on the simulator with a fixed seed and three clients.
+    fn run(wl: &WorkloadSpec, scheduler: &mut dyn Scheduler) -> RunResult {
+        let config = ExecParams {
             seed: 11,
             clients: 3,
             ..Default::default()
-        }
+        };
+        execute(wl, scheduler, &config, &ObsHandle::off())
     }
 
     #[test]
@@ -680,7 +684,7 @@ mod tests {
             audit_fraction: 0.0,
             ..Default::default()
         });
-        let result = execute(&wl, &mut N2plScheduler::operation_locks(), &small_config());
+        let result = run(&wl, &mut N2plScheduler::operation_locks());
         assert_eq!(result.metrics.committed, 12);
         assert!(obase_core::sg::certifies_serialisable(&result.history));
         // Transfers move money but a withdraw that fails leaves the deposit
@@ -699,7 +703,7 @@ mod tests {
             read_fraction: 0.0,
             ..Default::default()
         });
-        let result = execute(&wl, &mut N2plScheduler::operation_locks(), &small_config());
+        let result = run(&wl, &mut N2plScheduler::operation_locks());
         assert_eq!(result.metrics.committed, 8);
         // All-increment workload never blocks under semantic locking.
         assert_eq!(result.metrics.blocked_events, 0);
@@ -715,7 +719,7 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(wl.transactions.len(), 10);
-        let result = execute(&wl, &mut N2plScheduler::step_locks(), &small_config());
+        let result = run(&wl, &mut N2plScheduler::step_locks());
         assert_eq!(result.metrics.committed, 10);
         assert!(obase_core::sg::certifies_serialisable(&result.history));
     }
@@ -728,7 +732,7 @@ mod tests {
             transactions: 10,
             ..Default::default()
         });
-        let result = execute(&wl, &mut N2plScheduler::operation_locks(), &small_config());
+        let result = run(&wl, &mut N2plScheduler::operation_locks());
         assert_eq!(result.metrics.committed, 10);
         assert!(obase_core::legality::is_legal(&result.history));
     }
@@ -740,7 +744,7 @@ mod tests {
             parallel_items: true,
             ..Default::default()
         });
-        let result = execute(&wl, &mut N2plScheduler::operation_locks(), &small_config());
+        let result = run(&wl, &mut N2plScheduler::operation_locks());
         assert_eq!(result.metrics.committed, 8);
         assert!(obase_core::sg::certifies_serialisable(&result.history));
         // The order transactions really nest: there are more executions than
@@ -757,7 +761,7 @@ mod tests {
             ops_per_invoke: 3,
             ..Default::default()
         });
-        let result = execute(&wl, &mut N2plScheduler::operation_locks(), &small_config());
+        let result = run(&wl, &mut N2plScheduler::operation_locks());
         assert_eq!(result.metrics.committed, 6);
         // 2 invokes × 3 local ops per transaction (plus any aborted
         // attempts' steps, which also count as installed).

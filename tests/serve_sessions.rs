@@ -3,11 +3,11 @@
 //! reconcile — and the merged history of everything admitted held to the
 //! serialisability oracle.
 
+use obase::core::oracle;
 use obase::runtime::SchedulerSpec;
 use obase::scenario::by_name;
 use obase::serve::{
-    check_admitted, wire, Frame, RejectReason, ServeClient, ServeConfig, Server, SubmitOutcome,
-    PROTOCOL_VERSION,
+    wire, Frame, RejectReason, ServeClient, ServeConfig, Server, SubmitOutcome, PROTOCOL_VERSION,
 };
 use obase_ser::Json;
 use std::collections::BTreeMap;
@@ -79,7 +79,7 @@ fn happy_path_submit_result_and_oracle() {
     assert_eq!(summary.oracle_failures, 0);
     assert_eq!(summary.e2e.count(), total as u64);
     let history = summary.history.expect("keep_history is on by default");
-    check_admitted(&history).expect("admitted history is serialisable");
+    oracle::check(&history, true).expect("admitted history is serialisable");
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn concurrent_sessions_interleave_and_merge_serialisably() {
     assert_eq!(summary.admitted, (SESSIONS * PER_SESSION) as u64);
     assert_eq!(summary.committed + summary.gave_up, summary.admitted);
     assert_eq!(summary.oracle_failures, 0);
-    check_admitted(&summary.history.expect("history"))
+    oracle::check(&summary.history.expect("history"), true)
         .expect("merged history of all sessions is serialisable");
 }
 
@@ -182,7 +182,7 @@ fn client_disconnect_mid_transaction_is_clean() {
         "doomed + survivor, never the torn frame"
     );
     assert_eq!(summary.committed + summary.gave_up, summary.admitted);
-    check_admitted(&summary.history.expect("history")).expect("serialisable");
+    oracle::check(&summary.history.expect("history"), true).expect("serialisable");
 }
 
 #[test]
@@ -392,7 +392,7 @@ fn reconcile_mid_load_loses_zero_in_flight_transactions() {
     );
     assert_eq!(summary.e2e.count(), summary.admitted);
     assert_eq!(summary.oracle_failures, 0);
-    check_admitted(&summary.history.expect("history"))
+    oracle::check(&summary.history.expect("history"), true)
         .expect("history spanning both configurations is serialisable");
 }
 
@@ -525,7 +525,7 @@ fn state_carries_across_one_transaction_batches() {
     assert_eq!(summary.committed, deposits.len() as u64);
     assert_eq!(summary.oracle_failures, 0);
     let history = summary.history.expect("keep_history is on by default");
-    check_admitted(&history).expect("the carried-forward history is serialisable");
+    oracle::check(&history, true).expect("the carried-forward history is serialisable");
     assert_eq!(
         replay::final_state(&history, account).expect("replay"),
         Value::Int(OPENING + deposits.iter().sum::<i64>())

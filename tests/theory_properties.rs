@@ -109,6 +109,14 @@ fn random_interleavings_respect_the_theorems() {
         }
 
         let analysis = obase::core::sg::analyse(&h);
+        // The oracle passes exactly the acyclic histories, and hands back
+        // the final states a separate replay computes.
+        let replayed = obase::core::replay::final_states(&h).expect("legal history replays");
+        let verdict = obase::core::oracle::check(&h, false);
+        assert_eq!(verdict.is_ok(), analysis.acyclic, "case {case}");
+        if let Ok(finals) = verdict {
+            assert_eq!(finals, replayed, "case {case}");
+        }
         if analysis.acyclic {
             // Theorem 2, executed: the constructed witness is legal, serial
             // and equivalent.
