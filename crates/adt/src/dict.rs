@@ -10,9 +10,9 @@
 use obase_core::error::TypeError;
 use obase_core::object::SemanticType;
 use obase_core::op::{LocalStep, Operation};
+use obase_core::pmap::PMap;
 use obase_core::value::Value;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// A dictionary with `Insert(key, value)`, `Delete(key)`, `Lookup(key)` and
 /// `Size()` operations. Keys are strings (other key types can be encoded);
@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub struct Dictionary;
 
 impl Dictionary {
-    fn entries<'a>(&self, state: &'a Value) -> Result<&'a Arc<BTreeMap<String, Value>>, TypeError> {
+    fn entries<'a>(&self, state: &'a Value) -> Result<&'a PMap<String, Value>, TypeError> {
         match state {
             Value::Map(m) => Ok(m),
             _ => Err(TypeError::BadState {
@@ -32,15 +32,17 @@ impl Dictionary {
         }
     }
 
-    fn key(&self, op: &Operation) -> Result<String, TypeError> {
+    /// The operation's key, borrowed from a `Str` argument; an `Int` key is
+    /// formatted once.
+    fn key<'a>(&self, op: &'a Operation) -> Result<Cow<'a, str>, TypeError> {
         let k = op.arg(0).ok_or_else(|| TypeError::BadArguments {
             type_name: "Dictionary".into(),
             op: op.clone(),
             expected: "a key argument".into(),
         })?;
         match k {
-            Value::Str(s) => Ok(s.clone()),
-            Value::Int(i) => Ok(i.to_string()),
+            Value::Str(s) => Ok(Cow::Borrowed(s)),
+            Value::Int(i) => Ok(Cow::Owned(i.to_string())),
             _ => Err(TypeError::BadArguments {
                 type_name: "Dictionary".into(),
                 op: op.clone(),
@@ -56,7 +58,7 @@ impl SemanticType for Dictionary {
     }
 
     fn initial_state(&self) -> Value {
-        Value::Map(Arc::default())
+        Value::Map(PMap::new())
     }
 
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError> {
@@ -69,22 +71,29 @@ impl SemanticType for Dictionary {
                     op: op.clone(),
                     expected: "Insert(key, value)".into(),
                 })?;
-                let mut next = Arc::clone(entries);
-                let old = Arc::make_mut(&mut next).insert(k, v).unwrap_or(Value::Unit);
+                // Path-copies the shared nodes above the key; an
+                // overwrite keeps the key already stored.
+                let mut next = entries.clone();
+                let old = match next.get_mut(&*k) {
+                    Some(slot) => std::mem::replace(slot, v),
+                    None => {
+                        next.insert(k.into_owned(), v);
+                        Value::Unit
+                    }
+                };
                 Ok((Value::Map(next), old))
             }
             "Delete" => {
                 let k = self.key(op)?;
-                if !entries.contains_key(&k) {
+                let mut next = entries.clone();
+                if next.remove(&*k).is_none() {
                     return Ok((state.clone(), Value::Bool(false)));
                 }
-                let mut next = Arc::clone(entries);
-                Arc::make_mut(&mut next).remove(&k);
                 Ok((Value::Map(next), Value::Bool(true)))
             }
             "Lookup" => {
                 let k = self.key(op)?;
-                let v = entries.get(&k).cloned().unwrap_or(Value::Unit);
+                let v = entries.get(&*k).cloned().unwrap_or(Value::Unit);
                 Ok((state.clone(), v))
             }
             "Size" => Ok((state.clone(), Value::Int(entries.len() as i64))),
@@ -214,6 +223,37 @@ mod tests {
         assert!(d.steps_conflict(&del_hit, &del_miss));
         assert!(!d.steps_conflict(&del_miss, &look_miss));
         assert!(d.steps_conflict(&del_hit, &look_miss));
+    }
+
+    /// An `Insert` on a shared 1,024-key state leaves the input as it was
+    /// and copies only the nodes on the path to the key: the cost of a write
+    /// does not grow with the dictionary.
+    #[test]
+    fn insert_path_copies_a_shared_state() {
+        let d = Dictionary;
+        let state = Value::map((0..1024).map(|k| (format!("k{k:04}"), Value::Int(k))));
+        let before = state.clone();
+        let input = |v: &Value| match v {
+            Value::Map(m) => m.clone(),
+            other => panic!("expected a Map state, got {other:?}"),
+        };
+        let shared = input(&state);
+        for (key, ret) in [("k0512", Value::Int(512)), ("new", Value::Unit)] {
+            let op = Operation::new("Insert", [Value::from(key), Value::Int(-1)]);
+            let (next, old) = d.apply(&state, &op).unwrap();
+            assert_eq!(old, ret);
+            assert_eq!(state, before, "Insert({key}) changed its input");
+            assert!(shared.ptr_eq(&input(&state)));
+            let next = input(&next);
+            assert_eq!(next.get(key), Some(&Value::Int(-1)));
+            let unshared = next.unshared_nodes(&shared);
+            if ret.is_unit() {
+                // A new key may also split a node per level and grow a root.
+                assert!(unshared <= 2 * shared.depth() + 1, "{unshared} new nodes");
+            } else {
+                assert!(unshared <= shared.depth(), "{unshared} new nodes");
+            }
+        }
     }
 
     #[test]

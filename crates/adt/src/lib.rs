@@ -108,7 +108,7 @@ mod tests {
     fn same_storage(a: &Value, b: &Value) -> bool {
         match (a, b) {
             (Value::List(x), Value::List(y)) => Arc::ptr_eq(x, y),
-            (Value::Map(x), Value::Map(y)) => Arc::ptr_eq(x, y),
+            (Value::Map(x), Value::Map(y)) => x.ptr_eq(y),
             _ => a == b,
         }
     }

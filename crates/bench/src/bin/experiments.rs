@@ -38,6 +38,7 @@ fn main() {
     let mut assert_durability = false;
     let mut assert_overhead = false;
     let mut assert_read_scaling = false;
+    let mut assert_flat = false;
     let mut selected: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -65,6 +66,9 @@ fn main() {
             // the snapshot-on rounds-throughput below 1.5× the snapshot-off
             // point on the 99/1 read mix.
             "--assert-read-scaling" => assert_read_scaling = true,
+            // Flat-cost guard: fail the process if the e14 sweep shows an
+            // Insert on 65,536 keys costing more than 4× one on 64 keys.
+            "--assert-flat" => assert_flat = true,
             other => selected.push(other.to_lowercase()),
         }
     }
@@ -136,6 +140,11 @@ fn main() {
             "E13 — MVCC snapshot read path: snapshot-on vs off + sustained soak",
             Box::new(xp::e13_mvcc_read_path),
         ),
+        (
+            "e14",
+            "E14 — op cost vs object size: one Insert on a shared dictionary state",
+            Box::new(xp::e14_op_cost_vs_object_size),
+        ),
     ];
 
     let mut results: Vec<(&str, &str, Vec<xp::Row>)> = Vec::new();
@@ -202,6 +211,20 @@ fn main() {
             }
             Err(msg) => {
                 eprintln!("read-scaling guard FAILED: {msg}");
+                std::process::exit(1);
+            }
+        }
+    }
+    if assert_flat {
+        let e14 = results
+            .iter()
+            .find(|(key, _, _)| *key == "e14")
+            .map(|(_, _, rows)| rows.as_slice())
+            .expect("--assert-flat requires the e14 experiment to run");
+        match xp::check_flat_guard(e14) {
+            Ok(()) => eprintln!("flat-cost guard: ok (Insert on 65536 keys ≤ 4× on 64 keys)"),
+            Err(msg) => {
+                eprintln!("flat-cost guard FAILED: {msg}");
                 std::process::exit(1);
             }
         }

@@ -1027,6 +1027,126 @@ pub fn check_read_scaling_guard(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
+/// E14 — op cost vs object size: the median cost of one `Insert` that
+/// overwrites a key of a *shared* [`Dictionary`](obase_adt::Dictionary)
+/// state, as the engine applies it (`SemanticType::apply` on a state the
+/// store still holds, then the result dropped), at 2^6 … 2^16 keys, with a
+/// `Lookup` of the same keys beside it.
+///
+/// Every point applies 256 operations cycling over `touched` keys spread
+/// evenly across the key range: 16 keys, whose paths stay in cache, so the
+/// row shows the work a write does; and 256 keys, whose copied nodes at the
+/// larger sizes no longer fit in cache, so the row adds what the memory
+/// hierarchy charges for them. The points take turns: each of the `15 × scale`
+/// repetitions runs every point once, a warm-up pass and then a timed pass,
+/// so host noise lands on all of them alike. A row carries the quartiles of
+/// the per-repetition mean and the tree's depth. [`check_flat_guard`] holds
+/// the 16-key-sample cost at 65,536 keys to at most 4× the one at 64 keys:
+/// a write pays for the path to its key, not for the object.
+pub fn e14_op_cost_vs_object_size(scale: usize) -> Vec<Row> {
+    use obase_core::object::SemanticType;
+    use obase_core::op::Operation;
+    use obase_core::value::Value;
+    use std::time::Instant;
+
+    const OPS: usize = 256;
+    let reps = 15 * scale.max(1);
+    let dict = obase_adt::Dictionary;
+    let key = |k: usize| format!("k{k:06}");
+    struct Point {
+        keys: usize,
+        touched: usize,
+        state: Value,
+        inserts: Vec<Operation>,
+        lookups: Vec<Operation>,
+        insert_ns: Vec<f64>,
+        lookup_ns: Vec<f64>,
+    }
+    let mut points = Vec::new();
+    for exp in 6..=16u32 {
+        let keys = 1usize << exp;
+        let state = Value::map((0..keys).map(|k| (key(k), Value::Int(k as i64))));
+        for touched in [16, 256] {
+            let arg = |i: usize| Value::from(key((i % touched) * keys / touched));
+            points.push(Point {
+                keys,
+                touched,
+                state: state.clone(),
+                inserts: (0..OPS)
+                    .map(|i| Operation::new("Insert", [arg(i), Value::Int(-(i as i64))]))
+                    .collect(),
+                lookups: (0..OPS)
+                    .map(|i| Operation::new("Lookup", [arg(i)]))
+                    .collect(),
+                insert_ns: Vec::new(),
+                lookup_ns: Vec::new(),
+            });
+        }
+    }
+    let per_op_ns = |state: &Value, ops: &[Operation]| {
+        let apply_all = || {
+            for op in ops {
+                let (next, _) = dict.apply(state, op).expect("a well-formed operation");
+                std::hint::black_box(next);
+            }
+        };
+        apply_all();
+        let t0 = Instant::now();
+        apply_all();
+        t0.elapsed().as_nanos() as f64 / ops.len() as f64
+    };
+    for _ in 0..reps {
+        for p in &mut points {
+            p.insert_ns.push(per_op_ns(&p.state, &p.inserts));
+            p.lookup_ns.push(per_op_ns(&p.state, &p.lookups));
+        }
+    }
+    points
+        .into_iter()
+        .map(|mut p| {
+            let quartiles = |ns: &mut Vec<f64>| {
+                ns.sort_by(f64::total_cmp);
+                let at = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
+                [at(0.25), at(0.5), at(0.75)]
+            };
+            let [p25, p50, p75] = quartiles(&mut p.insert_ns);
+            let [_, lookup_p50, _] = quartiles(&mut p.lookup_ns);
+            let depth = p.state.as_map().map_or(0, |m| m.depth());
+            Row::new(format!("{} keys / {} touched", p.keys, p.touched))
+                .with("keys", p.keys as f64)
+                .with("touched", p.touched as f64)
+                .with("depth", depth as f64)
+                .with("insert_ns_p25", p25)
+                .with("insert_ns_p50", p50)
+                .with("insert_ns_p75", p75)
+                .with("lookup_ns_p50", lookup_p50)
+        })
+        .collect()
+}
+
+/// The flat-cost guard over [`e14_op_cost_vs_object_size`] rows: on the
+/// 16-key sample, the median `Insert` on a 65,536-key dictionary may cost
+/// at most 4× the one on a 64-key dictionary. A write that copies its whole
+/// object fails this by two to three orders of magnitude.
+pub fn check_flat_guard(rows: &[Row]) -> Result<(), String> {
+    const FACTOR: f64 = 4.0;
+    let point = |keys: f64| {
+        rows.iter()
+            .find(|r| r.values.get("keys") == Some(&keys) && r.values.get("touched") == Some(&16.0))
+            .and_then(|r| r.values.get("insert_ns_p50").copied())
+            .ok_or_else(|| format!("e14 rows missing the {keys} key, 16 touched point"))
+    };
+    let small = point(64.0)?;
+    let large = point(65_536.0)?;
+    if large > small * FACTOR {
+        return Err(format!(
+            "an Insert on 65536 keys costs {large:.0} ns, more than {FACTOR} × the \
+             {small:.0} ns it costs on 64 keys — writes are paying for the object's size"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1173,6 +1293,26 @@ mod tests {
         ];
         assert!(check_read_scaling_guard(&rows).is_err());
         assert!(check_read_scaling_guard(&[]).is_err());
+    }
+
+    #[test]
+    fn flat_guard_reads_the_16_key_sample_of_e14_rows() {
+        let point = |keys: f64, touched: f64, ns: f64| {
+            Row::new(format!("{keys} keys / {touched} touched"))
+                .with("keys", keys)
+                .with("touched", touched)
+                .with("insert_ns_p50", ns)
+        };
+        let rows = vec![
+            point(64.0, 16.0, 500.0),
+            point(64.0, 256.0, 500.0),
+            point(65_536.0, 16.0, 1_900.0),
+            point(65_536.0, 256.0, 4_000.0),
+        ];
+        assert!(check_flat_guard(&rows).is_ok());
+        let rows = vec![point(64.0, 16.0, 500.0), point(65_536.0, 16.0, 2_100.0)];
+        assert!(check_flat_guard(&rows).is_err());
+        assert!(check_flat_guard(&[point(64.0, 256.0, 500.0)]).is_err());
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * **The serialisability oracle** — legality, Theorem 2 and optionally
 //!   Theorem 5 composed into one check that returns the committed final
 //!   states: [`oracle`].
+//! * **Persistent object states**: [`pmap::PMap`], the path-copying B-tree
+//!   behind [`value::Value::Map`].
 //! * **Abort semantics** (Section 3): [`aborts`].
 //! * **Append-only history recording** for concurrent backends (per-worker
 //!   event buffers stitched by a global sequence counter): [`record`].
@@ -81,6 +83,7 @@ pub mod local_graphs;
 pub mod object;
 pub mod op;
 pub mod oracle;
+pub mod pmap;
 pub mod record;
 pub mod replay;
 pub mod sched;

@@ -48,9 +48,11 @@ pub trait SemanticType: Send + Sync + fmt::Debug {
     ///
     /// States are shared values (see [`crate::value`]): cloning one is
     /// O(1). An implementation returns `state.clone()` when the operation
-    /// changes nothing (reads, aborts, no-op mutations), mutates only
-    /// through [`Arc::make_mut`] on a clone of the input, and never writes
-    /// through a payload that may be shared.
+    /// changes nothing (reads, aborts, no-op mutations), mutates a clone of
+    /// the input only through its payload's own copy-on-write API —
+    /// [`Arc::make_mut`] on a `List`, [`PMap::insert`](crate::pmap::PMap::insert)
+    /// and [`PMap::remove`](crate::pmap::PMap::remove) on a `Map` — and never
+    /// writes through a payload that may be shared.
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError>;
 
     /// Conservative operation-level conflict relation: `a` conflicts with

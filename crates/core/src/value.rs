@@ -9,21 +9,26 @@
 //!
 //! # Sharing contract
 //!
-//! Compound payloads ([`Value::List`], [`Value::Map`]) sit behind an [`Arc`],
-//! so cloning a value — and with it a whole object base, a history's initial
-//! states or a replayed state — costs O(1) whatever the object's size. Every
+//! Compound payloads are shared on clone: a [`Value::List`] holds an
+//! [`Arc`]'d vector and a [`Value::Map`] a [`PMap`], a B-tree whose nodes sit
+//! behind [`Arc`]. Cloning a value — and with it a whole object base, a
+//! history's initial states or a replayed state — therefore costs O(1)
+//! whatever the object's size. Every
 //! [`SemanticType::apply`](crate::object::SemanticType::apply) keeps to three
 //! rules that make this sharing safe:
 //!
 //! * when an operation changes nothing (a read, an abort, a no-op mutation),
 //!   return `state.clone()`, which shares the input's payload;
-//! * mutate only through [`Arc::make_mut`] on a clone of the input, which
-//!   copies the payload exactly when someone else still holds it;
+//! * mutate a clone of the input only through its payload's own
+//!   copy-on-write API — [`Arc::make_mut`] on a `List`, [`PMap::insert`],
+//!   [`PMap::remove`] or [`PMap::get_mut`] on a `Map` — which copies exactly
+//!   what someone else still holds: the whole vector of a `List`, the
+//!   root-to-entry path of a `Map`;
 //! * never write through a payload that may be shared: a state once handed
 //!   out is immutable for every holder.
 
 use crate::ids::ObjectId;
-use std::collections::BTreeMap;
+use crate::pmap::PMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,21 +52,20 @@ pub enum Value {
     Obj(ObjectId),
     /// An ordered list of values, shared on clone.
     List(Arc<Vec<Value>>),
-    /// A string-keyed map of values (used for record-like object states),
-    /// shared on clone.
-    Map(Arc<BTreeMap<String, Value>>),
+    /// A string-keyed map of values (used for record-like object states and
+    /// dictionaries), shared on clone and path-copied on write.
+    Map(PMap<String, Value>),
 }
 
 impl Value {
-    /// Builds a map value from an iterator of `(key, value)` pairs.
+    /// Builds a map value from an iterator of `(key, value)` pairs; a later
+    /// duplicate key wins.
     pub fn map<I, K>(entries: I) -> Value
     where
         I: IntoIterator<Item = (K, Value)>,
         K: Into<String>,
     {
-        Value::Map(Arc::new(
-            entries.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-        ))
+        Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Builds a list value.
@@ -113,7 +117,7 @@ impl Value {
     }
 
     /// Returns the map payload, if this is a [`Value::Map`].
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_map(&self) -> Option<&PMap<String, Value>> {
         match self {
             Value::Map(m) => Some(m),
             _ => None,

@@ -71,3 +71,61 @@ pub fn value_from_json(j: &Json) -> Result<Value, String> {
 fn bad(tag: &str) -> impl Fn() -> String + '_ {
     move || format!("malformed {tag:?} value payload")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn map_encoding_is_golden_and_round_trips() {
+        let v = Value::map([
+            ("b", Value::Int(2)),
+            (
+                "a",
+                Value::map([
+                    ("y", Value::list([Value::from("s"), Value::Unit])),
+                    ("x", Value::Bool(true)),
+                ]),
+            ),
+            ("k\"q", Value::Obj(ObjectId(3))),
+        ]);
+        let text = value_to_json(&v).to_string();
+        assert_eq!(
+            text,
+            r#"["m",{"a":["m",{"x":["b",true],"y":["l",[["s","s"],["u"]]]}],"b":["i",2],"k\"q":["o",3]}]"#
+        );
+        let back = value_from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(value_to_json(&back).to_string(), text);
+    }
+
+    #[test]
+    fn insertion_order_does_not_reach_the_bytes() {
+        let entries: Vec<(String, Value)> = (0..300)
+            .map(|k| (format!("key{k}"), Value::Int(k * 7 % 11)))
+            .collect();
+        let forward = Value::map(entries.iter().cloned());
+        let backward = Value::map(entries.iter().rev().cloned());
+        // Every third key first, then the rest: a different tree shape.
+        let shuffled = Value::map(
+            entries
+                .iter()
+                .step_by(3)
+                .chain(
+                    entries
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % 3 != 0)
+                        .map(|(_, e)| e),
+                )
+                .cloned(),
+        );
+        let text = value_to_json(&forward).to_string();
+        assert_eq!(value_to_json(&backward).to_string(), text);
+        assert_eq!(value_to_json(&shuffled).to_string(), text);
+        assert_eq!(
+            value_from_json(&Json::parse(&text).unwrap()).unwrap(),
+            forward
+        );
+    }
+}

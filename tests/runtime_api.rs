@@ -248,7 +248,7 @@ fn dictionary_states_are_shared_through_the_engine_not_copied() {
         );
     }
     let payload = |v: &Value| match v {
-        Value::Map(m) => Arc::clone(m),
+        Value::Map(m) => m.clone(),
         other => panic!("expected a Map state, got {other:?}"),
     };
     let base_payload = payload(&def.base().spec(dict).initial_state);
@@ -277,12 +277,9 @@ fn dictionary_states_are_shared_through_the_engine_not_copied() {
         Program::invoke(dict, "lookup", [Value::from("k0007")]),
         Program::invoke(dict, "lookup", [Value::from("absent")]),
     ]));
-    assert!(Arc::ptr_eq(
-        &payload(&lookups.history.initial_state(dict)),
-        &base_payload
-    ));
+    assert!(payload(&lookups.history.initial_state(dict)).ptr_eq(&base_payload));
     let after_lookups = replay::final_state(&lookups.history, dict).expect("replay");
-    assert!(Arc::ptr_eq(&payload(&after_lookups), &base_payload));
+    assert!(payload(&after_lookups).ptr_eq(&base_payload));
 
     let writes = run(Program::Seq(vec![
         Program::invoke(dict, "put", [Value::from("k0007"), Value::Int(-7)]),
