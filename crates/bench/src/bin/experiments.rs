@@ -145,6 +145,11 @@ fn main() {
             "E14 — op cost vs object size: one Insert on a shared dictionary state",
             Box::new(xp::e14_op_cost_vs_object_size),
         ),
+        (
+            "e15",
+            "E15 — batch-of-one cost: one transaction through Runtime::run as the server runs a batch",
+            Box::new(xp::e15_batch_of_one),
+        ),
     ];
 
     let mut results: Vec<(&str, &str, Vec<xp::Row>)> = Vec::new();

@@ -1147,6 +1147,176 @@ pub fn check_flat_guard(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
+/// E15 — batch-of-one cost: one transaction through `Runtime::run`, built
+/// as the server builds a batch (the serve default scheduler and retries,
+/// `Parallel { workers: 4 }`, `Verify::Quick`, `Observe::Latency`), on
+/// object bases shaped like the three servebench workloads:
+///
+/// * `flat-accounts` — 256 accounts; a deposit and a balance read;
+/// * `large-dict` — 8 dictionaries of 1,024 preloaded keys; a lookup and an
+///   overwrite;
+/// * `hot-nested` — 8 counters; a depth-3 invocation chain of increments.
+///
+/// The workloads take turns: each of the `15 × scale` repetitions runs every
+/// workload once untimed and then 16 times timed, so host noise lands on
+/// all of them alike. A repetition's figure is the median of its 16 runs;
+/// a row carries the quartiles of those figures. Every run must commit its
+/// transaction with its checks passed. No guard: the row is a measurement,
+/// the in-process counterpart of servebench's solo phase.
+pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
+    use obase_core::ids::ObjectId;
+    use obase_core::object::{ObjectBase, TypeHandle};
+    use obase_core::value::Value;
+    use obase_exec::{Expr, MethodDef, ObjRef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
+    use obase_runtime::{ExecutionBackend, Observe, Runtime, Verify};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const RUNS: usize = 16;
+    let reps = 15 * scale.max(1);
+    let leaf = |name: &str, params: usize, op: &str| MethodDef {
+        name: name.into(),
+        params,
+        body: Program::Local {
+            op: op.into(),
+            args: (0..params).map(Expr::Param).collect(),
+        },
+    };
+    // A base of `count` objects of one type and state, each with `methods`.
+    let world =
+        |count: usize, ty: TypeHandle, state: Value, methods: &dyn Fn(usize) -> Vec<MethodDef>| {
+            let mut base = ObjectBase::new();
+            for i in 0..count {
+                base.add_object_with_state(format!("o{i}"), ty.clone(), state.clone());
+            }
+            let mut def = ObjectBaseDef::new(Arc::new(base));
+            for i in 0..count {
+                for m in methods(i) {
+                    def.define_method(ObjectId(i as u32), m);
+                }
+            }
+            def
+        };
+    let one = |def: ObjectBaseDef, body: Program| WorkloadSpec {
+        def,
+        transactions: vec![TxnSpec {
+            name: "solo".into(),
+            body,
+        }],
+    };
+    let accounts = world(
+        256,
+        Arc::new(obase_adt::Account::with_initial(1_000)),
+        Value::Int(1_000),
+        &|_| vec![leaf("deposit", 1, "Deposit"), leaf("balance", 0, "Balance")],
+    );
+    let dicts = world(
+        8,
+        Arc::new(obase_adt::Dictionary),
+        Value::map((0..1024).map(|k| (format!("k{k}"), Value::Int(k as i64)))),
+        &|_| vec![leaf("lookup", 1, "Lookup"), leaf("put", 2, "Insert")],
+    );
+    let counters = world(
+        8,
+        Arc::new(obase_adt::Counter::default()),
+        Value::Int(0),
+        &|i| {
+            let next = ObjectId(((i + 1) % 8) as u32);
+            let mut chain = vec![leaf("h1", 1, "Add")];
+            for depth in 2..=3 {
+                chain.push(MethodDef {
+                    name: format!("h{depth}"),
+                    params: 1,
+                    body: Program::Seq(vec![
+                        Program::Local {
+                            op: "Add".into(),
+                            args: vec![Expr::Param(0)],
+                        },
+                        Program::Invoke {
+                            object: ObjRef::Const(next),
+                            method: format!("h{}", depth - 1),
+                            args: vec![Expr::Param(0)],
+                        },
+                    ]),
+                });
+            }
+            chain
+        },
+    );
+    let mut points: Vec<(&str, WorkloadSpec, Vec<f64>)> = vec![
+        (
+            "flat-accounts",
+            one(
+                accounts,
+                Program::Seq(vec![
+                    Program::invoke(ObjectId(17), "deposit", [Value::Int(5)]),
+                    Program::invoke(ObjectId(200), "balance", []),
+                ]),
+            ),
+            Vec::new(),
+        ),
+        (
+            "large-dict",
+            one(
+                dicts,
+                Program::Seq(vec![
+                    Program::invoke(ObjectId(3), "lookup", [Value::from("k500")]),
+                    Program::invoke(ObjectId(5), "put", [Value::from("k77"), Value::Int(-1)]),
+                ]),
+            ),
+            Vec::new(),
+        ),
+        (
+            "hot-nested",
+            one(
+                counters,
+                Program::invoke(ObjectId(0), "h3", [Value::Int(2)]),
+            ),
+            Vec::new(),
+        ),
+    ];
+    let serve = obase_serve::ServeConfig::default();
+    let runtime = Runtime::builder()
+        .scheduler(serve.scheduler.clone())
+        .backend(ExecutionBackend::Parallel {
+            workers: serve.workers,
+        })
+        .retries(serve.retries)
+        .mvcc(serve.mvcc)
+        .verify(Verify::Quick)
+        .observe(Observe::Latency)
+        .build()
+        .expect("the serve defaults are a valid runtime");
+    let run_us = |workload: &WorkloadSpec| {
+        let t0 = Instant::now();
+        let report = runtime.run(workload).expect("a well-formed workload");
+        let us = t0.elapsed().as_nanos() as f64 / 1_000.0;
+        assert_eq!(report.metrics.committed, 1, "{:?}", report.metrics);
+        assert!(report.checks.all_passed());
+        us
+    };
+    for _ in 0..reps {
+        for (_, workload, figures) in &mut points {
+            run_us(workload);
+            let mut runs: Vec<f64> = (0..RUNS).map(|_| run_us(workload)).collect();
+            runs.sort_by(f64::total_cmp);
+            figures.push(runs[RUNS / 2]);
+        }
+    }
+    points
+        .into_iter()
+        .map(|(name, _, mut figures)| {
+            figures.sort_by(f64::total_cmp);
+            let at = |q: f64| figures[((figures.len() - 1) as f64 * q).round() as usize];
+            Row::new(name)
+                .with("run_us_p25", at(0.25))
+                .with("run_us_p50", at(0.5))
+                .with("run_us_p75", at(0.75))
+                .with("repetitions", figures.len() as f64)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

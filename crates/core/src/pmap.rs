@@ -34,6 +34,9 @@ use std::sync::Arc;
 const B: usize = 4;
 const MAX: usize = 2 * B - 1;
 const MIN: usize = B - 1;
+/// More levels than any map in memory can have: below the root every level
+/// at least doubles the number of nodes.
+const MAX_DEPTH: usize = 64;
 
 /// A persistent ordered map with O(1) clone and O(log n) lookups and
 /// writes; see the [module documentation](self).
@@ -51,6 +54,21 @@ struct Node<K, V> {
     vals: Vec<V>,
     /// Empty in a leaf; `keys.len() + 1` subtrees in an internal node.
     children: Vec<Arc<Node<K, V>>>,
+}
+
+/// The way to an entry, found by one read-only descent: the child taken at
+/// each level above the node that holds the entry, then the entry's index
+/// in that node. A write then path-copies along it without searching again.
+struct Path {
+    children: [u8; MAX_DEPTH],
+    depth: usize,
+    entry: usize,
+}
+
+impl Path {
+    fn children(&self) -> &[u8] {
+        &self.children[..self.depth]
+    }
 }
 
 /// What an insertion below a node did.
@@ -158,26 +176,50 @@ impl<K: Ord, V> PMap<K, V> {
     {
         self.get(key).is_some()
     }
+
+    /// The path to `key`'s entry, or `None` if it is missing.
+    fn find<Q>(&self, key: &Q) -> Option<Path>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let mut path = Path {
+            children: [0; MAX_DEPTH],
+            depth: 0,
+            entry: 0,
+        };
+        let mut node = self.root.as_deref()?;
+        loop {
+            match node.search(key) {
+                Ok(i) => {
+                    path.entry = i;
+                    return Some(path);
+                }
+                Err(i) => {
+                    node = node.children.get(i)?;
+                    path.children[path.depth] = i as u8;
+                    path.depth += 1;
+                }
+            }
+        }
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// A mutable reference to the value under `key`, copying the nodes from
-    /// the root down to it that are shared. A missing key copies nothing.
+    /// the root down to it that are shared. The key is searched for once; a
+    /// missing key copies nothing.
     pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        if !self.contains_key(key) {
-            return None;
-        }
+        let path = self.find(key)?;
         let mut node = Arc::make_mut(self.root.as_mut()?);
-        loop {
-            match node.search(key) {
-                Ok(i) => return Some(&mut node.vals[i]),
-                Err(i) => node = Arc::make_mut(node.children.get_mut(i)?),
-            }
+        for &i in path.children() {
+            node = Arc::make_mut(&mut node.children[usize::from(i)]);
         }
+        Some(&mut node.vals[path.entry])
     }
 
     /// Inserts `value` under `key` and returns the value it replaces. As in
@@ -203,17 +245,16 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         None
     }
 
-    /// Removes `key` and returns its value. A missing key copies nothing.
+    /// Removes `key` and returns its value. The key is searched for once; a
+    /// missing key copies nothing.
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        if !self.contains_key(key) {
-            return None;
-        }
+        let path = self.find(key)?;
         let root = Arc::make_mut(self.root.as_mut()?);
-        let (_, value) = root.remove(key)?;
+        let (_, value) = root.remove_at(path.children(), path.entry);
         self.len -= 1;
         if root.keys.is_empty() {
             // An emptied internal root has one child left, which becomes the
@@ -321,27 +362,22 @@ impl<K: Ord + Clone, V: Clone> Node<K, V> {
         Inserted::Split(self.pop_entry(), Arc::new(right))
     }
 
-    /// Removes `key` from this subtree, which holds it.
-    fn remove<Q>(&mut self, key: &Q) -> Option<(K, V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (i, found) = match self.search(key) {
-            Ok(i) => (i, true),
-            Err(i) => (i, false),
-        };
-        if self.is_leaf() {
-            return found.then(|| self.remove_entry(i));
-        }
-        let removed = if found {
+    /// Removes the entry at `entry` in the node reached from this one by
+    /// taking the children `path`.
+    fn remove_at(&mut self, path: &[u8], entry: usize) -> (K, V) {
+        let Some((&i, below)) = path.split_first() else {
+            if self.is_leaf() {
+                return self.remove_entry(entry);
+            }
             // Replace the entry by its in-order predecessor, the last entry
             // of the subtree to its left.
-            let pred = Arc::make_mut(&mut self.children[i]).remove_last();
-            Some(self.replace_entry(i, pred))
-        } else {
-            Arc::make_mut(&mut self.children[i]).remove(key)
+            let pred = Arc::make_mut(&mut self.children[entry]).remove_last();
+            let removed = self.replace_entry(entry, pred);
+            self.rebalance(entry);
+            return removed;
         };
+        let i = usize::from(i);
+        let removed = Arc::make_mut(&mut self.children[i]).remove_at(below, entry);
         self.rebalance(i);
         removed
     }
@@ -703,12 +739,24 @@ mod tests {
         assert!(miss.get_mut("absent").is_none());
         assert!(miss.remove("absent").is_none());
         assert!(miss.ptr_eq(&base));
+        assert_eq!(miss.unshared_nodes(&base), 0);
 
         let mut hit = base.clone();
         *hit.get_mut("k0500").expect("present") = Value::Int(-1);
         assert!(hit.unshared_nodes(&base) <= base.depth());
         assert_eq!(base.get("k0500"), Some(&Value::Int(500)));
         assert_eq!(hit.get("k0500"), Some(&Value::Int(-1)));
+
+        // A removal copies its path and at most one sibling per level (a
+        // borrow or merge), and leaves the original whole.
+        let mut removed = base.clone();
+        for k in ["k0000", "k0500", "k1023"] {
+            assert_eq!(removed.remove(k), base.get(k).cloned());
+        }
+        removed.assert_invariants();
+        assert!(removed.unshared_nodes(&base) <= 3 * 2 * base.depth());
+        assert_eq!(base.len(), 1024);
+        assert_eq!(base.get("k0500"), Some(&Value::Int(500)));
     }
 
     #[test]

@@ -116,7 +116,8 @@ pub enum ObsEvent {
         /// Zero-based attempt number of the attempt being submitted.
         attempt: u32,
     },
-    /// The deadlock/deadline monitor doomed a transaction.
+    /// Deadlock detection doomed a transaction (the youngest on a
+    /// waits-for cycle).
     Doom {
         /// The doomed top-level execution.
         top: ExecId,

@@ -6,6 +6,9 @@
 //! Two histograms merge by adding their count arrays, which makes per-worker
 //! recording embarrassingly parallel: each worker keeps its own histogram and
 //! the stitcher folds them together, associatively and commutatively.
+//! The count array grows on demand to the highest bucket recorded, so a
+//! histogram of sub-millisecond latencies holds a few hundred bytes, not
+//! one counter for every bucket up to `u64::MAX`.
 
 use obase_ser::Json;
 
@@ -15,11 +18,14 @@ const SUBS: u64 = 32;
 const SUB_BITS: u32 = 5;
 /// Total bucket count: indices 0..32 are exact values 0..32, then one group
 /// of 32 sub-buckets per octave 5..=63.
+#[cfg(test)]
 const BUCKETS: usize = (64 - SUB_BITS as usize) * SUBS as usize;
 
 /// A mergeable latency histogram over `u64` microsecond durations.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
+    /// Counts per bucket, up to the highest bucket recorded; the buckets
+    /// beyond its end count zero.
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -32,6 +38,22 @@ impl Default for Histogram {
         Histogram::new()
     }
 }
+
+/// Equal when the same buckets hold the same counts, however far either
+/// count array has grown.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        fn used(counts: &[u64]) -> &[u64] {
+            let len = counts.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+            &counts[..len]
+        }
+        used(&self.counts) == used(&other.counts)
+            && (self.count, self.sum, self.min, self.max)
+                == (other.count, other.sum, other.min, other.max)
+    }
+}
+
+impl Eq for Histogram {}
 
 /// Maps a value to its bucket index.
 fn index_of(v: u64) -> usize {
@@ -60,7 +82,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -70,7 +92,11 @@ impl Histogram {
 
     /// Records one duration in microseconds.
     pub fn record(&mut self, micros: u64) {
-        self.counts[index_of(micros)] += 1;
+        let i = index_of(micros);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(micros);
         self.min = self.min.min(micros);
@@ -127,6 +153,9 @@ impl Histogram {
     /// Folds `other` into `self` by adding count arrays. Associative and
     /// commutative, so per-worker histograms can be merged in any order.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -253,6 +282,66 @@ mod tests {
         rev.merge(&parts[0]);
         assert_eq!(left, rev);
         assert_eq!(left.count(), 1500);
+    }
+
+    /// The same samples recorded into a histogram whose count array covers
+    /// every bucket from the start.
+    fn fully_sized(samples: &[u64]) -> Histogram {
+        let mut h = Histogram {
+            counts: vec![0; BUCKETS],
+            ..Histogram::new()
+        };
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    #[test]
+    fn grown_on_demand_matches_fully_sized() {
+        let sets: [&[u64]; 4] = [
+            &[],
+            &[0, 3, 31],
+            &[40, 120, 90, 7_000, 45, 250_000],
+            &[5, u64::MAX, 1 << 40, 17],
+        ];
+        for samples in sets {
+            let mut grown = Histogram::new();
+            for &v in samples {
+                grown.record(v);
+            }
+            let full = fully_sized(samples);
+            assert!(grown.counts.len() <= index_of(grown.max()) + 1);
+            assert_eq!(grown, full);
+            assert_eq!(full, grown);
+            assert_eq!(grown.to_json().to_string(), full.to_json().to_string());
+            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                assert_eq!(grown.percentile(q), full.percentile(q));
+            }
+            // Merging a short array into a long one, and the reverse, gives
+            // what merging the fully sized ones gives.
+            let other = [33u64, 1_000, 2];
+            let mut small = Histogram::new();
+            for &v in &other {
+                small.record(v);
+            }
+            let mut merged_full = full.clone();
+            merged_full.merge(&fully_sized(&other));
+            let mut into_grown = grown.clone();
+            into_grown.merge(&small);
+            let mut into_small = small.clone();
+            into_small.merge(&grown);
+            for m in [&into_grown, &into_small] {
+                assert_eq!(m, &merged_full);
+                assert_eq!(m.to_json().to_string(), merged_full.to_json().to_string());
+            }
+        }
+        // A different sample is told apart however the arrays are sized.
+        assert_ne!(fully_sized(&[40]), {
+            let mut h = Histogram::new();
+            h.record(41);
+            h
+        });
     }
 
     #[test]

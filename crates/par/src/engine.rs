@@ -1,6 +1,6 @@
-//! The parallel execution engine: worker loops on the resident pool over the
-//! sharded store and the decomposed control plane, with the monitor on the
-//! calling thread.
+//! The parallel execution engine: worker loops over the sharded store and
+//! the decomposed control plane, the first on the calling thread and the
+//! rest on the resident pool.
 //!
 //! The control plane is split into independently contended pieces (see the
 //! crate docs for the full lock map):
@@ -25,15 +25,13 @@
 //!
 //! What lives here is the genuinely parallel machinery: the worker loop,
 //! the recursive program walker (`Par` branches on real scoped threads),
-//! the gates that turn [`Decision::Block`] into targeted parking, the
-//! doomed-victim protocol, and the deadlock/deadline monitor. A run submits
-//! its worker loops to the process-wide pool, owns its workload and control
-//! state behind an `Arc` so the pool threads borrow nothing from the
-//! caller, and ticks the monitor on the calling thread until the workers
-//! are done.
+//! the gates that turn [`Decision::Block`] into targeted parking, deadlock
+//! detection at park, the deadline and the doomed-victim protocol. The run
+//! owns its state behind an `Arc`, so pool threads borrow nothing from the
+//! caller.
 
 use crate::exec_index::{ExecIndex, ABORTED, COMMITTED, DOOMED, LIVE};
-use crate::pool::{Job, Latch, Pool};
+use crate::pool::{Job, Pool};
 use crate::sched_plane::SchedPlane;
 use crate::store::{ObjectSlot, ShardedStore};
 use crate::waiters::{Signal, Waiters};
@@ -49,6 +47,7 @@ use obase_exec::mvcc::{self, SnapshotPlan, VersionedStore};
 use obase_exec::{ExecParams, Program, RunResult, TxnSpec, WorkloadSpec};
 use obase_obs::{ObsEvent, ObsHandle, ObsLane};
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -56,17 +55,17 @@ use std::time::{Duration, Instant};
 /// Parameters of a parallel run.
 #[derive(Clone, Debug)]
 pub struct ParParams {
-    /// Number of workers, each on a resident pool thread for the run; each
-    /// runs one top-level transaction at a time, so this is also the
-    /// maximum inter-transaction concurrency.
+    /// Number of workers (at most one per transaction is used); each runs
+    /// one top-level transaction at a time, so this is also the maximum
+    /// inter-transaction concurrency.
     pub workers: usize,
     /// How many times an aborted top-level transaction is re-submitted.
     pub max_retries: u32,
     /// Wall-clock bound on the whole run (guards against livelock; the run
     /// is flagged `timed_out` if it trips).
     pub deadline: Duration,
-    /// Cadence of the monitor's deadlock/deadline ticks (also the re-poll
-    /// backstop of parked waiters).
+    /// How long a parked activity or an idle worker waits before it looks
+    /// again (the re-poll backstop; a re-park re-runs deadlock detection).
     pub monitor_tick: Duration,
     /// Number of store (and scheduler-plane) shards; `0` applies the
     /// default — the next power of two at least twice the worker count.
@@ -118,7 +117,8 @@ impl ParParams {
 }
 
 /// One thread of control inside a transaction: the top-level activity, or a
-/// `Par` branch. The monitor derives the waits-for graph from these.
+/// `Par` branch. Deadlock detection derives the waits-for graph from these;
+/// a released slot has both vectors empty and so adds no edge.
 #[derive(Debug, Default)]
 struct Activity {
     /// The chain of executions this activity is currently inside, outermost
@@ -128,7 +128,6 @@ struct Activity {
     /// The executions a blocked scheduler decision named as holding the
     /// conflicting resources (empty while runnable).
     blocked_on: Vec<ExecId>,
-    active: bool,
 }
 
 /// Behind the lifecycle mutex: the shared kernel plus the admission state
@@ -137,8 +136,8 @@ struct Life {
     kernel: LifecycleKernel,
     /// Top-level transactions currently running on some worker.
     running: usize,
-    /// Live top-level transactions condemned to abort (by the deadlock
-    /// monitor or by cascade), with the reason; the owning worker performs
+    /// Live top-level transactions condemned to abort (by deadlock
+    /// detection or by cascade), with the reason; the owning worker performs
     /// the abort at its next gate. Kept here (not in thread bookkeeping) so
     /// doom decisions serialise with commit settling.
     doomed: BTreeMap<ExecId, (AbortReason, bool)>,
@@ -181,11 +180,14 @@ impl Life {
     }
 }
 
-/// Behind the thread-bookkeeping mutex: activity stacks for the monitor and
-/// the per-transaction touched-shard sets for targeted broadcasts.
+/// Behind the thread-bookkeeping mutex: activity stacks for deadlock
+/// detection and the per-transaction touched-shard sets for targeted
+/// broadcasts.
 #[derive(Default)]
 struct Control {
     activities: Vec<Activity>,
+    /// Released activity slots, reused first, so detection scans few dead.
+    free: Vec<usize>,
     /// Scheduler-plane shards each top-level transaction has made requests
     /// on; lifecycle broadcasts (commit/abort/certify) visit only these.
     touched: BTreeMap<ExecId, BTreeSet<usize>>,
@@ -208,6 +210,8 @@ struct Shared {
     gen: AtomicU64,
     installed_steps: AtomicU64,
     blocked_events: AtomicU64,
+    /// When the run began; [`ParParams::deadline`] counts from here.
+    started: Instant,
     /// The run's own handle on the workload (`ObjectBaseDef` clones in
     /// O(1)), so resident pool threads borrow nothing from the caller.
     workload: WorkloadSpec,
@@ -224,9 +228,9 @@ struct Shared {
     plans: Vec<Option<SnapshotPlan>>,
 }
 
-/// The transaction currently being executed must stop: it was doomed by the
-/// monitor or a cascade, its scheduler answered `Abort`, or the run is
-/// shutting down. Unwinds the program walker back to the worker loop.
+/// The transaction currently being executed must stop: it was doomed (a
+/// deadlock or cascade victim), its scheduler answered `Abort`, or the run
+/// is shutting down. Unwinds the program walker back to the worker loop.
 struct Interrupt;
 
 /// Per-activity state: the registered activity slot, the event buffer all
@@ -278,6 +282,14 @@ fn vs<'a>(shared: &'a Shared) -> Option<MutexGuard<'a, VersionedStore>> {
 }
 
 impl Shared {
+    /// Hands an activity's event buffer to the run's sink.
+    fn flush(&self, buf: &mut EventBuffer) {
+        self.sink
+            .lock()
+            .expect("a worker panicked while holding the buffer sink")
+            .push(std::mem::take(buf));
+    }
+
     /// Lock-free: `true` if the given top-level transaction must stop
     /// executing (doomed, aborted, or the run is shutting down).
     fn is_interrupted(&self, top: ExecId) -> bool {
@@ -306,19 +318,19 @@ impl Shared {
     }
 }
 
-/// Executes a workload on the resident worker pool against the sharded
-/// store, under the given scheduler. Blocking decisions park the worker in
-/// the waiter registry until a targeted wakeup (or the tick backstop); the
-/// calling thread runs the monitor, which breaks waits-for cycles and
-/// enforces the wall-clock deadline, until the workers are done.
+/// Executes a workload against the sharded store, under the given
+/// scheduler, on `min(workers, transactions)` workers: the calling thread is
+/// worker 0 and resident pool threads run the rest, so a run of one
+/// transaction touches no other thread. Blocking decisions park the worker
+/// in the waiter registry until a targeted wakeup (or the tick backstop).
 ///
 /// The returned [`RunResult`] has exactly the simulator's shape: a committed
 /// (legal) history, the raw history including aborted attempts, and the run
 /// metrics — so every post-hoc theory check applies unchanged.
 ///
 /// Lifecycle events go to `obs`: each worker buffers its events on an own
-/// `worker-N` lane (`Par` branches on `branch` lanes, the monitor and
-/// submissions on `control`), flushed at transaction boundaries — no new
+/// `worker-N` lane (`Par` branches on `branch` lanes, dooms and submissions
+/// on `control`), flushed at transaction boundaries — no new
 /// locks on the grant/install path.
 pub fn execute_parallel(
     workload: &WorkloadSpec,
@@ -337,8 +349,9 @@ pub(crate) fn execute_on(
     params: &ParParams,
     obs: &ObsHandle,
 ) -> RunResult {
+    let configured = params.workers.max(1);
     let params = ParParams {
-        workers: params.workers.max(1),
+        workers: configured.min(workload.transactions.len()).max(1),
         ..params.clone()
     };
     let base = Arc::clone(workload.def.base());
@@ -348,7 +361,7 @@ pub(crate) fn execute_on(
         workload.transactions.len(),
         params.max_retries,
         scheduler.name(),
-        format!("parallel({})", params.workers),
+        format!("parallel({configured})"),
     );
     let shared = Arc::new(Shared {
         store: ShardedStore::new(Arc::clone(&base), shards),
@@ -370,6 +383,7 @@ pub(crate) fn execute_on(
         gen: AtomicU64::new(0),
         installed_steps: AtomicU64::new(0),
         blocked_events: AtomicU64::new(0),
+        started: Instant::now(),
         workload: workload.clone(),
         obs: obs.clone(),
         vs: params
@@ -390,19 +404,16 @@ pub(crate) fn execute_on(
             control.emit(ObsEvent::Submit { spec, attempt: 0 });
         }
     }
-    let started = Instant::now();
-    let jobs: Vec<Job> = (0..shared.params.workers)
+    let jobs: Vec<Job> = (1..shared.params.workers)
         .map(|widx| {
             let shared = Arc::clone(&shared);
-            Box::new(move || {
-                let _stop = StopOnPanic(&shared);
-                worker_loop(&shared, widx);
-            }) as Job
+            Box::new(move || worker_loop(&shared, widx)) as Job
         })
         .collect();
-    let latch = pool.submit(jobs);
-    monitor_loop(&shared, &latch, started);
-    if latch.wait() {
+    let latch = (!jobs.is_empty()).then(|| pool.submit(jobs));
+    let caller_panicked = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, 0))).is_err();
+    let pool_panicked = latch.is_some_and(|latch| latch.wait());
+    if caller_panicked || pool_panicked {
         panic!("worker thread panicked");
     }
     let Ok(shared) = Arc::try_unwrap(shared) else {
@@ -414,7 +425,7 @@ pub(crate) fn execute_on(
         .expect("a worker panicked while holding the lifecycle lock");
     let mut kernel = life.kernel;
     kernel.metrics.rounds = shared.gen.load(Ordering::Relaxed);
-    kernel.metrics.wall_micros = started.elapsed().as_micros() as u64;
+    kernel.metrics.wall_micros = shared.started.elapsed().as_micros() as u64;
     kernel.metrics.installed_steps = shared.installed_steps.load(Ordering::Relaxed);
     kernel.metrics.blocked_events += shared.blocked_events.load(Ordering::Relaxed);
     let buffers = shared
@@ -428,7 +439,8 @@ pub(crate) fn execute_on(
 
 /// Shuts the run down if its worker panics, so the other workers (which
 /// would otherwise wait for the lost transaction until the deadline) wind
-/// down at their next gate or tick and the caller learns of the panic.
+/// down at their next gate or tick; the panic itself reaches the caller
+/// through `catch_unwind` (worker 0) or the pool's latch (the others).
 struct StopOnPanic<'a>(&'a Shared);
 
 impl Drop for StopOnPanic<'_> {
@@ -441,15 +453,19 @@ impl Drop for StopOnPanic<'_> {
 }
 
 fn worker_loop(shared: &Shared, widx: usize) {
+    let _stop = StopOnPanic(shared);
     loop {
         let pending = {
             let mut l = life(shared);
             loop {
+                if trip_deadline(shared, &mut l) {
+                    break None;
+                }
                 if let Some(p) = l.next_admissible() {
                     l.running += 1;
                     break Some(p);
                 }
-                if l.running == 0 || shared.shutdown.load(Ordering::Acquire) {
+                if l.running == 0 {
                     break None;
                 }
                 l = shared
@@ -493,11 +509,7 @@ fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
         granted: false,
     };
     if try_snapshot(shared, &mut actx, p) {
-        shared
-            .sink
-            .lock()
-            .expect("a worker panicked while holding the buffer sink")
-            .push(std::mem::take(&mut actx.buf));
+        shared.flush(&mut actx.buf);
         return;
     }
     let top = {
@@ -537,11 +549,7 @@ fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
         Ok(()) => commit_top_level(shared, &mut actx, top),
         Err(Interrupt) => handle_interrupt(shared, &mut actx, top),
     }
-    shared
-        .sink
-        .lock()
-        .expect("a worker panicked while holding the buffer sink")
-        .push(std::mem::take(&mut actx.buf));
+    shared.flush(&mut actx.buf);
 }
 
 /// The MVCC snapshot fast path: if this attempt's transaction is
@@ -599,19 +607,19 @@ fn try_snapshot(shared: &Shared, actx: &mut ActCtx, p: Pending) -> bool {
 }
 
 fn alloc_activity(c: &mut Control, root: ExecId) -> usize {
-    c.activities.push(Activity {
-        stack: vec![root],
-        blocked_on: Vec::new(),
-        active: true,
-    });
-    c.activities.len() - 1
+    let act = c.free.pop().unwrap_or(c.activities.len());
+    if act == c.activities.len() {
+        c.activities.push(Activity::default());
+    }
+    c.activities[act].stack.push(root);
+    act
 }
 
 fn release_activity(shared: &Shared, act: usize) {
     let mut c = control(shared);
-    c.activities[act].active = false;
     c.activities[act].blocked_on.clear();
     c.activities[act].stack.clear();
+    c.free.push(act);
 }
 
 // ----- the program walker ---------------------------------------------------
@@ -658,20 +666,12 @@ fn run_program(
                                 buf: EventBuffer::new(),
                                 signal: Arc::new(Signal::new()),
                                 touched,
-                                olane: if shared.obs.is_on() {
-                                    shared.obs.lane("branch")
-                                } else {
-                                    ObsLane::off()
-                                },
+                                olane: shared.obs.lane("branch"),
                                 granted,
                             };
                             let r = run_program(shared, &mut bactx, &mut bctx, branch);
                             release_activity(shared, bactx.act);
-                            shared
-                                .sink
-                                .lock()
-                                .expect("a worker panicked while holding the buffer sink")
-                                .push(std::mem::take(&mut bactx.buf));
+                            shared.flush(&mut bactx.buf);
                             r
                         })
                     })
@@ -1006,8 +1006,8 @@ fn commit_top_level(shared: &Shared, actx: &mut ActCtx, top: ExecId) {
 /// registry — *while still holding the scheduler-shard lock* that produced
 /// the `Block` decision, so a release racing with the registration cannot be
 /// missed. The store slot (if held) and the shard lock are released before
-/// sleeping. Wakes on a targeted notification or the tick backstop, then
-/// returns for the caller to re-request.
+/// [`detect`] (if needed) and sleeping. Wakes on a targeted notification or
+/// the tick backstop, then returns for the caller to re-request.
 #[allow(clippy::too_many_arguments)]
 fn park(
     shared: &Shared,
@@ -1027,10 +1027,17 @@ fn park(
             shard: sidx,
         });
     }
-    control(shared).activities[actx.act].blocked_on = waiting_for.clone();
+    let closes = {
+        let mut c = control(shared);
+        c.activities[actx.act].blocked_on = waiting_for.clone();
+        cycle_graph(&c, actx.act).is_some()
+    };
     let token = shared.waiters.register(top, waiting_for, &actx.signal);
     drop(shard);
     drop(slot);
+    if closes || shared.started.elapsed() >= shared.params.deadline {
+        detect(shared, actx.act);
+    }
     actx.signal.wait_timeout(shared.params.monitor_tick);
     shared.waiters.deregister(token);
     control(shared).activities[actx.act].blocked_on.clear();
@@ -1220,62 +1227,85 @@ fn process_abort(
     }
 }
 
-// ----- the monitor ----------------------------------------------------------
+// ----- deadlocks and the deadline -------------------------------------------
 
-/// The deadlock/deadline ticker, run on the calling thread while the workers
-/// run on the pool: on every tick it rebuilds the waits-for graph from the
-/// registered activities (stack edges for parents waiting on invoked
-/// children, blocked edges from scheduler `Block` decisions), dooms the
-/// youngest execution's transaction on any cycle (with a targeted wakeup of
-/// that transaction only), and enforces the wall-clock deadline. Returns
-/// once the run settles or the workers are done. A poisoned lock means a
-/// worker panicked: the monitor returns and the latch reports the panic.
-fn monitor_loop(shared: &Shared, done: &Latch, started: Instant) {
-    let mut mlane = if shared.obs.is_on() {
-        shared.obs.lane("control")
-    } else {
-        ObsLane::off()
+/// Continuous deadlock detection, run by a park whose blocked edge closed a
+/// waits-for cycle (or that found the deadline passed) once its shard and
+/// slot guards are dropped: trips the deadline, else dooms the kernel's
+/// victim on the cycle (the youngest execution's transaction) and wakes it.
+/// Only a new blocked edge can close a cycle, and the last one registered
+/// sees the others, so every cycle is found by the park that closes it.
+fn detect(shared: &Shared, act: usize) {
+    let mut l = life(shared);
+    if trip_deadline(shared, &mut l) {
+        return;
+    }
+    let c = control(shared);
+    let Some(victim) = cycle_graph(&c, act)
+        .and_then(|g| l.kernel.execs.deadlock_victim(&g))
+        .filter(|v| !l.doomed.contains_key(v))
+    else {
+        return;
     };
-    loop {
-        if done.wait_timeout(shared.params.monitor_tick) {
-            return;
-        }
-        let Ok(mut l) = shared.life.lock() else {
-            return;
-        };
-        if l.settled() {
-            return;
-        }
-        if !shared.shutdown.load(Ordering::Acquire) && started.elapsed() > shared.params.deadline {
-            shared.shutdown.store(true, Ordering::Release);
-            l.kernel.metrics.timed_out = true;
-            l.kernel.clear_queue();
-            l.held.clear();
-            drop(l);
-            shared.bump();
-            shared.waiters.wake_all();
-            shared.work_cv.notify_all();
-            continue;
-        }
-        let Ok(c) = shared.control.lock() else {
-            return;
-        };
-        if let Some(victim) = deadlock_victim(&l, &c) {
-            l.kernel.metrics.deadlocks += 1;
-            if let Some((spec, _)) = l.kernel.execs.record(victim).spec {
-                let after = blockers_of(&l, &c, victim);
-                l.retry_after.insert(spec, after);
+    l.kernel.metrics.deadlocks += 1;
+    if let Some((spec, _)) = l.kernel.execs.record(victim).spec {
+        let after = blockers_of(&l, &c, victim);
+        l.retry_after.insert(spec, after);
+    }
+    l.doomed.insert(victim, (AbortReason::Deadlock, false));
+    shared.index.set_flags(victim, DOOMED);
+    drop(c);
+    drop(l);
+    let mut lane = shared.obs.lane("control");
+    lane.emit(ObsEvent::Doom { top: victim });
+    shared.bump();
+    // Targeted: only the victim's parked activities are woken.
+    shared.waiters.wake_top(victim);
+}
+
+/// The waits-for edges reachable from activity `act`'s innermost execution
+/// (stack edges to invoked children, blocked edges from `Block` decisions),
+/// if they lead back to it, so that its blocked edge closes a cycle; `None`
+/// for most parks. It searches only the live activities it reaches.
+fn cycle_graph(c: &Control, act: usize) -> Option<DiGraph<ExecId>> {
+    let &holder = c.activities[act].stack.last()?;
+    let (mut g, mut todo, mut closed) = (DiGraph::new(), vec![holder], false);
+    while let Some(e) = todo.pop() {
+        for a in &c.activities {
+            let Some(i) = a.stack.iter().position(|&x| x == e) else {
+                continue;
+            };
+            let next = match a.stack.get(i + 1) {
+                Some(child) => std::slice::from_ref(child),
+                None => &a.blocked_on[..],
+            };
+            for &n in next.iter().filter(|&&n| n != e) {
+                closed |= n == holder;
+                if !g.has_node(n) {
+                    todo.push(n);
+                }
+                g.add_edge(e, n);
             }
-            l.doomed.insert(victim, (AbortReason::Deadlock, false));
-            shared.index.set_flags(victim, DOOMED);
-            drop(c);
-            drop(l);
-            mlane.emit(ObsEvent::Doom { top: victim });
-            shared.bump();
-            // Targeted: only the victim's parked activities are woken.
-            shared.waiters.wake_top(victim);
         }
     }
+    closed.then_some(g)
+}
+
+/// Shuts the run down once its deadline has passed: flags it `timed_out`,
+/// empties the queue and wakes everyone to unwind. `true` if shut down.
+fn trip_deadline(shared: &Shared, l: &mut Life) -> bool {
+    let shut = shared.shutdown.load(Ordering::Acquire);
+    if shut || shared.started.elapsed() < shared.params.deadline {
+        return shut;
+    }
+    shared.shutdown.store(true, Ordering::Release);
+    l.kernel.metrics.timed_out = true;
+    l.kernel.clear_queue();
+    l.held.clear();
+    shared.bump();
+    shared.waiters.wake_all();
+    shared.work_cv.notify_all();
+    true
 }
 
 /// `true` if every one of `tops` has committed or aborted.
@@ -1292,43 +1322,10 @@ fn blockers_of(l: &Life, c: &Control, top: ExecId) -> Vec<ExecId> {
     let execs = &l.kernel.execs;
     c.activities
         .iter()
-        .filter(|a| a.active && a.stack.first().is_some_and(|&e| execs.top_of(e) == top))
+        .filter(|a| a.stack.first().is_some_and(|&e| execs.top_of(e) == top))
         .flat_map(|a| &a.blocked_on)
         .filter(|owner| owner.index() < execs.len())
         .map(|&owner| execs.top_of(owner))
         .filter(|&t| t != top)
         .collect()
-}
-
-/// Scans the registered activities for a waits-for cycle and applies the
-/// kernel's shared victim rule (the youngest execution's top-level
-/// transaction), additionally skipping transactions already doomed.
-fn deadlock_victim(l: &Life, c: &Control) -> Option<ExecId> {
-    // Cheap pre-check: cycles need at least one blocked edge.
-    if c.activities
-        .iter()
-        .all(|a| !a.active || a.blocked_on.is_empty())
-    {
-        return None;
-    }
-    let mut g: DiGraph<ExecId> = DiGraph::new();
-    for a in c.activities.iter().filter(|a| a.active) {
-        for w in a.stack.windows(2) {
-            g.add_edge(w[0], w[1]);
-        }
-        let Some(&holder) = a.stack.last() else {
-            continue;
-        };
-        for &owner in &a.blocked_on {
-            if owner == holder || owner.index() >= l.kernel.execs.len() {
-                continue;
-            }
-            g.add_edge(holder, owner);
-        }
-    }
-    let victim = l.kernel.execs.deadlock_victim(&g)?;
-    if l.doomed.contains_key(&victim) {
-        return None;
-    }
-    Some(victim)
 }

@@ -3,9 +3,10 @@
 //! The paper's point is that object-base concurrency control exists to
 //! *exploit* intra- and inter-transaction parallelism. The simulator in
 //! `obase-exec` models that parallelism on a virtual round clock; this crate
-//! executes it for real: top-level transactions run on a resident pool of OS
-//! worker threads against a sharded object store, `Par` blocks fork real
-//! threads, lock waits really block, and the makespan is wall-clock time. Every
+//! executes it for real: top-level transactions run on OS worker threads (the
+//! caller and a resident pool) against a sharded object store, `Par` blocks
+//! fork real threads, lock waits really block, and the makespan is wall-clock
+//! time. Every
 //! [`SchedulerSpec`](https://docs.rs/obase-runtime) runs unchanged on either
 //! backend (select it with `Runtime::builder().backend(...)`), and a
 //! parallel run yields the same artefacts as a simulated one — a committed
@@ -32,7 +33,7 @@
 //! | store shards ([`ShardedStore`], one mutex per shard) | object states + installed-step logs | every local step (one shard), abort undo (shard by shard) |
 //! | scheduler shards ([`SchedPlane`], one mutex per shard — or one total for non-decomposable schedulers) | per-object concurrency-control state | grant/validate requests (one shard), lifecycle broadcasts (touched shards only, one at a time) |
 //! | lifecycle mutex ([`LifecycleKernel`](obase_exec::kernel::LifecycleKernel) + admission state + doom verdicts) | execution registry, retry queue, lifecycle metrics | admission, nested begin, commit settling, abort marking/accounting — never per step |
-//! | bookkeeping mutex | activity stacks (waits-for edges), touched-shard sets | blocking transitions, monitor ticks |
+//! | bookkeeping mutex | activity stacks (waits-for edges), touched-shard sets | blocking transitions, deadlock detection at park |
 //! | waiter registry ([`engine`]'s targeted parking) | blocked-transaction → signal map | park/unpark only |
 //! | history | *nothing shared* — per-activity append-only event buffers + one atomic sequence counter ([`obase_core::record`]), stitched at run end | every record, without locks |
 //!
@@ -63,12 +64,16 @@
 //! install waking every blocked worker) is gone; a tick-cadence re-poll
 //! remains as a liveness backstop for exotic scheduler predicates. Waits-for
 //! edges (who blocks on whom, and which invoked child each execution is
-//! waiting on) are registered with the bookkeeping plane, and the monitor
-//! — the deadlock *ticker*, on the calling thread — periodically assembles
-//! them into a graph, picks the youngest execution on any cycle, and dooms
-//! its top-level transaction. The same ticker enforces a wall-clock
-//! deadline so livelocks cannot hang a run (the result is then flagged
-//! `timed_out`, like the simulator's round bound).
+//! waiting on) are registered with the bookkeeping plane. Deadlocks are
+//! detected *continuously* (Agrawal, Carey & McVoy, IEEE TSE 1987): every
+//! park, once its blocked edge is registered, assembles the edges into a
+//! graph, picks the youngest execution on any cycle, and dooms its
+//! top-level transaction. Only a new blocked edge can close a cycle, and
+//! the last edge of a cycle to be registered sees the others, so no cycle
+//! outlives the park that closed it. Workers enforce a wall-clock deadline
+//! before admitting a transaction and at every park, so livelocks cannot
+//! hang a run (the result is then flagged `timed_out`, like the
+//! simulator's round bound).
 //!
 //! A doomed transaction is not torn down from outside: its own worker (and
 //! any `Par` branch threads) observe the verdict at their next scheduler
@@ -87,19 +92,22 @@
 //! either — the integration suite asserts it across hundreds of seeded
 //! runs.
 //!
-//! ## Threads: a resident pool, the monitor on the caller
+//! ## Threads: the caller is worker 0, a resident pool runs the rest
 //!
-//! Worker threads outlive the run. Each run hands its
-//! [`ParParams::workers`] worker loops to one process-wide pool as jobs and
-//! waits for them on a latch; the pool creates a thread only when no idle
-//! one is waiting, and its threads never exit, so it settles at the peak
-//! number of workers requested at once and, once warm, a run creates no OS
-//! threads (`Par` branches excepted: they still run on scoped threads). The
-//! monitor runs on the calling thread, which has nothing else to do until
-//! the workers are done. A panicking worker shuts its run down and is
-//! caught by its pool thread, which survives; the caller then panics with
-//! "worker thread panicked". Every lock lives in the run's own state, so no
-//! poisoned lock outlives the run.
+//! A run uses `min(`[`ParParams::workers`]`, transactions)` workers. The
+//! calling thread runs worker 0's loop itself; workers 1 and up go to one
+//! process-wide pool as jobs, and the caller waits for them on a latch once
+//! its own loop ends. A run of one transaction therefore touches no other
+//! thread. The pool creates a thread only when no idle one is waiting, and
+//! its threads never exit, so it settles at the peak number of workers
+//! requested at once, minus one, and, once warm, a run creates no OS
+//! threads (`Par` branches excepted: they still run on scoped threads).
+//! Nothing else runs beside the workers: deadlock detection and the
+//! deadline are checked by the workers themselves. A panicking worker shuts
+//! its run down; worker 0's panic is caught on the caller, the others' by
+//! their pool threads, which survive; either way the caller then panics
+//! with "worker thread panicked". Every lock lives in the run's own state,
+//! so no poisoned lock outlives the run.
 //!
 //! ## What is, and is not, deterministic
 //!
@@ -227,11 +235,10 @@ mod tests {
         assert_eq!(result.metrics.backend, "parallel(4)");
     }
 
-    #[test]
-    fn real_deadlocks_are_detected_and_resolved() {
-        // Two transactions writing two registers in opposite orders: a
-        // genuine multi-thread deadlock under operation-level N2PL, which
-        // the monitor must break (victim retries and commits).
+    /// `n` transactions each writing two registers, even-numbered ones in
+    /// one order and odd-numbered ones in the other: under operation-level
+    /// N2PL they block on each other and can deadlock.
+    fn opposite_writes(n: usize) -> WorkloadSpec {
         let mut base = ObjectBase::new();
         let x = base.add_object("x", Arc::new(obase_adt::Register::default()));
         let y = base.add_object("y", Arc::new(obase_adt::Register::default()));
@@ -249,25 +256,28 @@ mod tests {
                 },
             );
         }
-        let wl = WorkloadSpec {
-            def,
-            transactions: vec![
+        let transactions = (0..n)
+            .map(|i| {
+                let (first, second) = if i % 2 == 0 { (x, y) } else { (y, x) };
+                let v = Value::Int(i as i64 + 1);
                 TxnSpec {
-                    name: "T0".into(),
+                    name: format!("T{i}"),
                     body: Program::Seq(vec![
-                        Program::invoke(x, "set", [Value::Int(1)]),
-                        Program::invoke(y, "set", [Value::Int(1)]),
+                        Program::invoke(first, "set", [v.clone()]),
+                        Program::invoke(second, "set", [v]),
                     ]),
-                },
-                TxnSpec {
-                    name: "T1".into(),
-                    body: Program::Seq(vec![
-                        Program::invoke(y, "set", [Value::Int(2)]),
-                        Program::invoke(x, "set", [Value::Int(2)]),
-                    ]),
-                },
-            ],
-        };
+                }
+            })
+            .collect();
+        WorkloadSpec { def, transactions }
+    }
+
+    #[test]
+    fn real_deadlocks_are_detected_and_resolved() {
+        // Two transactions writing two registers in opposite orders: a
+        // genuine multi-thread deadlock under operation-level N2PL, which
+        // detection at park must break (victim retries and commits).
+        let wl = opposite_writes(2);
         // Run many times: with only two transactions the deadlock window
         // is not hit on every OS interleaving, but every run must settle
         // with both committed and a serialisable history. One retry is
@@ -289,6 +299,80 @@ mod tests {
             assert!(!result.metrics.timed_out);
             obase_core::oracle::check(&result.history, false).expect("serialisable");
             assert_eq!(result.metrics.cascading_aborts, 0);
+        }
+    }
+
+    #[test]
+    fn branches_of_one_transaction_deadlock_and_recover_on_one_worker() {
+        // One transaction whose two `Par` branches each withdraw from one
+        // account and then deposit into the other: each branch's deposit
+        // waits for the other branch's withdrawal, a waits-for cycle inside
+        // one transaction. With one worker the run has no thread but the
+        // caller and the branches, so the branches' own parks must break it.
+        let mut base = ObjectBase::new();
+        let a = base.add_object("a", Arc::new(obase_adt::Account::with_initial(10)));
+        let b = base.add_object("b", Arc::new(obase_adt::Account::with_initial(10)));
+        let mut def = ObjectBaseDef::new(Arc::new(base));
+        for (from, to) in [(a, b), (b, a)] {
+            def.define_method(
+                from,
+                MethodDef {
+                    name: "deposit".into(),
+                    params: 0,
+                    body: Program::local("Deposit", [Value::Int(1)]),
+                },
+            );
+            def.define_method(
+                from,
+                MethodDef {
+                    name: "send".into(),
+                    params: 0,
+                    body: Program::Seq(vec![
+                        Program::local("Withdraw", [Value::Int(1)]),
+                        Program::invoke(to, "deposit", []),
+                    ]),
+                },
+            );
+        }
+        let wl = WorkloadSpec {
+            def,
+            transactions: vec![TxnSpec {
+                name: "swap".into(),
+                body: Program::Par(vec![
+                    Program::invoke(a, "send", []),
+                    Program::invoke(b, "send", []),
+                ]),
+            }],
+        };
+        for _ in 0..200 {
+            let result = execute_parallel(
+                &wl,
+                Box::new(N2plScheduler::operation_locks()),
+                &ParParams {
+                    workers: 1,
+                    ..Default::default()
+                },
+                &ObsHandle::off(),
+            );
+            assert_clean(&result, 1);
+        }
+    }
+
+    #[test]
+    fn a_passed_deadline_stops_the_run_and_flags_it() {
+        for workers in [1, 4] {
+            let result = execute_parallel(
+                &opposite_writes(8),
+                Box::new(N2plScheduler::operation_locks()),
+                &ParParams {
+                    workers,
+                    deadline: std::time::Duration::ZERO,
+                    ..Default::default()
+                },
+                &ObsHandle::off(),
+            );
+            assert!(result.metrics.timed_out, "{:?}", result.metrics);
+            obase_core::oracle::check(&result.history, false).expect("serialisable");
         }
     }
 
@@ -394,8 +478,24 @@ mod tests {
                 &ObsHandle::off(),
             );
             assert_clean(&result, 8);
-            assert_eq!(pool.threads(), 4);
+            // The caller is worker 0, so the pool holds the others.
+            assert_eq!(pool.threads(), 3);
         }
+    }
+
+    #[test]
+    fn a_run_of_one_transaction_stays_on_the_calling_thread() {
+        let pool = pool::Pool::new();
+        let result = engine::execute_on(
+            &pool,
+            &counter_workload(1),
+            Box::new(N2plScheduler::operation_locks()),
+            &ParParams::default(),
+            &ObsHandle::off(),
+        );
+        assert_clean(&result, 1);
+        assert_eq!(pool.threads(), 0);
+        assert_eq!(result.metrics.backend, "parallel(4)");
     }
 
     #[test]

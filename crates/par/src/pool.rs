@@ -1,8 +1,9 @@
 //! The resident worker pool: OS threads that outlive the runs they serve.
 //!
 //! Spawning and joining a run's worker threads costs more than running a
-//! short transaction, so the engine hands each run's workers to a
-//! process-wide pool as jobs and waits on a [`Latch`]. A thread is created
+//! short transaction, so the engine hands each run's workers beyond the
+//! first (which is the calling thread) to a process-wide pool as jobs and
+//! waits on a [`Latch`]. A thread is created
 //! only when no idle one is waiting, and resident threads never exit, so the
 //! pool settles at the peak number of workers requested at once. A job that
 //! panics is caught on its pool thread, which survives; the latch reports
@@ -11,7 +12,6 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// One unit of work: a run's worker loop.
 pub(crate) type Job = Box<dyn FnOnce() + Send>;
@@ -26,16 +26,6 @@ pub(crate) struct Latch {
 impl Latch {
     fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Waits at most `timeout`; `true` once the latch is open.
-    pub(crate) fn wait_timeout(&self, timeout: Duration) -> bool {
-        let state = self.lock();
-        let (state, _) = self
-            .cv
-            .wait_timeout_while(state, timeout, |(left, _)| *left > 0)
-            .unwrap_or_else(PoisonError::into_inner);
-        state.0 == 0
     }
 
     /// Blocks until the latch opens; `true` if any job panicked.

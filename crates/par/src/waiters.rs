@@ -18,7 +18,7 @@
 //!   the parked activities *of that transaction* so they unwind
 //!   ([`Waiters::wake_top`]).
 //!
-//! Every park still uses a timeout (the monitor tick) as a belt-and-braces
+//! Every park still uses a timeout (the engine's tick) as a belt-and-braces
 //! liveness backstop — a custom scheduler whose block predicate changes on
 //! transitions other than commit/abort re-polls at tick cadence instead of
 //! hanging — but the backstop is never what delivers a wakeup on the

@@ -85,8 +85,9 @@ pub enum ExecutionBackend {
     #[default]
     Simulated,
     /// The multi-threaded wall-clock engine (`obase-par`): top-level
-    /// transactions on a pool of OS worker threads over a sharded object
-    /// store, with real blocking and a deadlock-breaking monitor. Runs are
+    /// transactions on OS worker threads (the caller and resident pool
+    /// threads) over a sharded object store, with real blocking and deadlock
+    /// detection at every park. Runs are
     /// *not* deterministic; their histories are verified by the same theory
     /// checks instead.
     Parallel {

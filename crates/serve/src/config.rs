@@ -10,10 +10,12 @@
 //!
 //! Config changes take effect at the next *batch boundary*: the batch in
 //! flight finishes under the old scheduler and worker count, and
-//! everything admitted afterwards runs under the new one. Each batch takes
-//! its workers from the parallel backend's resident pool, which keeps its
-//! threads across batches and grows to the largest worker count ever asked
-//! for, so "drain and resize" falls out of the batching design. No
+//! everything admitted afterwards runs under the new one. Each batch runs
+//! on up to `workers` workers, one per transaction at most: the executor
+//! thread itself, plus threads from the parallel backend's resident pool,
+//! which keeps its threads across batches and settles at the peak worker
+//! count ever used minus one, so "drain and resize" falls out of the
+//! batching design. No
 //! in-flight transaction is ever dropped by a reconcile.
 
 use obase_runtime::{ConfigError, SchedulerSpec};

@@ -6,7 +6,9 @@
 //! thread per client (blocking reads; hundreds of sessions are fine on a
 //! thread apiece). One *executor* thread drains the bounded admission
 //! queue into ingress batches and runs each batch as a workload on the
-//! parallel backend via the ordinary [`Runtime`]. Result frames are
+//! parallel backend via the ordinary [`Runtime`], itself as the batch's
+//! first worker and on up to `workers - 1` resident pool threads beside it
+//! (one worker per transaction at most). Result frames are
 //! written back by the executor through a per-session write lock, so a
 //! session's reader thread and the executor never interleave bytes.
 //!
@@ -44,9 +46,10 @@
 //! reports which fields changed. The batch in flight finishes under the
 //! old config; the next batch picks up the new scheduler, worker count
 //! and batching knobs. Scheduler instances are per-batch, and each batch
-//! asks the parallel backend's resident worker pool for as many workers
-//! as its config names (the pool grows to the largest count ever asked
-//! for and keeps its threads), so "drain and resize" needs no extra
+//! runs on up to as many workers as its config names, one per transaction
+//! at most: the executor thread is the first, the parallel backend's
+//! resident pool supplies the rest (it settles at the peak count ever used
+//! minus one and keeps its threads), so "drain and resize" needs no extra
 //! machinery and no admitted transaction is ever dropped.
 
 use crate::config::ServeConfig;

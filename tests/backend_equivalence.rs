@@ -219,7 +219,7 @@ fn mixed_scheduler_specs_pass_the_oracle() {
 /// registers in opposite orders, the classic deadlock shape under strict
 /// operation-level N2PL. At 1 worker the schedule is degenerate (no
 /// inter-transaction interleaving, so nothing may deadlock or abort); at 2
-/// and 8 the monitor must keep breaking cycles until everything commits —
+/// and 8 deadlock detection must keep breaking cycles until everything commits —
 /// with a serialisable history and zero cascades every time.
 #[test]
 fn deadlock_heavy_hot_keys_across_worker_counts() {
