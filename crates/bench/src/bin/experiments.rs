@@ -66,8 +66,10 @@ fn main() {
             // the snapshot-on rounds-throughput below 1.5× the snapshot-off
             // point on the 99/1 read mix.
             "--assert-read-scaling" => assert_read_scaling = true,
-            // Flat-cost guard: fail the process if the e14 sweep shows an
-            // Insert on 65,536 keys costing more than 4× one on 64 keys.
+            // Flat-cost guards: fail the process if the e14 sweep shows an
+            // Insert on 65,536 keys costing more than 4× one on 64 keys, or
+            // e15 shows a run over 2,048 accounts costing more than 2× one
+            // over 256.
             "--assert-flat" => assert_flat = true,
             other => selected.push(other.to_lowercase()),
         }
@@ -221,18 +223,37 @@ fn main() {
         }
     }
     if assert_flat {
-        let e14 = results
-            .iter()
-            .find(|(key, _, _)| *key == "e14")
-            .map(|(_, _, rows)| rows.as_slice())
-            .expect("--assert-flat requires the e14 experiment to run");
-        match xp::check_flat_guard(e14) {
-            Ok(()) => eprintln!("flat-cost guard: ok (Insert on 65536 keys ≤ 4× on 64 keys)"),
-            Err(msg) => {
-                eprintln!("flat-cost guard FAILED: {msg}");
-                std::process::exit(1);
+        type Guard = fn(&[xp::Row]) -> Result<(), String>;
+        let guards: [(&str, Guard, &str); 2] = [
+            (
+                "e14",
+                xp::check_flat_guard,
+                "Insert on 65536 keys ≤ 4× on 64 keys",
+            ),
+            (
+                "e15",
+                xp::check_run_flat_guard,
+                "a run over 2048 accounts ≤ 2× over 256",
+            ),
+        ];
+        let mut checked = 0;
+        for (key, guard, claim) in guards {
+            let Some((_, _, rows)) = results.iter().find(|(k, _, _)| *k == key) else {
+                continue;
+            };
+            checked += 1;
+            match guard(rows) {
+                Ok(()) => eprintln!("flat-cost guard ({key}): ok ({claim})"),
+                Err(msg) => {
+                    eprintln!("flat-cost guard ({key}) FAILED: {msg}");
+                    std::process::exit(1);
+                }
             }
         }
+        assert!(
+            checked > 0,
+            "--assert-flat requires the e14 or e15 experiment to run"
+        );
     }
     // Since the write below merges, a subset run refreshes only the entries
     // it ran — so BENCH_results.json is a safe default --out even for

@@ -1148,11 +1148,14 @@ pub fn check_flat_guard(rows: &[Row]) -> Result<(), String> {
 }
 
 /// E15 — batch-of-one cost: one transaction through `Runtime::run`, built
-/// as the server builds a batch (the serve default scheduler and retries,
-/// `Parallel { workers: 4 }`, `Verify::Quick`, `Observe::Latency`), on
-/// object bases shaped like the three servebench workloads:
+/// as the server builds a batch (`ServeConfig::default().runtime()`: the
+/// serve default scheduler and retries, `Parallel { workers: 4 }`,
+/// `Verify::Quick`, `Observe::Latency`), on object bases shaped like the
+/// three servebench workloads:
 ///
 /// * `flat-accounts` — 256 accounts; a deposit and a balance read;
+/// * `flat-accounts-2048` — the same with 2,048 accounts, so the two points
+///   show whether a run pays for the size of the object base;
 /// * `large-dict` — 8 dictionaries of 1,024 preloaded keys; a lookup and an
 ///   overwrite;
 /// * `hot-nested` — 8 counters; a depth-3 invocation chain of increments.
@@ -1161,14 +1164,14 @@ pub fn check_flat_guard(rows: &[Row]) -> Result<(), String> {
 /// workload once untimed and then 16 times timed, so host noise lands on
 /// all of them alike. A repetition's figure is the median of its 16 runs;
 /// a row carries the quartiles of those figures. Every run must commit its
-/// transaction with its checks passed. No guard: the row is a measurement,
-/// the in-process counterpart of servebench's solo phase.
+/// transaction with its checks passed. The rows are the in-process
+/// counterpart of servebench's solo phase; [`check_run_flat_guard`] holds
+/// the two `flat-accounts` points together.
 pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
     use obase_core::ids::ObjectId;
     use obase_core::object::{ObjectBase, TypeHandle};
     use obase_core::value::Value;
     use obase_exec::{Expr, MethodDef, ObjRef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
-    use obase_runtime::{ExecutionBackend, Observe, Runtime, Verify};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1204,12 +1207,20 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
             body,
         }],
     };
-    let accounts = world(
-        256,
-        Arc::new(obase_adt::Account::with_initial(1_000)),
-        Value::Int(1_000),
-        &|_| vec![leaf("deposit", 1, "Deposit"), leaf("balance", 0, "Balance")],
-    );
+    let accounts = |count: usize| {
+        world(
+            count,
+            Arc::new(obase_adt::Account::with_initial(1_000)),
+            Value::Int(1_000),
+            &|_| vec![leaf("deposit", 1, "Deposit"), leaf("balance", 0, "Balance")],
+        )
+    };
+    let deposit_and_read = || {
+        Program::Seq(vec![
+            Program::invoke(ObjectId(17), "deposit", [Value::Int(5)]),
+            Program::invoke(ObjectId(200), "balance", []),
+        ])
+    };
     let dicts = world(
         8,
         Arc::new(obase_adt::Dictionary),
@@ -1246,13 +1257,12 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
     let mut points: Vec<(&str, WorkloadSpec, Vec<f64>)> = vec![
         (
             "flat-accounts",
-            one(
-                accounts,
-                Program::Seq(vec![
-                    Program::invoke(ObjectId(17), "deposit", [Value::Int(5)]),
-                    Program::invoke(ObjectId(200), "balance", []),
-                ]),
-            ),
+            one(accounts(256), deposit_and_read()),
+            Vec::new(),
+        ),
+        (
+            "flat-accounts-2048",
+            one(accounts(2_048), deposit_and_read()),
             Vec::new(),
         ),
         (
@@ -1275,17 +1285,8 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
             Vec::new(),
         ),
     ];
-    let serve = obase_serve::ServeConfig::default();
-    let runtime = Runtime::builder()
-        .scheduler(serve.scheduler.clone())
-        .backend(ExecutionBackend::Parallel {
-            workers: serve.workers,
-        })
-        .retries(serve.retries)
-        .mvcc(serve.mvcc)
-        .verify(Verify::Quick)
-        .observe(Observe::Latency)
-        .build()
+    let runtime = obase_serve::ServeConfig::default()
+        .runtime()
         .expect("the serve defaults are a valid runtime");
     let run_us = |workload: &WorkloadSpec| {
         let t0 = Instant::now();
@@ -1315,6 +1316,29 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
                 .with("repetitions", figures.len() as f64)
         })
         .collect()
+}
+
+/// The flat-cost guard over [`e15_batch_of_one`] rows: the median run over
+/// 2,048 accounts may cost at most 2× the one over 256. A run that copies
+/// the object base's states, or checks every method body, grows with the
+/// base and fails this.
+pub fn check_run_flat_guard(rows: &[Row]) -> Result<(), String> {
+    const FACTOR: f64 = 2.0;
+    let point = |label: &str| {
+        rows.iter()
+            .find(|r| r.label == label)
+            .and_then(|r| r.values.get("run_us_p50").copied())
+            .ok_or_else(|| format!("e15 rows missing the {label} point"))
+    };
+    let small = point("flat-accounts")?;
+    let large = point("flat-accounts-2048")?;
+    if large > small * FACTOR {
+        return Err(format!(
+            "a run over 2048 accounts takes {large:.1} µs, more than {FACTOR} × the \
+             {small:.1} µs over 256 — runs are paying for the object base's size"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1483,6 +1507,20 @@ mod tests {
         let rows = vec![point(64.0, 16.0, 500.0), point(65_536.0, 16.0, 2_100.0)];
         assert!(check_flat_guard(&rows).is_err());
         assert!(check_flat_guard(&[point(64.0, 256.0, 500.0)]).is_err());
+    }
+
+    #[test]
+    fn run_flat_guard_compares_the_two_account_points() {
+        let rows = |small: f64, large: f64| {
+            vec![
+                Row::new("flat-accounts").with("run_us_p50", small),
+                Row::new("flat-accounts-2048").with("run_us_p50", large),
+                Row::new("large-dict").with("run_us_p50", 1_000.0),
+            ]
+        };
+        assert!(check_run_flat_guard(&rows(40.0, 60.0)).is_ok());
+        assert!(check_run_flat_guard(&rows(40.0, 81.0)).is_err());
+        assert!(check_run_flat_guard(&rows(40.0, 60.0)[..1]).is_err());
     }
 
     #[test]

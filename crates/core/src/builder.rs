@@ -32,7 +32,7 @@ const SNAPSHOT_PENDING: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct HistoryBuilder {
     base: Arc<ObjectBase>,
-    initial_states: BTreeMap<ObjectId, Value>,
+    initial_overrides: BTreeMap<ObjectId, Value>,
     tracked_states: BTreeMap<ObjectId, Value>,
     execs: Vec<MethodExecution>,
     steps: Vec<StepRecord>,
@@ -45,12 +45,14 @@ pub struct HistoryBuilder {
 
 impl HistoryBuilder {
     /// Creates a builder over an object base. Initial states default to the
-    /// object base's defaults.
+    /// object base's defaults and are not copied: the builder stores only
+    /// [overrides](Self::set_initial_state) and the states its
+    /// [`local_applied`](Self::local_applied) steps produce, so creating one
+    /// costs the same for any size of base.
     pub fn new(base: Arc<ObjectBase>) -> Self {
-        let initial = base.initial_states();
         HistoryBuilder {
-            tracked_states: initial.clone(),
-            initial_states: initial,
+            tracked_states: BTreeMap::new(),
+            initial_overrides: BTreeMap::new(),
             base,
             execs: Vec::new(),
             steps: Vec::new(),
@@ -64,7 +66,7 @@ impl HistoryBuilder {
 
     /// Overrides the initial state of one object for this history.
     pub fn set_initial_state(&mut self, o: ObjectId, state: Value) {
-        self.initial_states.insert(o, state.clone());
+        self.initial_overrides.insert(o, state.clone());
         self.tracked_states.insert(o, state);
     }
 
@@ -82,9 +84,12 @@ impl HistoryBuilder {
     }
 
     /// The builder's view of an object's current state (the result of all
-    /// `local_applied` steps so far).
+    /// `local_applied` steps so far), or `None` for an object outside the
+    /// base that was never given a state.
     pub fn current_state(&self, o: ObjectId) -> Option<&Value> {
-        self.tracked_states.get(&o)
+        self.tracked_states
+            .get(&o)
+            .or_else(|| self.base.get(o).map(|spec| &spec.initial_state))
     }
 
     /// Advances and returns the virtual clock.
@@ -188,8 +193,7 @@ impl HistoryBuilder {
         );
         let ty = self.base.type_of(object);
         let state = self
-            .tracked_states
-            .get(&object)
+            .current_state(object)
             .cloned()
             .unwrap_or_else(|| ty.initial_state());
         let (new_state, ret) = ty.apply(&state, &op)?;
@@ -377,7 +381,7 @@ impl HistoryBuilder {
             .collect();
         History::new(
             self.base,
-            self.initial_states,
+            self.initial_overrides,
             self.execs,
             self.steps,
             intervals,

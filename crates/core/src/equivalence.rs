@@ -25,7 +25,7 @@ pub fn same_structure(a: &History, b: &History) -> bool {
     if a.exec_count() != b.exec_count() || a.step_count() != b.step_count() {
         return false;
     }
-    if a.initial_states() != b.initial_states() {
+    if !History::same_initial_states(a, b) {
         return false;
     }
     for (ea, eb) in a.execs().iter().zip(b.execs()) {

@@ -9,7 +9,11 @@
 //! * `B` — the calling pattern, mapping each message step to the method
 //!   execution it created (stored inline in
 //!   [`StepKind::Message`](crate::step::StepKind));
-//! * `S` — one initial state per object.
+//! * `S` — one initial state per object. A history stores only the states
+//!   that *override* its object base's defaults ([`History::initial_overrides`]);
+//!   every other object starts in the state its base declares
+//!   ([`History::initial_state`]). An engine run records no overrides, so a
+//!   history costs what its executions touch, not the size of the base.
 //!
 //! # Representation of `<`
 //!
@@ -75,7 +79,7 @@ impl Interval {
 #[derive(Clone, Debug)]
 pub struct History {
     base: Arc<ObjectBase>,
-    initial_states: BTreeMap<ObjectId, Value>,
+    initial_overrides: BTreeMap<ObjectId, Value>,
     execs: Vec<MethodExecution>,
     steps: Vec<StepRecord>,
     intervals: Vec<Interval>,
@@ -83,7 +87,9 @@ pub struct History {
 }
 
 impl History {
-    /// Assembles a history from its components.
+    /// Assembles a history from its components. `initial_overrides` holds
+    /// the initial states that differ from the object base's defaults (an
+    /// empty map means every object starts in its declared state).
     ///
     /// This checks only *structural* consistency (ids are in range, the step
     /// lists of executions partition the steps, message children point back
@@ -94,7 +100,7 @@ impl History {
     /// Panics if the components are structurally inconsistent.
     pub fn new(
         base: Arc<ObjectBase>,
-        initial_states: BTreeMap<ObjectId, Value>,
+        initial_overrides: BTreeMap<ObjectId, Value>,
         execs: Vec<MethodExecution>,
         steps: Vec<StepRecord>,
         intervals: Vec<Interval>,
@@ -119,7 +125,7 @@ impl History {
         }
         History {
             base,
-            initial_states,
+            initial_overrides,
             execs,
             steps,
             intervals,
@@ -132,19 +138,41 @@ impl History {
         &self.base
     }
 
-    /// The `S` component: initial state of each object.
-    pub fn initial_states(&self) -> &BTreeMap<ObjectId, Value> {
-        &self.initial_states
+    /// The stored part of the `S` component: the initial states this
+    /// history sets explicitly. Objects absent here start in their object
+    /// base's default state; use [`initial_state`](Self::initial_state) for
+    /// the effective state of one object.
+    pub fn initial_overrides(&self) -> &BTreeMap<ObjectId, Value> {
+        &self.initial_overrides
     }
 
     /// The initial state of one object (falling back to the object base's
     /// default if the history does not override it).
     pub fn initial_state(&self, o: ObjectId) -> Value {
-        self.initial_states
+        self.initial_state_ref(o).clone()
+    }
+
+    fn initial_state_ref(&self, o: ObjectId) -> &Value {
+        self.initial_overrides
             .get(&o)
-            .cloned()
-            .or_else(|| self.base.get(o).map(|spec| spec.initial_state.clone()))
-            .unwrap_or(Value::Unit)
+            .or_else(|| self.base.get(o).map(|spec| &spec.initial_state))
+            .unwrap_or(&Value::Unit)
+    }
+
+    /// `true` if the two histories have the same `S` component: every
+    /// object, over the longer of the two bases and any overridden id,
+    /// starts in the same effective state (its override, else its base's
+    /// default). An override equal to the default is no difference.
+    pub fn same_initial_states(a: &History, b: &History) -> bool {
+        if Arc::ptr_eq(&a.base, &b.base) && a.initial_overrides == b.initial_overrides {
+            return true;
+        }
+        let ids = a.base.len().max(b.base.len()) as u32;
+        let overridden = a.initial_overrides.keys().chain(b.initial_overrides.keys());
+        (0..ids)
+            .map(ObjectId)
+            .chain(overridden.copied())
+            .all(|o| a.initial_state_ref(o) == b.initial_state_ref(o))
     }
 
     /// All method executions, indexed densely by [`ExecId`].
@@ -430,7 +458,7 @@ impl History {
         assert_eq!(intervals.len(), self.steps.len());
         History {
             base: Arc::clone(&self.base),
-            initial_states: self.initial_states.clone(),
+            initial_overrides: self.initial_overrides.clone(),
             execs: self.execs.clone(),
             steps: self.steps.clone(),
             intervals,
@@ -501,7 +529,7 @@ impl History {
         }
         History::new(
             Arc::clone(&self.base),
-            self.initial_states.clone(),
+            self.initial_overrides.clone(),
             new_execs,
             new_steps,
             new_intervals,
@@ -661,5 +689,65 @@ mod tests {
         let h2 = h.with_intervals(new_intervals);
         assert_eq!(h2.step_count(), n);
         assert_eq!(h2.max_time(), n as u64 - 1);
+    }
+
+    /// A history over the first `objects` of the registers `x`, `y`, with
+    /// the given initial-state overrides and no executions.
+    fn over(objects: usize, overrides: &[(u32, i64)]) -> History {
+        let mut base = ObjectBase::new();
+        for name in ["x", "y"].into_iter().take(objects) {
+            base.add_object(name, Arc::new(IntRegister));
+        }
+        let mut b = HistoryBuilder::new(Arc::new(base));
+        for &(o, v) in overrides {
+            b.set_initial_state(ObjectId(o), Value::Int(v));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn an_override_equal_to_the_default_is_no_difference() {
+        let plain = over(2, &[]);
+        assert!(plain.initial_overrides().is_empty());
+        let explicit = over(2, &[(0, 0)]);
+        assert_eq!(explicit.initial_overrides().len(), 1);
+        assert!(History::same_initial_states(&plain, &explicit));
+        assert!(History::same_initial_states(&explicit, &plain));
+    }
+
+    #[test]
+    fn a_differing_override_is_a_difference() {
+        let plain = over(2, &[]);
+        let moved = over(2, &[(1, 7)]);
+        assert_eq!(moved.initial_state(ObjectId(1)), Value::Int(7));
+        assert!(!History::same_initial_states(&plain, &moved));
+        assert!(!History::same_initial_states(&moved, &plain));
+        assert!(History::same_initial_states(&moved, &over(2, &[(1, 7)])));
+    }
+
+    #[test]
+    fn bases_of_different_lengths_compare_over_the_longer() {
+        // `y` exists only in the longer base, where it starts at 0; the
+        // shorter base has no state for it unless a history gives it one.
+        let short = over(1, &[]);
+        let long = over(2, &[]);
+        assert!(!History::same_initial_states(&short, &long));
+        assert!(!History::same_initial_states(&long, &short));
+        let short_with_y = over(1, &[(1, 0)]);
+        assert!(History::same_initial_states(&short_with_y, &long));
+        assert!(History::same_initial_states(&long, &short_with_y));
+    }
+
+    #[test]
+    fn projections_keep_the_overrides() {
+        let h = over(2, &[(0, 3)]);
+        assert_eq!(
+            h.committed_projection().initial_overrides(),
+            h.initial_overrides()
+        );
+        assert_eq!(
+            h.with_intervals(vec![]).initial_state(ObjectId(0)),
+            Value::Int(3)
+        );
     }
 }

@@ -320,7 +320,7 @@ mod tests {
             program_order: vec![],
             aborted: false,
         }];
-        let h = History::new(base.clone(), base.initial_states(), execs, vec![], vec![]);
+        let h = History::new(base.clone(), BTreeMap::new(), execs, vec![], vec![]);
         assert!(matches!(
             check_legal(&h),
             Err(LegalityError::TopLevelNotEnvironment { .. })

@@ -592,7 +592,7 @@ pub fn stitch(base: Arc<ObjectBase>, buffers: impl IntoIterator<Item = EventBuff
 pub fn same_structure(a: &History, b: &History) -> bool {
     a.execs() == b.execs()
         && a.steps() == b.steps()
-        && a.initial_states() == b.initial_states()
+        && History::same_initial_states(a, b)
         && (0..a.step_count()).all(|i| a.interval(StepId(i as u32)) == b.interval(StepId(i as u32)))
 }
 

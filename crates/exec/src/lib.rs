@@ -74,5 +74,7 @@ pub use kernel::LifecycleKernel;
 pub use metrics::RunMetrics;
 pub use mixed::MixedScheduler;
 pub use mvcc::{classify, execute_plan, plan_specs, SnapshotOutcome, SnapshotPlan, VersionedStore};
-pub use program::{Expr, MethodDef, ObjRef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
+pub use program::{
+    Expr, MethodDef, ObjRef, ObjectBaseDef, Program, ProgramError, TxnSpec, WorkloadSpec,
+};
 pub use store::{replay_log, LogEntry, ObjectStore};

@@ -11,7 +11,7 @@ use obase_core::ids::ObjectId;
 use obase_core::object::ObjectBase;
 use obase_core::value::Value;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An expression evaluated against the invocation arguments of the enclosing
 /// method execution.
@@ -151,6 +151,46 @@ pub struct MethodDef {
     pub body: Program,
 }
 
+/// A defect of a program that can be found without running it: an
+/// invocation the method table cannot serve, or a local operation where
+/// there is no object to apply it to. The runtime reports it as the
+/// matching `RuntimeError` variant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ProgramError {
+    /// A program invokes a method the target object does not define.
+    UnknownMethod {
+        /// The target object.
+        object: ObjectId,
+        /// The missing method.
+        method: String,
+    },
+    /// A method is invoked with the wrong number of arguments.
+    ArityMismatch {
+        /// The target object.
+        object: ObjectId,
+        /// The invoked method.
+        method: String,
+        /// Parameters the method declares.
+        expected: usize,
+        /// Arguments the invocation supplies.
+        got: usize,
+    },
+    /// A top-level transaction contains a local operation (the environment
+    /// has no variables, Definition 1).
+    LocalOperationAtTopLevel {
+        /// The offending transaction's label.
+        transaction: String,
+    },
+}
+
+/// The methods of an object base, with the memoised verdict of checking
+/// their bodies against the table itself.
+#[derive(Clone, Debug, Default)]
+struct MethodTable {
+    defs: BTreeMap<(ObjectId, String), Arc<MethodDef>>,
+    checked: OnceLock<Result<(), ProgramError>>,
+}
+
 /// An object base together with the methods of each object: the static
 /// definition an engine run executes against.
 ///
@@ -159,7 +199,7 @@ pub struct MethodDef {
 #[derive(Clone, Debug)]
 pub struct ObjectBaseDef {
     base: Arc<ObjectBase>,
-    methods: Arc<BTreeMap<(ObjectId, String), Arc<MethodDef>>>,
+    methods: Arc<MethodTable>,
 }
 
 impl ObjectBaseDef {
@@ -183,24 +223,99 @@ impl ObjectBaseDef {
         Arc::make_mut(&mut self.base)
     }
 
-    /// Defines (or replaces) a method of an object.
+    /// Defines (or replaces) a method of an object. This forgets the
+    /// verdict of [`check_methods`](Self::check_methods) for this
+    /// definition; clones taken before keep theirs.
     pub fn define_method(&mut self, object: ObjectId, def: MethodDef) {
-        Arc::make_mut(&mut self.methods).insert((object, def.name.clone()), Arc::new(def));
+        let table = Arc::make_mut(&mut self.methods);
+        table.defs.insert((object, def.name.clone()), Arc::new(def));
+        table.checked.take();
     }
 
     /// Looks up a method of an object.
     pub fn method(&self, object: ObjectId, name: &str) -> Option<Arc<MethodDef>> {
-        self.methods.get(&(object, name.to_owned())).cloned()
+        self.methods.defs.get(&(object, name.to_owned())).cloned()
     }
 
     /// Number of defined methods across all objects.
     pub fn method_count(&self) -> usize {
-        self.methods.len()
+        self.methods.defs.len()
     }
 
     /// Iterates over every `(object, method definition)` pair.
     pub fn methods(&self) -> impl Iterator<Item = (ObjectId, &MethodDef)> + '_ {
-        self.methods.iter().map(|((o, _), d)| (*o, d.as_ref()))
+        self.methods.defs.iter().map(|((o, _), d)| (*o, d.as_ref()))
+    }
+
+    /// Statically checks a program against the method table: every
+    /// literally named invocation targets a defined method with the right
+    /// arity. `transaction` names a top-level program, which must also issue
+    /// no local operation; pass `None` for a method body.
+    pub fn check_program(
+        &self,
+        program: &Program,
+        transaction: Option<&str>,
+    ) -> Result<(), ProgramError> {
+        match program {
+            Program::Local { .. } => match transaction {
+                Some(name) => Err(ProgramError::LocalOperationAtTopLevel {
+                    transaction: name.to_owned(),
+                }),
+                None => Ok(()),
+            },
+            Program::Invoke {
+                object,
+                method,
+                args,
+            } => {
+                // Parameter-passed objects can only be resolved dynamically.
+                let ObjRef::Const(target) = object else {
+                    return Ok(());
+                };
+                self.check_invocation(*target, method, args.len())
+            }
+            Program::Seq(items) | Program::Par(items) => items
+                .iter()
+                .try_for_each(|item| self.check_program(item, transaction)),
+        }
+    }
+
+    fn check_invocation(
+        &self,
+        target: ObjectId,
+        method: &str,
+        got: usize,
+    ) -> Result<(), ProgramError> {
+        let Some(def) = self.methods.defs.get(&(target, method.to_owned())) else {
+            return Err(ProgramError::UnknownMethod {
+                object: target,
+                method: method.to_owned(),
+            });
+        };
+        if def.params != got {
+            return Err(ProgramError::ArityMismatch {
+                object: target,
+                method: method.to_owned(),
+                expected: def.params,
+                got,
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks every method body with [`check_program`](Self::check_program),
+    /// each exactly once, so mutually recursive methods are fine. A body's
+    /// verdict depends on the method table alone, so it is computed once per
+    /// table and remembered until the next
+    /// [`define_method`](Self::define_method).
+    pub fn check_methods(&self) -> Result<(), ProgramError> {
+        self.methods
+            .checked
+            .get_or_init(|| {
+                self.methods()
+                    .try_for_each(|(_, def)| self.check_program(&def.body, None))
+            })
+            .clone()
     }
 }
 

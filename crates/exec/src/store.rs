@@ -61,19 +61,18 @@ pub fn replay_log(ty: &TypeHandle, initial: &Value, log: &[LogEntry]) -> (Value,
 #[derive(Debug)]
 pub struct ObjectStore {
     base: Arc<ObjectBase>,
-    initial: BTreeMap<ObjectId, Value>,
     states: BTreeMap<ObjectId, Value>,
     logs: BTreeMap<ObjectId, Vec<LogEntry>>,
 }
 
 impl ObjectStore {
-    /// Creates a store with every object in its initial state.
+    /// Creates a store with every object in its initial state. Nothing is
+    /// copied: an object reads its base's initial state until its first
+    /// install.
     pub fn new(base: Arc<ObjectBase>) -> Self {
-        let initial = base.initial_states();
         ObjectStore {
-            states: initial.clone(),
-            initial,
             base,
+            states: BTreeMap::new(),
             logs: BTreeMap::new(),
         }
     }
@@ -145,12 +144,7 @@ impl ObjectStore {
             removed += before - log.len();
             // Replay the surviving log.
             let ty = self.base.type_of(o);
-            let initial = self
-                .initial
-                .get(&o)
-                .cloned()
-                .unwrap_or_else(|| ty.initial_state());
-            let (state, bad) = replay_log(&ty, &initial, log);
+            let (state, bad) = replay_log(&ty, &self.base.spec(o).initial_state, log);
             invalidated.extend(bad);
             self.states.insert(o, state);
         }

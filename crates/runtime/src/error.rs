@@ -6,6 +6,7 @@
 //! implement [`std::error::Error`].
 
 use obase_core::ids::ObjectId;
+use obase_exec::ProgramError;
 use std::fmt;
 
 pub use obase_core::oracle::TheoryViolation;
@@ -184,6 +185,30 @@ impl std::error::Error for RuntimeError {
         match self {
             RuntimeError::Config(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<ProgramError> for RuntimeError {
+    fn from(e: ProgramError) -> Self {
+        match e {
+            ProgramError::UnknownMethod { object, method } => {
+                RuntimeError::UnknownMethod { object, method }
+            }
+            ProgramError::ArityMismatch {
+                object,
+                method,
+                expected,
+                got,
+            } => RuntimeError::ArityMismatch {
+                object,
+                method,
+                expected,
+                got,
+            },
+            ProgramError::LocalOperationAtTopLevel { transaction } => {
+                RuntimeError::LocalOperationAtTopLevel { transaction }
+            }
         }
     }
 }

@@ -30,10 +30,9 @@ use crate::error::{ConfigError, RuntimeError};
 use crate::registry::SchedulerRegistry;
 use crate::report::{Faceoff, RunReport};
 use crate::spec::SchedulerSpec;
-use obase_core::ids::ObjectId;
 use obase_core::sched::Scheduler;
 use obase_exec::engine::{execute, ExecParams};
-use obase_exec::{ObjRef, Program, RunResult, WorkloadSpec};
+use obase_exec::{RunResult, WorkloadSpec};
 use obase_obs::{ChromeTraceObserver, LatencyReport, ObsHandle, Observer, RecordingObserver};
 use obase_par::ParParams;
 use std::fmt;
@@ -518,75 +517,16 @@ impl RuntimeBuilder {
     }
 }
 
-/// Statically validates a workload against its object-base definition: every
-/// (literally named) invocation targets a defined method with the right
-/// arity, and no top-level transaction issues a local operation. Each method
-/// body is checked exactly once, so mutually recursive methods are fine.
+/// Statically validates a workload against its object-base definition:
+/// every (literally named) invocation targets a defined method with the
+/// right arity, and no top-level transaction issues a local operation. The
+/// transactions are checked on every call; the method bodies once per
+/// method table ([`ObjectBaseDef::check_methods`]).
 fn validate_workload(workload: &WorkloadSpec) -> Result<(), RuntimeError> {
     for txn in &workload.transactions {
-        walk(&txn.body, true, Some(&txn.name), workload)?;
+        workload.def.check_program(&txn.body, Some(&txn.name))?;
     }
-    for (_, def) in workload.def.methods() {
-        walk(&def.body, false, None, workload)?;
-    }
-    Ok(())
-}
-
-fn walk(
-    program: &Program,
-    top_level: bool,
-    txn: Option<&str>,
-    workload: &WorkloadSpec,
-) -> Result<(), RuntimeError> {
-    match program {
-        Program::Local { .. } => {
-            if top_level {
-                return Err(RuntimeError::LocalOperationAtTopLevel {
-                    transaction: txn.unwrap_or("<method>").to_owned(),
-                });
-            }
-            Ok(())
-        }
-        Program::Invoke {
-            object,
-            method,
-            args,
-        } => {
-            // Parameter-passed objects can only be resolved dynamically.
-            let ObjRef::Const(target) = object else {
-                return Ok(());
-            };
-            check_invocation(*target, method, args.len(), workload)
-        }
-        Program::Seq(items) | Program::Par(items) => {
-            for item in items {
-                walk(item, top_level, txn, workload)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn check_invocation(
-    target: ObjectId,
-    method: &str,
-    got: usize,
-    workload: &WorkloadSpec,
-) -> Result<(), RuntimeError> {
-    let Some(def) = workload.def.method(target, method) else {
-        return Err(RuntimeError::UnknownMethod {
-            object: target,
-            method: method.to_owned(),
-        });
-    };
-    if def.params != got {
-        return Err(RuntimeError::ArityMismatch {
-            object: target,
-            method: method.to_owned(),
-            expected: def.params,
-            got,
-        });
-    }
+    workload.def.check_methods()?;
     Ok(())
 }
 
@@ -594,9 +534,10 @@ fn check_invocation(
 mod tests {
     use super::*;
     use obase_adt::Counter;
+    use obase_core::ids::ObjectId;
     use obase_core::object::ObjectBase;
     use obase_core::value::Value;
-    use obase_exec::{MethodDef, ObjectBaseDef, TxnSpec};
+    use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec};
     use std::sync::Arc;
 
     fn tiny_workload() -> WorkloadSpec {
@@ -788,6 +729,38 @@ mod tests {
             runtime.run(&wl).unwrap_err(),
             RuntimeError::LocalOperationAtTopLevel { transaction } if transaction == "t0"
         ));
+    }
+
+    #[test]
+    fn a_redefined_method_is_checked_again() {
+        let runtime = Runtime::builder()
+            .scheduler(SchedulerSpec::n2pl_operation())
+            .build()
+            .unwrap();
+        let mut wl = tiny_workload();
+        let before = wl.clone();
+        runtime.run(&wl).unwrap();
+
+        // After a successful run has remembered the method table's verdict,
+        // a method that invokes nothing defined must still be refused.
+        let broken = MethodDef {
+            name: "relay".into(),
+            params: 0,
+            body: Program::invoke(ObjectId(0), "missing", []),
+        };
+        wl.def.define_method(ObjectId(0), broken.clone());
+        let after_memo = runtime.run(&wl).unwrap_err();
+        assert!(matches!(
+            &after_memo,
+            RuntimeError::UnknownMethod { method, .. } if method == "missing"
+        ));
+
+        let mut fresh = tiny_workload();
+        fresh.def.define_method(ObjectId(0), broken);
+        assert_eq!(runtime.run(&fresh).unwrap_err(), after_memo);
+
+        // The clone taken before the redefinition keeps its own table.
+        assert_eq!(runtime.run(&before).unwrap().metrics.committed, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! batching design. No
 //! in-flight transaction is ever dropped by a reconcile.
 
-use obase_runtime::{ConfigError, SchedulerSpec};
+use obase_runtime::{ConfigError, ExecutionBackend, Observe, Runtime, SchedulerSpec, Verify};
 use obase_ser::Json;
 
 /// The server's desired state.
@@ -76,6 +76,25 @@ impl ServeConfig {
             return Err(ConfigError::ZeroBatch);
         }
         Ok(())
+    }
+
+    /// The runtime an ingress batch runs on: the parallel backend with this
+    /// config's scheduler, workers, retries, MVCC setting and store shards,
+    /// `Verify::Quick` and `Observe::Latency`.
+    pub fn runtime(&self) -> Result<Runtime, ConfigError> {
+        let mut builder = Runtime::builder()
+            .scheduler(self.scheduler.clone())
+            .backend(ExecutionBackend::Parallel {
+                workers: self.workers,
+            })
+            .retries(self.retries)
+            .mvcc(self.mvcc)
+            .verify(Verify::Quick)
+            .observe(Observe::Latency);
+        if self.store_shards > 0 {
+            builder = builder.store_shards(self.store_shards);
+        }
+        builder.build()
     }
 
     /// Names the fields in which `desired` differs from `self` — the

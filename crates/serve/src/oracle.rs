@@ -19,8 +19,9 @@ use obase_core::step::StepKind;
 
 /// Merges a sequence of batch histories (each over the *same* object base
 /// population, with batch `k+1`'s initial states equal to batch `k`'s
-/// committed final states) into one history carrying batch 0's base and
-/// initial states. Returns `None` for an empty sequence.
+/// committed final states) into one history carrying batch 0's base
+/// together with batch 0's initial-state overrides, so the merged history
+/// starts where batch 0 did. Returns `None` for an empty sequence.
 ///
 /// Ids are re-numbered densely and intervals shifted so the merged history
 /// is a valid [`History`] in its own right; all structural invariants are
@@ -64,7 +65,7 @@ pub fn merge_histories(parts: &[History]) -> Option<History> {
     }
     Some(History::new(
         std::sync::Arc::clone(first.base()),
-        first.initial_states().clone(),
+        first.initial_overrides().clone(),
         execs,
         steps,
         intervals,

@@ -58,7 +58,7 @@ use crate::wire::{self, Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_
 use obase_core::history::History;
 use obase_exec::{Expr, ObjRef, ObjectBaseDef, Program, RunMetrics, TxnSpec, WorkloadSpec};
 use obase_obs::{Histogram, LatencyReport};
-use obase_runtime::{ConfigError, ExecutionBackend, Observe, Runtime, Verify};
+use obase_runtime::ConfigError;
 use obase_ser::Json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -671,20 +671,8 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
         .collect();
     let workload = WorkloadSpec { def, transactions };
 
-    let mut builder = Runtime::builder()
-        .scheduler(cfg.scheduler.clone())
-        .backend(ExecutionBackend::Parallel {
-            workers: cfg.workers,
-        })
-        .retries(cfg.retries)
-        .mvcc(cfg.mvcc)
-        .verify(Verify::Quick)
-        .observe(Observe::Latency);
-    if cfg.store_shards > 0 {
-        builder = builder.store_shards(cfg.store_shards);
-    }
-    let run = builder
-        .build()
+    let run = cfg
+        .runtime()
         .map_err(|e| e.to_string())
         .and_then(|rt| rt.run(&workload).map_err(|e| e.to_string()));
     let report = match run {

@@ -1,0 +1,146 @@
+//! Allocation regression test: a run pays for the objects it touches, not
+//! for the whole object base.
+//!
+//! One two-operation transaction goes through `Runtime::run` configured as
+//! the server runs a batch (the serve default scheduler, workers, retries
+//! and MVCC setting, `Verify::Quick`, `Observe::Latency`), over a base of 8
+//! and of 2,048 accounts. A counting global allocator around [`System`]
+//! counts the allocations the run makes; the minimum of 10 runs at 2,048
+//! accounts may exceed the one at 8 by at most 5% plus 16. Unlike a timing
+//! gate, the count does not move with host load.
+//!
+//! The binary holds this one test so that no other test allocates while a
+//! run is being counted. It spells the server's runtime out rather than
+//! calling `ServeConfig::runtime`, so that it also builds against older
+//! versions of the library for comparison. Run it with
+//! `cargo test --release --test allocations -- --nocapture` to see the
+//! counts.
+
+use obase::adt::Account;
+use obase::core::ids::ObjectId;
+use obase::core::object::ObjectBase;
+use obase::core::value::Value;
+use obase::exec::{Expr, MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
+use obase::runtime::{ExecutionBackend, Observe, Runtime, Verify};
+use obase::serve::ServeConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// [`System`], counting every allocation and reallocation.
+struct Counting;
+
+/// Allocations so far. `Relaxed`: a statistic that publishes no other data.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method passes its caller's arguments unchanged to the same
+// method of `System`, so `System`'s guarantees hold for the caller; the
+// count beside it touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `accounts` accounts with a `deposit` and a `balance` method each, and
+/// one transaction that deposits into account 3 and reads account 5.
+fn accounts(accounts: usize) -> WorkloadSpec {
+    let mut base = ObjectBase::new();
+    for i in 0..accounts {
+        base.add_object_with_state(
+            format!("a{i}"),
+            Arc::new(Account::with_initial(1_000)),
+            Value::Int(1_000),
+        );
+    }
+    let mut def = ObjectBaseDef::new(Arc::new(base));
+    for i in 0..accounts {
+        for (name, params, op) in [("deposit", 1, "Deposit"), ("balance", 0, "Balance")] {
+            def.define_method(
+                ObjectId(i as u32),
+                MethodDef {
+                    name: name.into(),
+                    params,
+                    body: Program::Local {
+                        op: op.into(),
+                        args: (0..params).map(Expr::Param).collect(),
+                    },
+                },
+            );
+        }
+    }
+    WorkloadSpec {
+        def,
+        transactions: vec![TxnSpec {
+            name: "solo".into(),
+            body: Program::Seq(vec![
+                Program::invoke(ObjectId(3), "deposit", [Value::Int(5)]),
+                Program::invoke(ObjectId(5), "balance", []),
+            ]),
+        }],
+    }
+}
+
+/// The fewest allocations any of 10 runs of `workload` made.
+fn min_allocations(runtime: &Runtime, workload: &WorkloadSpec) -> u64 {
+    (0..10)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let report = runtime.run(workload).expect("a well-formed workload");
+            let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert_eq!(report.metrics.committed, 1, "{:?}", report.metrics);
+            assert!(report.checks.all_passed());
+            drop(report);
+            made
+        })
+        .min()
+        .expect("ten runs")
+}
+
+#[test]
+fn a_run_allocates_for_what_it_touches_not_for_the_base() {
+    let serve = ServeConfig::default();
+    let mut builder = Runtime::builder()
+        .scheduler(serve.scheduler.clone())
+        .backend(ExecutionBackend::Parallel {
+            workers: serve.workers,
+        })
+        .retries(serve.retries)
+        .mvcc(serve.mvcc)
+        .verify(Verify::Quick)
+        .observe(Observe::Latency);
+    if serve.store_shards > 0 {
+        builder = builder.store_shards(serve.store_shards);
+    }
+    let runtime = builder
+        .build()
+        .expect("the serve defaults are a valid runtime");
+    let (small, large) = (accounts(8), accounts(2_048));
+    let at_8 = min_allocations(&runtime, &small);
+    let at_2048 = min_allocations(&runtime, &large);
+    println!("allocations per run: {at_8} at 8 accounts, {at_2048} at 2048 accounts");
+    let bound = at_8 + at_8 / 20 + 16;
+    assert!(
+        at_2048 <= bound,
+        "a run over 2048 accounts made {at_2048} allocations against {at_8} over 8 \
+         (bound {bound}): the run is paying for the size of the object base"
+    );
+}
