@@ -181,6 +181,14 @@ pub enum ProgramError {
         /// The offending transaction's label.
         transaction: String,
     },
+    /// A top-level transaction refers to a parameter, as an invocation's
+    /// target or argument, but the environment passes it none.
+    UnresolvedParameter {
+        /// The offending transaction's label.
+        transaction: String,
+        /// The parameter index referred to.
+        parameter: usize,
+    },
 }
 
 /// The methods of an object base, with the memoised verdict of checking
@@ -249,8 +257,9 @@ impl ObjectBaseDef {
 
     /// Statically checks a program against the method table: every
     /// literally named invocation targets a defined method with the right
-    /// arity. `transaction` names a top-level program, which must also issue
-    /// no local operation; pass `None` for a method body.
+    /// arity (an object outside the base defines none). `transaction` names
+    /// a top-level program, which must also issue no local operation and
+    /// refer to no parameter; pass `None` for a method body.
     pub fn check_program(
         &self,
         program: &Program,
@@ -268,6 +277,22 @@ impl ObjectBaseDef {
                 method,
                 args,
             } => {
+                if let Some(name) = transaction {
+                    let object_param = match object {
+                        ObjRef::Param(i) => Some(*i),
+                        ObjRef::Const(_) => None,
+                    };
+                    let arg_param = args.iter().find_map(|a| match a {
+                        Expr::Param(i) => Some(*i),
+                        Expr::Const(_) => None,
+                    });
+                    if let Some(parameter) = object_param.or(arg_param) {
+                        return Err(ProgramError::UnresolvedParameter {
+                            transaction: name.to_owned(),
+                            parameter,
+                        });
+                    }
+                }
                 // Parameter-passed objects can only be resolved dynamically.
                 let ObjRef::Const(target) = object else {
                     return Ok(());

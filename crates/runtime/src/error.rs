@@ -145,6 +145,14 @@ pub enum RuntimeError {
         /// The offending transaction's label.
         transaction: String,
     },
+    /// A top-level transaction refers to a parameter, but the environment
+    /// passes it none.
+    UnresolvedParameter {
+        /// The offending transaction's label.
+        transaction: String,
+        /// The parameter index referred to.
+        parameter: usize,
+    },
     /// The durable backend could not write (or finalise) its write-ahead
     /// log. Carries the rendered I/O error; the run's effects must be
     /// considered not durable.
@@ -172,6 +180,14 @@ impl fmt::Display for RuntimeError {
                 f,
                 "transaction {transaction:?} issues a local operation at top \
                  level, but the environment has no variables"
+            ),
+            RuntimeError::UnresolvedParameter {
+                transaction,
+                parameter,
+            } => write!(
+                f,
+                "transaction {transaction:?} refers to parameter {parameter} at \
+                 top level, but the environment passes no arguments"
             ),
             RuntimeError::Durability(detail) => {
                 write!(f, "write-ahead log failure: {detail}")
@@ -209,6 +225,13 @@ impl From<ProgramError> for RuntimeError {
             ProgramError::LocalOperationAtTopLevel { transaction } => {
                 RuntimeError::LocalOperationAtTopLevel { transaction }
             }
+            ProgramError::UnresolvedParameter {
+                transaction,
+                parameter,
+            } => RuntimeError::UnresolvedParameter {
+                transaction,
+                parameter,
+            },
         }
     }
 }

@@ -519,9 +519,9 @@ impl RuntimeBuilder {
 
 /// Statically validates a workload against its object-base definition:
 /// every (literally named) invocation targets a defined method with the
-/// right arity, and no top-level transaction issues a local operation. The
-/// transactions are checked on every call; the method bodies once per
-/// method table ([`ObjectBaseDef::check_methods`]).
+/// right arity, and no top-level transaction issues a local operation or
+/// refers to a parameter. The transactions are checked on every call; the
+/// method bodies once per method table ([`ObjectBaseDef::check_methods`]).
 fn validate_workload(workload: &WorkloadSpec) -> Result<(), RuntimeError> {
     for txn in &workload.transactions {
         workload.def.check_program(&txn.body, Some(&txn.name))?;
@@ -537,7 +537,7 @@ mod tests {
     use obase_core::ids::ObjectId;
     use obase_core::object::ObjectBase;
     use obase_core::value::Value;
-    use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec};
+    use obase_exec::{Expr, MethodDef, ObjRef, ObjectBaseDef, Program, TxnSpec};
     use std::sync::Arc;
 
     fn tiny_workload() -> WorkloadSpec {
@@ -728,6 +728,33 @@ mod tests {
         assert!(matches!(
             runtime.run(&wl).unwrap_err(),
             RuntimeError::LocalOperationAtTopLevel { transaction } if transaction == "t0"
+        ));
+
+        // A top-level transaction has no arguments to refer to, whether as
+        // an invocation's target or as one of its arguments.
+        let mut wl = tiny_workload();
+        wl.transactions[0].body = Program::Invoke {
+            object: ObjRef::Param(0),
+            method: "bump".into(),
+            args: vec![],
+        };
+        assert!(matches!(
+            runtime.run(&wl).unwrap_err(),
+            RuntimeError::UnresolvedParameter { transaction, parameter: 0 } if transaction == "t0"
+        ));
+
+        let mut wl = tiny_workload();
+        wl.transactions[0].body = Program::Seq(vec![
+            Program::invoke(ObjectId(0), "bump", []),
+            Program::Invoke {
+                object: ObjRef::Const(ObjectId(0)),
+                method: "bump".into(),
+                args: vec![Expr::Param(3)],
+            },
+        ]);
+        assert!(matches!(
+            runtime.run(&wl).unwrap_err(),
+            RuntimeError::UnresolvedParameter { parameter: 3, .. }
         ));
     }
 

@@ -11,8 +11,9 @@
 //! Config changes take effect at the next *batch boundary*: the batch in
 //! flight finishes under the old scheduler and worker count, and
 //! everything admitted afterwards runs under the new one. Each batch runs
-//! on up to `workers` workers, one per transaction at most: the executor
-//! thread itself, plus threads from the parallel backend's resident pool,
+//! on up to `workers` workers, one per transaction at most: the thread
+//! running the batch (the executor thread, or the session thread of a lone
+//! submission), plus threads from the parallel backend's resident pool,
 //! which keeps its threads across batches and settles at the peak worker
 //! count ever used minus one, so "drain and resize" falls out of the
 //! batching design. No

@@ -3,14 +3,26 @@
 //! ## Threading model
 //!
 //! One *listener* thread accepts connections and spawns one *session*
-//! thread per client (blocking reads; hundreds of sessions are fine on a
-//! thread apiece). One *executor* thread drains the bounded admission
-//! queue into ingress batches and runs each batch as a workload on the
-//! parallel backend via the ordinary [`Runtime`], itself as the batch's
-//! first worker and on up to `workers - 1` resident pool threads beside it
-//! (one worker per transaction at most). Result frames are
-//! written back by the executor through a per-session write lock, so a
-//! session's reader thread and the executor never interleave bytes.
+//! thread per client (blocking reads through one buffered reader;
+//! hundreds of sessions are fine on a thread apiece). Batches run one at a
+//! time, each on whichever thread holds the *executor role*, which is taken
+//! under the queue lock only while it is free (flat combining, Hendler et
+//! al., SPAA 2010):
+//!
+//! - a session that admits a submission while no batch runs, nothing is
+//!   queued and its read buffer holds no further bytes (its client is
+//!   waiting for this answer, not pipelining) runs it itself as a batch of
+//!   one, so an idle server's ack crosses no thread hand-off;
+//! - everything else goes to the bounded admission queue, which one
+//!   *executor* thread drains into ingress batches whenever the role is
+//!   free.
+//!
+//! Either way the batch runs as a workload on the parallel backend via the
+//! ordinary [`Runtime`](obase_runtime::Runtime), with the running thread
+//! as its first worker and up to `workers - 1` resident pool threads beside
+//! it (one worker per transaction at most). The thread that ran the batch
+//! writes every result frame, through a per-session write lock, so a
+//! session's reader and another thread's results never interleave bytes.
 //!
 //! ## Admission and backpressure
 //!
@@ -24,12 +36,12 @@
 //!
 //! ## Batching and state carry-forward
 //!
-//! Whenever it is free, the executor takes whatever is admitted, up to
-//! [`ServeConfig::batch_max`] transactions, without waiting for more: a
-//! lone submission runs at once, and under load the queue refills while a
-//! batch runs. It runs the batch as one workload under
-//! [`Verify::Quick`], then writes the committed final states that the
-//! batch's legality check replayed
+//! Whenever the role is free, the executor takes whatever is queued, up to
+//! [`ServeConfig::batch_max`] transactions, without waiting for more: under
+//! load the queue refills while a batch runs. Every batch runs as one
+//! workload under [`Verify::Quick`](obase_runtime::Verify::Quick), then
+//! writes the committed final states that the batch's legality check
+//! replayed
 //! ([`RunReport::final_states`](obase_runtime::RunReport::final_states))
 //! into the object base as its new initial states, in place and only for
 //! the objects the batch touched, so the next batch continues the same
@@ -47,23 +59,24 @@
 //! old config; the next batch picks up the new scheduler, worker count
 //! and batching knobs. Scheduler instances are per-batch, and each batch
 //! runs on up to as many workers as its config names, one per transaction
-//! at most: the executor thread is the first, the parallel backend's
-//! resident pool supplies the rest (it settles at the peak count ever used
-//! minus one and keeps its threads), so "drain and resize" needs no extra
-//! machinery and no admitted transaction is ever dropped.
+//! at most: the thread running the batch is the first, the parallel
+//! backend's resident pool supplies the rest (it settles at the peak count
+//! ever used minus one and keeps its threads), so "drain and resize" needs
+//! no extra machinery and no admitted transaction is ever dropped.
 
 use crate::config::ServeConfig;
 use crate::oracle::merge_histories;
 use crate::wire::{self, Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use obase_core::history::History;
-use obase_exec::{Expr, ObjRef, ObjectBaseDef, Program, RunMetrics, TxnSpec, WorkloadSpec};
+use obase_exec::{ObjectBaseDef, Program, RunMetrics, TxnSpec, WorkloadSpec};
 use obase_obs::{Histogram, LatencyReport};
-use obase_runtime::ConfigError;
+use obase_runtime::{ConfigError, RuntimeError};
 use obase_ser::Json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -98,14 +111,12 @@ pub const MAX_TXN_LEAVES: usize = 4096;
 
 /// One admitted submission waiting for (or inside) a batch.
 struct Pending {
-    /// Unique in-world transaction name.
-    name: String,
+    /// The transaction under its unique in-world name.
+    txn: TxnSpec,
     /// Client correlation id.
     id: u64,
     /// Owning session.
     session: u64,
-    /// The transaction tree.
-    body: Program,
     /// Admission instant, for end-to-end latency.
     enqueued: Instant,
 }
@@ -113,11 +124,53 @@ struct Pending {
 /// Admission-queue state under one lock.
 struct QueueState {
     pending: VecDeque<Pending>,
-    /// Transactions currently executing in a batch.
+    /// Transactions in the running batch; zero exactly when the executor
+    /// role is free.
     in_flight: usize,
     draining: bool,
     shutdown: bool,
     admitted: u64,
+}
+
+impl QueueState {
+    /// Takes the executor role, which must be free, for a batch of `n`.
+    fn claim<'s>(&mut self, shared: &'s Shared, n: usize) -> Claim<'s> {
+        debug_assert!(self.in_flight == 0 && n > 0);
+        self.in_flight = n;
+        Claim { shared }
+    }
+}
+
+/// The executor role, held by the thread running the current batch.
+/// Dropping it releases the role, on a panic too, and wakes the executor if
+/// work queued up meanwhile, or else the drain waiters.
+struct Claim<'s> {
+    shared: &'s Shared,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut q = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        q.in_flight = 0;
+        if q.pending.is_empty() {
+            self.shared.idle_cv.notify_all();
+        } else {
+            self.shared.work_cv.notify_one();
+        }
+    }
+}
+
+/// What admission did with a submission.
+enum Admission<'s> {
+    /// Queued for the executor thread.
+    Queued,
+    /// Admitted with the executor role free and nothing queued: the
+    /// admitting session runs it itself, as a batch of one.
+    RunHere(Claim<'s>, Pending),
 }
 
 /// Aggregated world state: the evolving object-base definition plus
@@ -125,6 +178,8 @@ struct QueueState {
 struct WorldState {
     def: ObjectBaseDef,
     batches: u64,
+    /// Batches a session ran itself, without the executor hand-off.
+    inline_batches: u64,
     metrics: RunMetrics,
     latency: Option<LatencyReport>,
     /// Admission-to-settlement latency, microseconds.
@@ -162,7 +217,8 @@ struct Shared {
     name: String,
     cfg: Mutex<ServeConfig>,
     queue: Mutex<QueueState>,
-    /// Signals the executor (new work / shutdown) and batch completions.
+    /// Signals the executor: work queued while the role is free, or
+    /// shutdown.
     work_cv: Condvar,
     /// Signals drain waiters (queue empty and nothing in flight).
     idle_cv: Condvar,
@@ -233,6 +289,7 @@ impl Server {
             world: Mutex::new(WorldState {
                 def: world,
                 batches: 0,
+                inline_batches: 0,
                 metrics: RunMetrics::default(),
                 latency: None,
                 e2e: Histogram::new(),
@@ -382,66 +439,19 @@ impl Drop for Server {
 // ---------------------------------------------------------------------------
 // Admission.
 
-/// Validates a submitted transaction tree against the served object base.
-/// Everything the runtime's own workload validation would refuse must be
-/// refused here, so one bad submission can never poison a batch.
-fn validate_txn(def: &ObjectBaseDef, body: &Program) -> Result<(), String> {
+/// Validates a submitted transaction tree against the served object base:
+/// a leaf cap, then every check the runtime makes of a transaction
+/// ([`ObjectBaseDef::check_program`]), so one bad submission can never
+/// poison a batch.
+fn validate_txn(def: &ObjectBaseDef, name: &str, body: &Program) -> Result<(), String> {
     if body.leaf_count() > MAX_TXN_LEAVES {
         return Err(format!(
             "transaction tree has {} leaves (cap {MAX_TXN_LEAVES})",
             body.leaf_count()
         ));
     }
-    validate_top(def, body)
-}
-
-fn validate_top(def: &ObjectBaseDef, p: &Program) -> Result<(), String> {
-    match p {
-        Program::Local { op, .. } => Err(format!(
-            "local operation {op:?} at transaction top level (top-level steps must be invocations)"
-        )),
-        Program::Invoke {
-            object,
-            method,
-            args,
-        } => {
-            let id = match object {
-                ObjRef::Const(id) => *id,
-                ObjRef::Param(i) => {
-                    return Err(format!(
-                        "unresolved object parameter {i} at transaction top level"
-                    ))
-                }
-            };
-            if id.index() >= def.base().len() {
-                return Err(format!("unknown object id {}", id.0));
-            }
-            let m = def
-                .method(id, method)
-                .ok_or_else(|| format!("object {} defines no method {method:?}", id.0))?;
-            if m.params != args.len() {
-                return Err(format!(
-                    "method {method:?} takes {} arguments, got {}",
-                    m.params,
-                    args.len()
-                ));
-            }
-            for a in args {
-                if let Expr::Param(i) = a {
-                    return Err(format!(
-                        "unresolved argument parameter {i} at transaction top level"
-                    ));
-                }
-            }
-            Ok(())
-        }
-        Program::Seq(ps) | Program::Par(ps) => {
-            for p in ps {
-                validate_top(def, p)?;
-            }
-            Ok(())
-        }
-    }
+    def.check_program(body, Some(name))
+        .map_err(|e| RuntimeError::from(e).to_string())
 }
 
 /// Validates `desired`, swaps it in atomically and returns the names of the
@@ -454,19 +464,29 @@ fn reconcile(shared: &Shared, desired: ServeConfig) -> Result<Vec<&'static str>,
     Ok(changed)
 }
 
-fn try_admit(shared: &Shared, pending: Pending) -> Result<(), RejectReason> {
+/// Admits `pending`: into the admitting session's own hands if `lone` (its
+/// client sent nothing after it) and the server is idle, else into the
+/// queue.
+fn try_admit(shared: &Shared, pending: Pending, lone: bool) -> Result<Admission<'_>, RejectReason> {
     let depth = shared.cfg.lock().expect("config lock").queue_depth;
     let mut q = shared.queue.lock().expect("queue lock");
     if q.draining || q.shutdown {
         return Err(RejectReason::Draining);
+    }
+    if lone && q.in_flight == 0 && q.pending.is_empty() {
+        q.admitted += 1;
+        return Ok(Admission::RunHere(q.claim(shared, 1), pending));
     }
     if q.pending.len() >= depth {
         return Err(RejectReason::QueueFull { depth });
     }
     q.pending.push_back(pending);
     q.admitted += 1;
-    shared.work_cv.notify_all();
-    Ok(())
+    // A running batch's claim wakes the executor when it is released.
+    if q.in_flight == 0 {
+        shared.work_cv.notify_one();
+    }
+    Ok(Admission::Queued)
 }
 
 // ---------------------------------------------------------------------------
@@ -495,9 +515,12 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
         stream: Arc::clone(&stream),
         write_lock: Mutex::new(()),
     });
+    // Every read goes through this buffer: one syscall per burst, and what
+    // it still holds after a frame tells whether the client is pipelining.
+    let mut reader = BufReader::new(&*stream);
 
     // Handshake: exactly one hello, protocol must match.
-    match wire::read_frame(&mut &*stream) {
+    match wire::read_frame(&mut reader) {
         Ok(Frame::Hello { protocol, .. }) if protocol == PROTOCOL_VERSION => {
             let objects = {
                 let w = shared.world.lock().expect("world lock");
@@ -541,30 +564,36 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
         .insert(sid, Arc::clone(&session));
 
     loop {
-        match wire::read_frame(&mut &*stream) {
+        match wire::read_frame(&mut reader) {
             Ok(Frame::Submit { id, name, body }) => {
                 let verdict = {
                     let w = shared.world.lock().expect("world lock");
-                    validate_txn(&w.def, &body)
+                    validate_txn(&w.def, &name, &body)
                 };
-                let outcome = match verdict {
-                    Err(detail) => Err(RejectReason::Invalid(detail)),
-                    Ok(()) => try_admit(
-                        shared,
-                        Pending {
+                let outcome = verdict.map_err(RejectReason::Invalid).and_then(|()| {
+                    let pending = Pending {
+                        txn: TxnSpec {
                             // Globally unique in-world name; the client's
                             // label rides along for log readability.
                             name: format!("{name}#s{sid}x{id}"),
-                            id,
-                            session: sid,
                             body,
-                            enqueued: Instant::now(),
                         },
-                    ),
-                };
-                if let Err(reason) = outcome {
-                    if session.write(&Frame::Reject { id, reason }).is_err() {
-                        break;
+                        id,
+                        session: sid,
+                        enqueued: Instant::now(),
+                    };
+                    try_admit(shared, pending, reader.buffer().is_empty())
+                });
+                match outcome {
+                    Ok(Admission::Queued) => {}
+                    Ok(Admission::RunHere(claim, pending)) => {
+                        run_batch(shared, vec![pending], true);
+                        drop(claim);
+                    }
+                    Err(reason) => {
+                        if session.write(&Frame::Reject { id, reason }).is_err() {
+                            break;
+                        }
                     }
                 }
             }
@@ -627,13 +656,13 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
 
 fn executor_loop(shared: &Arc<Shared>) {
     loop {
-        let batch = {
+        let (claim, batch) = {
             let mut q = shared.queue.lock().expect("queue lock");
             loop {
-                if !q.pending.is_empty() {
+                if !q.pending.is_empty() && q.in_flight == 0 {
                     break;
                 }
-                if q.shutdown {
+                if q.shutdown && q.pending.is_empty() {
                     return;
                 }
                 q = shared.work_cv.wait(q).expect("queue lock");
@@ -643,32 +672,22 @@ fn executor_loop(shared: &Arc<Shared>) {
             let batch_max = shared.cfg.lock().expect("config lock").batch_max;
             let take = q.pending.len().min(batch_max);
             let batch: Vec<Pending> = q.pending.drain(..take).collect();
-            q.in_flight = batch.len();
-            batch
+            (q.claim(shared, batch.len()), batch)
         };
-
-        run_batch(shared, batch);
-
-        {
-            let mut q = shared.queue.lock().expect("queue lock");
-            q.in_flight = 0;
-            if q.pending.is_empty() {
-                shared.idle_cv.notify_all();
-            }
-        }
+        run_batch(shared, batch, false);
+        drop(claim);
     }
 }
 
-fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
+/// Runs one batch and answers its submitters. The caller holds the
+/// executor role; `inline` says it is the submitting session.
+fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, inline: bool) {
     let cfg = shared.cfg.lock().expect("config lock").clone();
     let def = shared.world.lock().expect("world lock").def.clone();
-    let transactions: Vec<TxnSpec> = batch
-        .iter()
-        .map(|p| TxnSpec {
-            name: p.name.clone(),
-            body: p.body.clone(),
-        })
-        .collect();
+    let (transactions, waiting): (Vec<TxnSpec>, Vec<(u64, u64, Instant)>) = batch
+        .into_iter()
+        .map(|p| (p.txn, (p.session, p.id, p.enqueued)))
+        .unzip();
     let workload = WorkloadSpec { def, transactions };
 
     let run = cfg
@@ -686,7 +705,7 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
                 code: "batch-failed".into(),
                 detail,
             };
-            send_frames(shared, batch.iter().map(|p| (p.session, &error)));
+            send_frames(shared, waiting.iter().map(|&(sid, ..)| (sid, &error)));
             return;
         }
     };
@@ -699,9 +718,10 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
             .into_iter()
             .map(|e| report.history.exec(e).method.as_str())
             .collect();
-        batch
+        workload
+            .transactions
             .iter()
-            .map(|p| names.contains(p.name.as_str()))
+            .map(|t| names.contains(t.name.as_str()))
             .collect()
     };
 
@@ -715,6 +735,7 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
     let answers: Vec<(u64, Frame)> = {
         let mut w = shared.world.lock().expect("world lock");
         w.batches += 1;
+        w.inline_batches += u64::from(inline);
         if !report.checks.all_passed() {
             w.oracle_failures += 1;
         }
@@ -737,11 +758,11 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
         }
         // Count every outcome before any frame is written, so a client
         // holding its result never reads a status that lacks it.
-        batch
-            .iter()
+        waiting
+            .into_iter()
             .zip(committed)
-            .map(|(p, committed)| {
-                let latency_us = p.enqueued.elapsed().as_micros() as u64;
+            .map(|((session, id, enqueued), committed)| {
+                let latency_us = enqueued.elapsed().as_micros() as u64;
                 if committed {
                     w.committed += 1;
                 } else {
@@ -749,11 +770,11 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>) {
                 }
                 w.e2e.record(latency_us);
                 let result = Frame::Result {
-                    id: p.id,
+                    id,
                     committed,
                     latency_us,
                 };
-                (p.session, result)
+                (session, result)
             })
             .collect()
     };
@@ -811,6 +832,7 @@ fn status_json(shared: &Shared) -> Json {
         ("committed", Json::Int(w.committed as i64)),
         ("gave_up", Json::Int(w.gave_up as i64)),
         ("batches", Json::Int(w.batches as i64)),
+        ("inline_batches", Json::Int(w.inline_batches as i64)),
         ("oracle_failures", Json::Int(w.oracle_failures as i64)),
         ("batch_errors", Json::Int(w.batch_errors as i64)),
         ("results_sent", Json::Int(w.results_sent as i64)),

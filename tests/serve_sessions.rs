@@ -3,7 +3,11 @@
 //! reconcile — and the merged history of everything admitted held to the
 //! serialisability oracle.
 
+use obase::core::error::TypeError;
+use obase::core::object::SemanticType;
+use obase::core::op::Operation;
 use obase::core::oracle;
+use obase::core::value::Value;
 use obase::runtime::SchedulerSpec;
 use obase::scenario::by_name;
 use obase::serve::{
@@ -483,7 +487,6 @@ fn state_carries_across_one_transaction_batches() {
     use obase::adt::Account;
     use obase::core::object::ObjectBase;
     use obase::core::replay;
-    use obase::core::value::Value;
     use obase::exec::{Expr, MethodDef, ObjectBaseDef, Program};
 
     const OPENING: i64 = 1_000;
@@ -578,15 +581,56 @@ fn protocol_violations_get_typed_error_frames() {
 #[test]
 fn invalid_transactions_are_rejected_with_reasons() {
     use obase::core::ids::ObjectId;
-    use obase::core::value::Value;
     use obase::exec::{Expr, ObjRef, Program};
+    use obase::serve::server::MAX_TXN_LEAVES;
 
     let scenario = scenario();
     let workload = scenario.compile();
     let server = Server::for_scenario(&scenario, quick_config(), "127.0.0.1:0").expect("bind");
     let mut client = ServeClient::connect(server.addr(), "invalid").expect("connect");
 
+    let (object, method) = {
+        let def = scenario.compile_def();
+        let (object, m) = def.methods().next().expect("a served method");
+        (object, m.clone())
+    };
+    let valid = Program::Invoke {
+        object: ObjRef::Const(object),
+        method: method.name.clone(),
+        args: vec![Expr::Const(Value::Int(1)); method.params],
+    };
     let cases: Vec<(&str, Program)> = vec![
+        (
+            "too many leaves",
+            Program::Seq(vec![valid.clone(); MAX_TXN_LEAVES + 1]),
+        ),
+        (
+            "unknown method",
+            Program::Invoke {
+                object: ObjRef::Const(object),
+                method: "no-such-method".into(),
+                args: vec![],
+            },
+        ),
+        (
+            "arity mismatch",
+            Program::Invoke {
+                object: ObjRef::Const(object),
+                method: method.name.clone(),
+                args: vec![Expr::Const(Value::Int(1)); method.params + 1],
+            },
+        ),
+        (
+            "unbound argument parameter",
+            Program::Seq(vec![
+                valid.clone(),
+                Program::Invoke {
+                    object: ObjRef::Const(object),
+                    method: method.name.clone(),
+                    args: vec![Expr::Param(0); method.params.max(1)],
+                },
+            ]),
+        ),
         (
             "top-level local step",
             Program::Local {
@@ -631,4 +675,266 @@ fn invalid_transactions_are_rejected_with_reasons() {
         summary.admitted, 1,
         "invalid submissions were never admitted"
     );
+}
+
+/// A status counter as an integer.
+fn counter(status: &Json, key: &str) -> i64 {
+    status
+        .get(key)
+        .and_then(Json::as_int)
+        .unwrap_or_else(|| panic!("status has no integer {key:?}: {status}"))
+}
+
+#[test]
+fn lone_submissions_run_on_their_session_thread() {
+    let scenario = scenario();
+    let workload = scenario.compile();
+    let server = Server::for_scenario(&scenario, quick_config(), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.addr(), "lone").expect("connect");
+
+    // Each submission waits for the previous ack, so the server is idle
+    // and the session's buffer empty every time one arrives.
+    const N: i64 = 10;
+    for t in workload.transactions.iter().cycle().take(N as usize) {
+        assert!(client
+            .submit_wait(&t.name, t.body.clone())
+            .expect("settle")
+            .is_settled());
+    }
+    let status = client.status().expect("status");
+    assert_eq!(counter(&status, "batches"), N, "{status}");
+    assert_eq!(counter(&status, "inline_batches"), N, "{status}");
+    client.goodbye();
+    let summary = server.shutdown();
+    assert_eq!(summary.committed + summary.gave_up, N as u64);
+    oracle::check(&summary.history.expect("history"), true).expect("serialisable");
+}
+
+#[test]
+fn a_pipelined_burst_still_batches() {
+    let scenario = scenario();
+    let workload = scenario.compile();
+    let server =
+        Server::for_scenario(&scenario, ServeConfig::default(), "127.0.0.1:0").expect("bind");
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    wire::write_frame(
+        &mut raw,
+        &Frame::Hello {
+            client: "burst".into(),
+            protocol: PROTOCOL_VERSION,
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        wire::read_frame(&mut raw).expect("welcome"),
+        Frame::Welcome { .. }
+    ));
+    const BURST: u64 = 32;
+    let burst: Vec<u8> = (1..=BURST)
+        .flat_map(|id| {
+            let t = &workload.transactions[id as usize % workload.transactions.len()];
+            wire::encode_frame(&Frame::Submit {
+                id,
+                name: t.name.clone(),
+                body: t.body.clone(),
+            })
+        })
+        .collect();
+    use std::io::Write;
+    raw.write_all(&burst).expect("the whole burst in one write");
+    for _ in 0..BURST {
+        match wire::read_frame(&mut raw).expect("answer") {
+            Frame::Result { .. } => {}
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    drop(raw);
+
+    let summary = server.shutdown();
+    assert_eq!(summary.admitted, BURST);
+    assert_eq!(summary.committed + summary.gave_up, BURST);
+    assert!(
+        summary.batches < BURST,
+        "a pipelined burst ran as {} batches: each submission ran alone",
+        summary.batches
+    );
+}
+
+#[test]
+fn lone_and_pipelined_sessions_merge_into_one_history() {
+    let scenario = scenario();
+    let workload = scenario.compile();
+    let server = Server::for_scenario(&scenario, quick_config(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // Even sessions submit one at a time (candidates to run inline), odd
+    // ones pipeline windows of 6 (queued for the executor), all at once.
+    const SESSIONS: usize = 6;
+    const PER_SESSION: usize = 24;
+    let handles: Vec<_> = (0..SESSIONS)
+        .map(|s| {
+            let templates = workload.transactions.clone();
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(addr, &format!("mix-{s}")).expect("connect");
+                let window = if s % 2 == 0 { 1 } else { 6 };
+                let mut settled = 0;
+                for chunk in (0..PER_SESSION).collect::<Vec<_>>().chunks(window) {
+                    let ids: Vec<u64> = chunk
+                        .iter()
+                        .map(|i| {
+                            let t = &templates[(s + i) % templates.len()];
+                            client.submit(&t.name, t.body.clone()).expect("submit")
+                        })
+                        .collect();
+                    for id in ids {
+                        settled += usize::from(client.wait(id).expect("wait").is_settled());
+                    }
+                }
+                client.goodbye();
+                settled
+            })
+        })
+        .collect();
+    let settled: usize = handles.into_iter().map(|h| h.join().expect("join")).sum();
+    assert_eq!(settled, SESSIONS * PER_SESSION);
+
+    let status = server.status();
+    let (batches, inline) = (
+        counter(&status, "batches"),
+        counter(&status, "inline_batches"),
+    );
+    assert!(inline <= batches, "{inline} inline of {batches} batches");
+    let summary = server.shutdown();
+    assert_eq!(summary.admitted, (SESSIONS * PER_SESSION) as u64);
+    assert_eq!(summary.committed + summary.gave_up, summary.admitted);
+    assert_eq!(summary.oracle_failures, 0);
+    // If an inline batch and an executor batch ever ran at once, both
+    // would advance the world from the same base, and the merged history
+    // would replay illegally.
+    oracle::check(&summary.history.expect("history"), true)
+        .expect("inline and executor batches merge into one serialisable history");
+}
+
+/// A semantic type whose every operation waits until its gate opens, so a
+/// test can hold a batch in flight for as long as it likes.
+#[derive(Debug, Default)]
+struct Gate {
+    state: std::sync::Mutex<GateState>,
+    changed: std::sync::Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    /// An operation has reached the gate.
+    entered: bool,
+    /// Operations pass.
+    open: bool,
+}
+
+impl Gate {
+    fn wait_until(&self, ready: impl Fn(&GateState) -> bool) {
+        let mut state = self.state.lock().expect("gate");
+        while !ready(&state) {
+            state = self.changed.wait(state).expect("gate");
+        }
+    }
+
+    fn set(&self, update: impl FnOnce(&mut GateState)) {
+        update(&mut self.state.lock().expect("gate"));
+        self.changed.notify_all();
+    }
+}
+
+impl SemanticType for Gate {
+    fn type_name(&self) -> &str {
+        "Gate"
+    }
+
+    fn initial_state(&self) -> Value {
+        Value::Int(0)
+    }
+
+    fn apply(&self, state: &Value, _op: &Operation) -> Result<(Value, Value), TypeError> {
+        self.set(|s| s.entered = true);
+        self.wait_until(|s| s.open);
+        Ok((state.clone(), Value::Unit))
+    }
+
+    fn ops_conflict(&self, _a: &Operation, _b: &Operation) -> bool {
+        true
+    }
+}
+
+#[test]
+fn drain_waits_for_a_running_inline_batch() {
+    use obase::core::object::ObjectBase;
+    use obase::exec::{MethodDef, ObjectBaseDef, Program};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let gate = Arc::new(Gate::default());
+    let mut base = ObjectBase::new();
+    let object = base.add_object("gate", Arc::clone(&gate) as _);
+    let mut def = ObjectBaseDef::new(Arc::new(base));
+    def.define_method(
+        object,
+        MethodDef {
+            name: "pass".into(),
+            params: 0,
+            body: Program::local("Pass", []),
+        },
+    );
+    let server = Arc::new(Server::bind(def, ServeConfig::default(), "127.0.0.1:0").expect("bind"));
+
+    let mut client = ServeClient::connect(server.addr(), "gated").expect("connect");
+    let submitter = std::thread::spawn(move || {
+        let outcome = client
+            .submit_wait("pass", Program::invoke(object, "pass", []))
+            .expect("settle");
+        client.goodbye();
+        outcome
+    });
+    // The batch is now inside the engine, on the submitting session.
+    gate.wait_until(|s| s.entered);
+    let status = server.status();
+    assert_eq!(counter(&status, "admitted"), 1);
+    let in_flight = status
+        .get("queue")
+        .and_then(|q| q.get("in_flight"))
+        .and_then(Json::as_int);
+    assert_eq!(in_flight, Some(1), "{status}");
+
+    let drained = Arc::new(AtomicBool::new(false));
+    let drainer = {
+        let (server, drained) = (Arc::clone(&server), Arc::clone(&drained));
+        std::thread::spawn(move || {
+            server.drain();
+            drained.store(true, Ordering::SeqCst);
+        })
+    };
+    // Nothing can signal that drain has wrongly returned early, so give a
+    // wrong one time to do it while the gate holds the batch.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        !drained.load(Ordering::SeqCst),
+        "drain returned while the inline batch was still running"
+    );
+    gate.set(|s| s.open = true);
+    drainer.join().expect("drain");
+
+    // Drain returned, so the inline batch's result is already counted.
+    let status = server.status();
+    assert_eq!(counter(&status, "batches"), 1, "{status}");
+    assert_eq!(counter(&status, "inline_batches"), 1, "{status}");
+    assert_eq!(
+        counter(&status, "committed") + counter(&status, "gave_up"),
+        1,
+        "{status}"
+    );
+    assert_eq!(counter(&status, "results_sent"), 1, "{status}");
+    assert!(submitter.join().expect("submitter").is_settled());
+    let server = Arc::into_inner(server).expect("the only handle");
+    server.resume();
+    let summary = server.shutdown();
+    assert_eq!(summary.oracle_failures, 0);
 }
