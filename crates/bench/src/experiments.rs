@@ -2,8 +2,8 @@
 
 use obase_exec::{RunMetrics, WorkloadSpec};
 use obase_runtime::{
-    ChromeTraceObserver, ExecutionBackend, NullObserver, Observe, RunReport, Runtime,
-    SchedulerSpec, Verify,
+    ChromeTraceObserver, ExecutionBackend, LatencyReport, NullObserver, Observe, RunReport,
+    Runtime, SchedulerSpec, Verify,
 };
 use obase_ser::Json;
 use obase_workload as wl;
@@ -1167,6 +1167,11 @@ pub fn check_flat_guard(rows: &[Row]) -> Result<(), String> {
 /// transaction with its checks passed. The rows are the in-process
 /// counterpart of servebench's solo phase; [`check_run_flat_guard`] holds
 /// the two `flat-accounts` points together.
+///
+/// `latency_fold_us_p50` times what the server does next with each run's
+/// latency report: fold it into its lifetime aggregate. Here each workload
+/// keeps one aggregate that has seen 2,048 distinct blocked objects before
+/// its first fold, so a fold that paid for the aggregate's size would show.
 pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
     use obase_core::ids::ObjectId;
     use obase_core::object::{ObjectBase, TypeHandle};
@@ -1254,16 +1259,11 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
             chain
         },
     );
-    let mut points: Vec<(&str, WorkloadSpec, Vec<f64>)> = vec![
-        (
-            "flat-accounts",
-            one(accounts(256), deposit_and_read()),
-            Vec::new(),
-        ),
+    let workloads = [
+        ("flat-accounts", one(accounts(256), deposit_and_read())),
         (
             "flat-accounts-2048",
             one(accounts(2_048), deposit_and_read()),
-            Vec::new(),
         ),
         (
             "large-dict",
@@ -1274,7 +1274,6 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
                     Program::invoke(ObjectId(5), "put", [Value::from("k77"), Value::Int(-1)]),
                 ]),
             ),
-            Vec::new(),
         ),
         (
             "hot-nested",
@@ -1282,40 +1281,93 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
                 counters,
                 Program::invoke(ObjectId(0), "h3", [Value::Int(2)]),
             ),
-            Vec::new(),
         ),
     ];
+    // Per workload: its lifetime aggregate, then the run and fold figures.
+    let mut points: Vec<_> = workloads
+        .into_iter()
+        .map(|(name, workload)| {
+            (
+                name,
+                workload,
+                blocked_on_many(2_048),
+                Vec::new(),
+                Vec::new(),
+            )
+        })
+        .collect();
     let runtime = obase_serve::ServeConfig::default()
         .runtime()
         .expect("the serve defaults are a valid runtime");
-    let run_us = |workload: &WorkloadSpec| {
+    // One run, then the fold of its latency report into `aggregate`: the
+    // microseconds each took.
+    let run_and_fold_us = |workload: &WorkloadSpec, aggregate: &mut LatencyReport| {
         let t0 = Instant::now();
         let report = runtime.run(workload).expect("a well-formed workload");
-        let us = t0.elapsed().as_nanos() as f64 / 1_000.0;
+        let run_us = t0.elapsed().as_nanos() as f64 / 1_000.0;
         assert_eq!(report.metrics.committed, 1, "{:?}", report.metrics);
         assert!(report.checks.all_passed());
-        us
+        let latency = report
+            .latency()
+            .expect("the serve runtime observes latency");
+        let t1 = Instant::now();
+        aggregate.merge(latency);
+        (run_us, t1.elapsed().as_nanos() as f64 / 1_000.0)
+    };
+    let median = |mut figures: Vec<f64>| {
+        figures.sort_by(f64::total_cmp);
+        figures[figures.len() / 2]
     };
     for _ in 0..reps {
-        for (_, workload, figures) in &mut points {
-            run_us(workload);
-            let mut runs: Vec<f64> = (0..RUNS).map(|_| run_us(workload)).collect();
-            runs.sort_by(f64::total_cmp);
-            figures.push(runs[RUNS / 2]);
+        for (_, workload, aggregate, run_figures, fold_figures) in &mut points {
+            run_and_fold_us(workload, aggregate);
+            let (runs, folds): (Vec<f64>, Vec<f64>) = (0..RUNS)
+                .map(|_| run_and_fold_us(workload, aggregate))
+                .unzip();
+            run_figures.push(median(runs));
+            fold_figures.push(median(folds));
         }
     }
     points
         .into_iter()
-        .map(|(name, _, mut figures)| {
+        .map(|(name, _, _, mut figures, folds)| {
             figures.sort_by(f64::total_cmp);
             let at = |q: f64| figures[((figures.len() - 1) as f64 * q).round() as usize];
             Row::new(name)
                 .with("run_us_p25", at(0.25))
                 .with("run_us_p50", at(0.5))
                 .with("run_us_p75", at(0.75))
+                .with("latency_fold_us_p50", median(folds))
                 .with("repetitions", figures.len() as f64)
         })
         .collect()
+}
+
+/// A latency report that has seen `objects` distinct blocked objects: one
+/// transaction blocked once on each, for 1 to 40 µs, across four shards.
+fn blocked_on_many(objects: u32) -> LatencyReport {
+    use obase_core::ids::{ExecId, ObjectId};
+    use obase_runtime::{ObsEvent, ObsStamped};
+
+    let top = ExecId(0);
+    let at = |at_micros: u64, event: ObsEvent| ObsStamped { at_micros, event };
+    let mut events = vec![at(
+        0,
+        ObsEvent::Admit {
+            top,
+            spec: 0,
+            attempt: 0,
+        },
+    )];
+    let mut t = 1;
+    for o in 0..objects {
+        let (object, shard) = (ObjectId(o), o as usize % 4);
+        events.push(at(t, ObsEvent::BlockBegin { top, object, shard }));
+        t += 1 + u64::from(o * 7 % 40);
+        events.push(at(t, ObsEvent::BlockEnd { top, object, shard }));
+    }
+    events.push(at(t, ObsEvent::Commit { top }));
+    LatencyReport::from_events(&[("worker-0", events)])
 }
 
 /// The flat-cost guard over [`e15_batch_of_one`] rows: the median run over

@@ -128,6 +128,40 @@ pub enum ObsEvent {
     FsyncEnd,
 }
 
+/// The name of an execution lane: a fixed label, numbered for the lanes
+/// that come in families (`worker-3`). It is `Copy`, so opening and
+/// flushing a lane allocates nothing for its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneId {
+    label: &'static str,
+    index: Option<usize>,
+}
+
+impl LaneId {
+    /// The lane of parallel worker `index`, displayed as `worker-{index}`.
+    pub const fn worker(index: usize) -> Self {
+        LaneId {
+            label: "worker",
+            index: Some(index),
+        }
+    }
+}
+
+impl From<&'static str> for LaneId {
+    fn from(label: &'static str) -> Self {
+        LaneId { label, index: None }
+    }
+}
+
+impl fmt::Display for LaneId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.index {
+            Some(i) => write!(f, "{}-{i}", self.label),
+            None => f.write_str(self.label),
+        }
+    }
+}
+
 /// Receives batches of timestamped events from the engines.
 ///
 /// Implementations must be cheap to call from many threads: lanes batch, so
@@ -141,9 +175,9 @@ pub trait Observer: Send + Sync {
     }
 
     /// Delivers one lane's buffered events. `lane` names the execution lane
-    /// (`"worker-3"`, `"sim"`, `"control"`, `"wal"`, `"branch"`); a lane
-    /// name may be flushed many times and by many short-lived lanes.
-    fn observe(&self, lane: &str, events: Vec<ObsStamped>);
+    /// (`worker-3`, `sim`, `control`, `wal`, `branch`); a lane name may be
+    /// flushed many times and by many short-lived lanes.
+    fn observe(&self, lane: LaneId, events: Vec<ObsStamped>);
 }
 
 /// The default observer: wants nothing, records nothing.
@@ -159,7 +193,7 @@ impl Observer for NullObserver {
         false
     }
 
-    fn observe(&self, _lane: &str, _events: Vec<ObsStamped>) {}
+    fn observe(&self, _lane: LaneId, _events: Vec<ObsStamped>) {}
 }
 
 struct HandleInner {
@@ -200,7 +234,7 @@ impl ObsHandle {
 
     /// Opens a buffered lane. Inert (and allocation-free) when the handle is
     /// off.
-    pub fn lane(&self, name: impl Into<String>) -> ObsLane {
+    pub fn lane(&self, name: impl Into<LaneId>) -> ObsLane {
         ObsLane(self.0.as_ref().map(|inner| LaneBuf {
             inner: Arc::clone(inner),
             name: name.into(),
@@ -221,7 +255,7 @@ impl fmt::Debug for ObsHandle {
 
 struct LaneBuf {
     inner: Arc<HandleInner>,
-    name: String,
+    name: LaneId,
     buf: Vec<ObsStamped>,
 }
 
@@ -259,7 +293,7 @@ impl ObsLane {
             if !lane.buf.is_empty() {
                 lane.inner
                     .observer
-                    .observe(&lane.name, std::mem::take(&mut lane.buf));
+                    .observe(lane.name, std::mem::take(&mut lane.buf));
             }
         }
     }
@@ -268,7 +302,7 @@ impl ObsLane {
 impl fmt::Debug for ObsLane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0.as_ref() {
-            Some(lane) => write!(f, "ObsLane({:?}, {} buffered)", lane.name, lane.buf.len()),
+            Some(lane) => write!(f, "ObsLane(\"{}\", {} buffered)", lane.name, lane.buf.len()),
             None => f.write_str("ObsLane(off)"),
         }
     }
@@ -288,8 +322,11 @@ mod tests {
     struct Counting(Mutex<Vec<(String, usize)>>);
 
     impl Observer for Counting {
-        fn observe(&self, lane: &str, events: Vec<ObsStamped>) {
-            self.0.lock().unwrap().push((lane.to_owned(), events.len()));
+        fn observe(&self, lane: LaneId, events: Vec<ObsStamped>) {
+            self.0
+                .lock()
+                .unwrap()
+                .push((lane.to_string(), events.len()));
         }
     }
 
@@ -321,15 +358,19 @@ mod tests {
             // Not yet delivered: lanes batch.
             assert!(obs.0.lock().unwrap().is_empty());
         }
+        h.lane(LaneId::worker(3)).emit(ObsEvent::FsyncBegin);
         let seen = obs.0.lock().unwrap().clone();
-        assert_eq!(seen, vec![("sim".to_owned(), 2)]);
+        assert_eq!(
+            seen,
+            vec![("sim".to_owned(), 2), ("worker-3".to_owned(), 1)]
+        );
     }
 
     #[test]
     fn timestamps_are_monotone_within_a_lane() {
         struct Keep(Mutex<Vec<ObsStamped>>);
         impl Observer for Keep {
-            fn observe(&self, _lane: &str, events: Vec<ObsStamped>) {
+            fn observe(&self, _lane: LaneId, events: Vec<ObsStamped>) {
                 self.0.lock().unwrap().extend(events);
             }
         }

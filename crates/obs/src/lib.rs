@@ -14,7 +14,8 @@
 //!   wiring types: the [`Observer`] trait, the zero-cost [`NullObserver`],
 //!   the cloneable [`ObsHandle`] threaded through the engines, and the
 //!   per-worker [`ObsLane`] buffers (lock-free on the hot path, batched to
-//!   the observer exactly like `core::record::EventBuffer` stitching).
+//!   the observer exactly like `core::record::EventBuffer` stitching), each
+//!   named by a `Copy` [`LaneId`].
 //! * [`histogram`] — log-bucketed HDR-style [`Histogram`]s: power-of-two
 //!   octaves with 32 linear sub-buckets each (≤ 3.2% relative error), no
 //!   external crates, mergeable across workers by adding count arrays.
@@ -67,7 +68,7 @@ pub mod histogram;
 pub mod report;
 pub mod trace;
 
-pub use event::{NullObserver, ObsEvent, ObsHandle, ObsLane, ObsStamped, Observer};
+pub use event::{LaneId, NullObserver, ObsEvent, ObsHandle, ObsLane, ObsStamped, Observer};
 pub use histogram::Histogram;
 pub use report::LatencyReport;
 pub use trace::{ChromeTraceObserver, RecordingObserver};

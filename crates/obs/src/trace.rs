@@ -11,50 +11,46 @@
 //! retries, installs and dooms. Load the file at <https://ui.perfetto.dev>
 //! or `chrome://tracing`.
 
-use crate::event::{ObsEvent, ObsStamped, Observer};
+use crate::event::{LaneId, ObsEvent, ObsStamped, Observer};
 use crate::report::LatencyReport;
 use obase_ser::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use obase_core::ids::ExecId;
 
 /// Collects every lane batch, in flush order.
 #[derive(Debug, Default)]
 pub struct RecordingObserver {
-    batches: Mutex<Vec<(String, Vec<ObsStamped>)>>,
+    batches: Mutex<Vec<(LaneId, Vec<ObsStamped>)>>,
 }
 
 impl Observer for RecordingObserver {
-    fn observe(&self, lane: &str, events: Vec<ObsStamped>) {
-        self.batches
-            .lock()
-            .expect("recording observer poisoned")
-            .push((lane.to_owned(), events));
+    fn observe(&self, lane: LaneId, events: Vec<ObsStamped>) {
+        self.batches().push((lane, events));
     }
 }
 
 impl RecordingObserver {
+    fn batches(&self) -> MutexGuard<'_, Vec<(LaneId, Vec<ObsStamped>)>> {
+        self.batches.lock().expect("recording observer poisoned")
+    }
+
     /// A copy of everything recorded so far, as (lane, batch) pairs.
-    pub fn snapshot(&self) -> Vec<(String, Vec<ObsStamped>)> {
-        self.batches
-            .lock()
-            .expect("recording observer poisoned")
-            .clone()
+    pub fn snapshot(&self) -> Vec<(LaneId, Vec<ObsStamped>)> {
+        self.batches().clone()
     }
 
     /// Drops everything recorded so far (e.g. between `compare` legs).
     pub fn clear(&self) {
-        self.batches
-            .lock()
-            .expect("recording observer poisoned")
-            .clear();
+        self.batches().clear();
     }
 
-    /// Derives the latency report from the recorded stream.
+    /// Derives the latency report from the recorded stream, reading the
+    /// batches in place under the lock rather than copying them out.
     pub fn latency(&self) -> LatencyReport {
-        LatencyReport::from_events(&self.snapshot())
+        LatencyReport::from_events(&self.batches())
     }
 }
 
@@ -65,7 +61,7 @@ pub struct ChromeTraceObserver {
 }
 
 impl Observer for ChromeTraceObserver {
-    fn observe(&self, lane: &str, events: Vec<ObsStamped>) {
+    fn observe(&self, lane: LaneId, events: Vec<ObsStamped>) {
         self.rec.observe(lane, events);
     }
 }
@@ -87,7 +83,7 @@ impl ChromeTraceObserver {
     }
 
     /// A copy of the raw recorded stream.
-    pub fn snapshot(&self) -> Vec<(String, Vec<ObsStamped>)> {
+    pub fn snapshot(&self) -> Vec<(LaneId, Vec<ObsStamped>)> {
         self.rec.snapshot()
     }
 
@@ -102,7 +98,12 @@ impl ChromeTraceObserver {
     /// transaction attempts / blocked waits / certifications / fsyncs, and
     /// instants for submits, retries, installs, first grants and dooms.
     pub fn trace_json(&self) -> Json {
-        let batches = self.rec.snapshot();
+        let batches: Vec<(String, Vec<ObsStamped>)> = self
+            .rec
+            .snapshot()
+            .into_iter()
+            .map(|(lane, events)| (lane.to_string(), events))
+            .collect();
         // Lanes become tids in order of first appearance.
         let mut tids: BTreeMap<String, i64> = BTreeMap::new();
         for (lane, _) in &batches {
@@ -122,8 +123,9 @@ impl ChromeTraceObserver {
         let mut tops: BTreeMap<ExecId, Top> = BTreeMap::new();
         let mut spans: Vec<Span> = Vec::new();
         let mut instants: Vec<(String, u64, String, &'static str)> = Vec::new();
-        let mut open_blocks: BTreeMap<(ExecId, u32, usize), Vec<(String, u64)>> = BTreeMap::new();
-        let mut open_fsync: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        let mut open_blocks: BTreeMap<(ExecId, u32, usize), VecDeque<(String, u64)>> =
+            BTreeMap::new();
+        let mut open_fsync: BTreeMap<String, VecDeque<u64>> = BTreeMap::new();
         let mut last_ts = 0u64;
 
         for (lane, events) in &batches {
@@ -159,12 +161,11 @@ impl ChromeTraceObserver {
                         open_blocks
                             .entry((top, object.0, shard))
                             .or_default()
-                            .push((lane.clone(), s.at_micros));
+                            .push_back((lane.clone(), s.at_micros));
                     }
                     ObsEvent::BlockEnd { top, object, shard } => {
                         if let Some(opens) = open_blocks.get_mut(&(top, object.0, shard)) {
-                            if !opens.is_empty() {
-                                let (begin_lane, begin) = opens.remove(0);
+                            if let Some((begin_lane, begin)) = opens.pop_front() {
                                 spans.push(Span {
                                     name: format!("blocked o{}", object.0),
                                     cat: "blocked",
@@ -184,12 +185,11 @@ impl ChromeTraceObserver {
                         open_fsync
                             .entry(lane.clone())
                             .or_default()
-                            .push(s.at_micros);
+                            .push_back(s.at_micros);
                     }
                     ObsEvent::FsyncEnd => {
                         if let Some(opens) = open_fsync.get_mut(lane.as_str()) {
-                            if !opens.is_empty() {
-                                let begin = opens.remove(0);
+                            if let Some(begin) = opens.pop_front() {
                                 spans.push(Span {
                                     name: "fsync".to_owned(),
                                     cat: "wal",
@@ -349,7 +349,7 @@ mod tests {
     fn feed(obs: &ChromeTraceObserver) {
         let top = ExecId(4);
         obs.observe(
-            "control",
+            "control".into(),
             vec![ObsStamped {
                 at_micros: 0,
                 event: ObsEvent::Submit {
@@ -359,7 +359,7 @@ mod tests {
             }],
         );
         obs.observe(
-            "worker-1",
+            LaneId::worker(1),
             vec![
                 ObsStamped {
                     at_micros: 3,

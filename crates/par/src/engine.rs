@@ -45,7 +45,7 @@ use obase_core::value::Value;
 use obase_exec::kernel::{LifecycleKernel, Pending};
 use obase_exec::mvcc::{self, SnapshotPlan, VersionedStore};
 use obase_exec::{ExecParams, Program, RunResult, TxnSpec, WorkloadSpec};
-use obase_obs::{ObsEvent, ObsHandle, ObsLane};
+use obase_obs::{LaneId, ObsEvent, ObsHandle, ObsLane};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -501,11 +501,7 @@ fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
         buf: EventBuffer::new(),
         signal: Arc::new(Signal::new()),
         touched: BTreeSet::new(),
-        olane: if shared.obs.is_on() {
-            shared.obs.lane(format!("worker-{widx}"))
-        } else {
-            ObsLane::off()
-        },
+        olane: shared.obs.lane(LaneId::worker(widx)),
         granted: false,
     };
     if try_snapshot(shared, &mut actx, p) {

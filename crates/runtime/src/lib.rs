@@ -67,6 +67,6 @@ pub use obase_tso::NtoStyle;
 // Re-export the observability surface, so benches and scenarios configure
 // tracing without a direct `obase-obs` dependency.
 pub use obase_obs::{
-    ChromeTraceObserver, Histogram, LatencyReport, NullObserver, ObsEvent, ObsHandle, ObsStamped,
-    Observer, RecordingObserver,
+    ChromeTraceObserver, Histogram, LaneId, LatencyReport, NullObserver, ObsEvent, ObsHandle,
+    ObsStamped, Observer, RecordingObserver,
 };

@@ -17,8 +17,13 @@ use std::collections::BTreeMap;
 
 /// A factory producing a fresh scheduler from a spec. The registry is passed
 /// back in so composite factories (like `mixed`) can instantiate sub-specs.
-pub type SchedulerFactory =
-    Box<dyn Fn(&SchedulerRegistry, &SchedulerSpec) -> Result<Box<dyn Scheduler>, ConfigError>>;
+/// Factories are `Send + Sync` so that a built [`Runtime`](crate::Runtime)
+/// can be shared across threads (a server builds one per config).
+pub type SchedulerFactory = Box<
+    dyn Fn(&SchedulerRegistry, &SchedulerSpec) -> Result<Box<dyn Scheduler>, ConfigError>
+        + Send
+        + Sync,
+>;
 
 /// Maps spec kinds to scheduler factories.
 pub struct SchedulerRegistry {
@@ -98,6 +103,8 @@ impl SchedulerRegistry {
     pub fn register<F>(&mut self, kind: impl Into<String>, factory: F)
     where
         F: Fn(&SchedulerRegistry, &SchedulerSpec) -> Result<Box<dyn Scheduler>, ConfigError>
+            + Send
+            + Sync
             + 'static,
     {
         self.factories.insert(kind.into(), Box::new(factory));

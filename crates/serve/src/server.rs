@@ -18,9 +18,10 @@
 //!   free.
 //!
 //! Either way the batch runs as a workload on the parallel backend via the
-//! ordinary [`Runtime`](obase_runtime::Runtime), with the running thread
-//! as its first worker and up to `workers - 1` resident pool threads beside
-//! it (one worker per transaction at most). The thread that ran the batch
+//! ordinary [`Runtime`], built once per config (at bind and at each
+//! reconcile) and shared by every batch, with the running thread as its
+//! first worker and up to `workers - 1` resident pool threads beside it
+//! (one worker per transaction at most). The thread that ran the batch
 //! writes every result frame, through a per-session write lock, so a
 //! session's reader and another thread's results never interleave bytes.
 //!
@@ -54,15 +55,18 @@
 //!
 //! ## Reconcile
 //!
-//! [`Server::reconcile`] swaps the desired [`ServeConfig`] atomically and
-//! reports which fields changed. The batch in flight finishes under the
-//! old config; the next batch picks up the new scheduler, worker count
-//! and batching knobs. Scheduler instances are per-batch, and each batch
-//! runs on up to as many workers as its config names, one per transaction
-//! at most: the thread running the batch is the first, the parallel
-//! backend's resident pool supplies the rest (it settles at the peak count
-//! ever used minus one and keeps its threads), so "drain and resize" needs
-//! no extra machinery and no admitted transaction is ever dropped.
+//! [`Server::reconcile`] validates the desired [`ServeConfig`], builds its
+//! runtime, swaps both in atomically and reports which fields changed. A
+//! config whose runtime cannot be built is refused there, as
+//! [`Server::bind`] refuses it, never by failing later batches. The batch
+//! in flight finishes under the old config; the next batch picks up the
+//! new scheduler, worker count and batching knobs. Scheduler instances are
+//! per-batch, and each batch runs on up to as many workers as its config
+//! names, one per transaction at most: the thread running the batch is the
+//! first, the parallel backend's resident pool supplies the rest (it
+//! settles at the peak count ever used minus one and keeps its threads), so
+//! "drain and resize" needs no extra machinery and no admitted transaction
+//! is ever dropped.
 
 use crate::config::ServeConfig;
 use crate::oracle::merge_histories;
@@ -70,7 +74,7 @@ use crate::wire::{self, Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_
 use obase_core::history::History;
 use obase_exec::{ObjectBaseDef, Program, RunMetrics, TxnSpec, WorkloadSpec};
 use obase_obs::{Histogram, LatencyReport};
-use obase_runtime::{ConfigError, RuntimeError};
+use obase_runtime::{ConfigError, Runtime, RuntimeError};
 use obase_ser::Json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::BufReader;
@@ -213,9 +217,25 @@ impl Session {
     }
 }
 
+/// The desired config and the runtime built from it, swapped together.
+struct Desired {
+    config: ServeConfig,
+    runtime: Arc<Runtime>,
+}
+
+impl Desired {
+    /// Validates `config` and builds its runtime, so a config is refused
+    /// when it is handed over rather than failing every later batch.
+    fn new(config: ServeConfig) -> Result<Desired, ConfigError> {
+        config.validate()?;
+        let runtime = Arc::new(config.runtime()?);
+        Ok(Desired { config, runtime })
+    }
+}
+
 struct Shared {
     name: String,
-    cfg: Mutex<ServeConfig>,
+    desired: Mutex<Desired>,
     queue: Mutex<QueueState>,
     /// Signals the executor: work queued while the role is free, or
     /// shutdown.
@@ -269,14 +289,14 @@ impl Server {
         config: ServeConfig,
         addr: impl ToSocketAddrs,
     ) -> Result<Server, ServeError> {
-        config.validate()?;
+        let desired = Desired::new(config)?;
         let listener = TcpListener::bind(addr).map_err(|e| ServeError::Bind(e.to_string()))?;
         let addr = listener
             .local_addr()
             .expect("bound listener has an address");
         let shared = Arc::new(Shared {
             name: format!("obase-serve/{}", env!("CARGO_PKG_VERSION")),
-            cfg: Mutex::new(config),
+            desired: Mutex::new(desired),
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 in_flight: 0,
@@ -340,9 +360,10 @@ impl Server {
         self.addr
     }
 
-    /// Reconciles the server to `desired`: validates, swaps atomically,
-    /// and returns the names of the fields that actually changed (empty
-    /// means the desired state already held — reconciling is idempotent).
+    /// Reconciles the server to `desired`: validates it, builds its
+    /// runtime, swaps both in atomically, and returns the names of the
+    /// fields that actually changed (empty means the desired state already
+    /// held — reconciling is idempotent).
     /// Takes effect at the next batch boundary; nothing in flight is
     /// dropped.
     pub fn reconcile(&self, desired: ServeConfig) -> Result<Vec<&'static str>, ConfigError> {
@@ -351,7 +372,12 @@ impl Server {
 
     /// The current desired config.
     pub fn config(&self) -> ServeConfig {
-        self.shared.cfg.lock().expect("config lock").clone()
+        self.shared
+            .desired
+            .lock()
+            .expect("config lock")
+            .config
+            .clone()
     }
 
     /// Stops admitting (submissions are rejected with
@@ -454,13 +480,13 @@ fn validate_txn(def: &ObjectBaseDef, name: &str, body: &Program) -> Result<(), S
         .map_err(|e| RuntimeError::from(e).to_string())
 }
 
-/// Validates `desired`, swaps it in atomically and returns the names of the
-/// fields that changed.
+/// Validates `desired` and builds its runtime, swaps both in atomically and
+/// returns the names of the fields that changed.
 fn reconcile(shared: &Shared, desired: ServeConfig) -> Result<Vec<&'static str>, ConfigError> {
-    desired.validate()?;
-    let mut cfg = shared.cfg.lock().expect("config lock");
-    let changed = cfg.diff(&desired);
-    *cfg = desired;
+    let desired = Desired::new(desired)?;
+    let mut current = shared.desired.lock().expect("config lock");
+    let changed = current.config.diff(&desired.config);
+    *current = desired;
     Ok(changed)
 }
 
@@ -468,7 +494,12 @@ fn reconcile(shared: &Shared, desired: ServeConfig) -> Result<Vec<&'static str>,
 /// client sent nothing after it) and the server is idle, else into the
 /// queue.
 fn try_admit(shared: &Shared, pending: Pending, lone: bool) -> Result<Admission<'_>, RejectReason> {
-    let depth = shared.cfg.lock().expect("config lock").queue_depth;
+    let depth = shared
+        .desired
+        .lock()
+        .expect("config lock")
+        .config
+        .queue_depth;
     let mut q = shared.queue.lock().expect("queue lock");
     if q.draining || q.shutdown {
         return Err(RejectReason::Draining);
@@ -604,7 +635,7 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
                 }
             }
             Ok(Frame::Reconcile { config }) => {
-                let current = shared.cfg.lock().expect("config lock").clone();
+                let current = shared.desired.lock().expect("config lock").config.clone();
                 let answer = match current
                     .apply_json(&config)
                     .and_then(|desired| reconcile(shared, desired).map_err(|e| e.to_string()))
@@ -669,7 +700,7 @@ fn executor_loop(shared: &Arc<Shared>) {
             }
             // Take whatever is queued, up to the cap, and never wait for
             // more: under load the queue refilled while the last batch ran.
-            let batch_max = shared.cfg.lock().expect("config lock").batch_max;
+            let batch_max = shared.desired.lock().expect("config lock").config.batch_max;
             let take = q.pending.len().min(batch_max);
             let batch: Vec<Pending> = q.pending.drain(..take).collect();
             (q.claim(shared, batch.len()), batch)
@@ -682,7 +713,10 @@ fn executor_loop(shared: &Arc<Shared>) {
 /// Runs one batch and answers its submitters. The caller holds the
 /// executor role; `inline` says it is the submitting session.
 fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, inline: bool) {
-    let cfg = shared.cfg.lock().expect("config lock").clone();
+    let (runtime, keep_history) = {
+        let desired = shared.desired.lock().expect("config lock");
+        (Arc::clone(&desired.runtime), desired.config.keep_history)
+    };
     let def = shared.world.lock().expect("world lock").def.clone();
     let (transactions, waiting): (Vec<TxnSpec>, Vec<(u64, u64, Instant)>) = batch
         .into_iter()
@@ -690,20 +724,16 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, inline: bool) {
         .unzip();
     let workload = WorkloadSpec { def, transactions };
 
-    let run = cfg
-        .runtime()
-        .map_err(|e| e.to_string())
-        .and_then(|rt| rt.run(&workload).map_err(|e| e.to_string()));
-    let report = match run {
+    let report = match runtime.run(&workload) {
         Ok(report) => report,
-        Err(detail) => {
+        Err(e) => {
             // A batch the runtime refuses outright (should be impossible
             // past admission validation): answer every submitter, count,
             // and keep serving.
             shared.world.lock().expect("world lock").batch_errors += 1;
             let error = Frame::Error {
                 code: "batch-failed".into(),
-                detail,
+                detail: e.to_string(),
             };
             send_frames(shared, waiting.iter().map(|&(sid, ..)| (sid, &error)));
             return;
@@ -730,7 +760,7 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, inline: bool) {
     // update below writes in place instead of copying the whole base.
     drop(report.raw_history);
     drop(workload);
-    let kept = cfg.keep_history.then_some(report.history);
+    let kept = keep_history.then_some(report.history);
 
     let answers: Vec<(u64, Frame)> = {
         let mut w = shared.world.lock().expect("world lock");
@@ -806,7 +836,7 @@ fn send_frames<'f>(shared: &Shared, frames: impl Iterator<Item = (u64, &'f Frame
 // Status.
 
 fn status_json(shared: &Shared) -> Json {
-    let cfg = shared.cfg.lock().expect("config lock").clone();
+    let cfg = shared.desired.lock().expect("config lock").config.clone();
     let (queue_len, in_flight, draining, admitted) = {
         let q = shared.queue.lock().expect("queue lock");
         (q.pending.len(), q.in_flight, q.draining, q.admitted)

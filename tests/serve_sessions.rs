@@ -401,6 +401,43 @@ fn reconcile_mid_load_loses_zero_in_flight_transactions() {
 }
 
 #[test]
+fn batches_after_a_reconcile_run_under_the_new_scheduler() {
+    let scenario = scenario();
+    let workload = scenario.compile();
+    let config = ServeConfig {
+        scheduler: SchedulerSpec::n2pl_operation(),
+        ..quick_config()
+    };
+    let server = Server::for_scenario(&scenario, config, "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.addr(), "swap").expect("connect");
+    let txn = &workload.transactions[0];
+    let merged_scheduler_label = |client: &mut ServeClient| {
+        assert!(client
+            .submit_wait(&txn.name, txn.body.clone())
+            .expect("settle")
+            .is_settled());
+        let status = client.status().expect("status");
+        let metrics = status.get("metrics").expect("metrics block");
+        metrics
+            .get("scheduler")
+            .and_then(Json::as_str)
+            .expect("scheduler label")
+            .to_owned()
+    };
+    assert_eq!(
+        merged_scheduler_label(&mut client),
+        SchedulerSpec::n2pl_operation().label()
+    );
+    let desired = Json::object([("scheduler", SchedulerSpec::nto_conservative().to_json())]);
+    assert_eq!(client.reconcile(desired).expect("reconcile"), ["scheduler"]);
+    // The merged label turns "mixed" only if the next batch really ran on
+    // the runtime the reconcile built.
+    assert_eq!(merged_scheduler_label(&mut client), "mixed");
+    client.goodbye();
+    assert_eq!(server.shutdown().oracle_failures, 0);
+}
+
+#[test]
 fn status_document_reports_live_state() {
     let scenario = scenario();
     let workload = scenario.compile();
