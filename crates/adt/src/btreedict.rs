@@ -1,5 +1,5 @@
-//! An ordered dictionary object physically backed by the [`btree`] module,
-//! with key- and range-aware semantic conflicts.
+//! An ordered dictionary object kept as a sorted list of pairs, with key-
+//! and range-aware semantic conflicts.
 //!
 //! Section 2's motivating example is a dictionary "implemented as a B-tree"
 //! that wants its own specialised intra-object synchronisation. The plain
@@ -8,22 +8,23 @@
 //! interesting: an ordered `Range(lo, hi)` scan, which conflicts with a
 //! mutation exactly when the mutated key falls inside the scanned interval —
 //! the semantic shape that key-range locking exploits in relational systems.
-//!
-//! [`btree`]: crate::btree
+//! The physical B-tree of the code base is [`PMap`](obase_core::pmap::PMap),
+//! which backs every map-valued state; this type searches its sorted list in
+//! place.
 
-use crate::btree::BTree;
 use obase_core::error::TypeError;
 use obase_core::object::SemanticType;
 use obase_core::op::{LocalStep, Operation};
 use obase_core::value::Value;
+use std::sync::Arc;
 
 /// An integer-keyed ordered dictionary with `Insert(k, v)`, `Delete(k)`,
 /// `Lookup(k)` and `Range(lo, hi)` operations.
 ///
-/// The state is a sorted list of `[k, v]` pairs; every operation loads it
-/// into a [`BTree`] so the physical structure of the paper's Section 2
-/// example is genuinely exercised, and a mutation that changes the tree
-/// encodes it back (reads and no-op deletes return the input state).
+/// The state is a list of `[k, v]` pairs sorted by key. `Lookup` and
+/// `Range` binary-search it and return the input state; `Insert` and a
+/// `Delete` that finds its key copy the list once and edit it at the
+/// searched index (a `Delete` of an absent key returns the input state).
 /// `Insert` returns the previous value (or `Unit`), `Delete` the removed
 /// value (or `Unit`), `Lookup` the present value (or `Unit`) and `Range`
 /// the list of values whose keys lie in the *inclusive* interval
@@ -31,34 +32,38 @@ use obase_core::value::Value;
 #[derive(Clone, Debug, Default)]
 pub struct BTreeDict;
 
-impl BTreeDict {
-    fn tree(&self, state: &Value) -> Result<BTree<i64, i64>, TypeError> {
-        let bad = || TypeError::BadState {
-            type_name: "BTreeDict".into(),
-            expected: "sorted List of [Int key, Int value] pairs".into(),
-        };
-        let pairs = state.as_list().ok_or_else(bad)?;
-        let mut tree = BTree::default();
-        for pair in pairs {
-            let kv = pair.as_list().ok_or_else(bad)?;
-            let (Some(k), Some(v)) = (
-                kv.first().and_then(Value::as_int),
-                kv.get(1).and_then(Value::as_int),
-            ) else {
-                return Err(bad());
-            };
-            tree.insert(k, v);
+fn bad_state() -> TypeError {
+    TypeError::BadState {
+        type_name: "BTreeDict".into(),
+        expected: "sorted List of [Int key, Int value] pairs".into(),
+    }
+}
+
+/// Decodes one `[k, v]` pair of the state.
+fn pair(pair: &Value) -> Result<(i64, i64), TypeError> {
+    match pair.as_list() {
+        Some([Value::Int(k), Value::Int(v), ..]) => Ok((*k, *v)),
+        _ => Err(bad_state()),
+    }
+}
+
+/// The index of the first pair whose key fails `before`, for a `before`
+/// that holds on a prefix of the sorted keys. Decodes only the pairs the
+/// search visits.
+fn partition_point(pairs: &[Value], before: impl Fn(i64) -> bool) -> Result<usize, TypeError> {
+    let (mut lo, mut hi) = (0, pairs.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(pair(&pairs[mid])?.0) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
-        Ok(tree)
     }
+    Ok(lo)
+}
 
-    fn state(&self, tree: &BTree<i64, i64>) -> Value {
-        Value::list(
-            tree.iter()
-                .map(|(k, v)| Value::list([Value::Int(*k), Value::Int(*v)])),
-        )
-    }
-
+impl BTreeDict {
     fn int_arg(&self, op: &Operation, i: usize) -> Result<i64, TypeError> {
         op.arg_int(i).ok_or_else(|| TypeError::BadArguments {
             type_name: "BTreeDict".into(),
@@ -95,34 +100,57 @@ impl SemanticType for BTreeDict {
     }
 
     fn apply(&self, state: &Value, op: &Operation) -> Result<(Value, Value), TypeError> {
-        let mut tree = self.tree(state)?;
+        let Value::List(list) = state else {
+            return Err(bad_state());
+        };
+        // The index of `k`'s pair, or the index it would be inserted at,
+        // and the value stored under `k`.
+        let find = |k: i64| -> Result<(usize, Option<i64>), TypeError> {
+            let i = partition_point(list, |key| key < k)?;
+            let next = list.get(i).map(pair).transpose()?;
+            Ok((i, next.filter(|(key, _)| *key == k).map(|(_, v)| v)))
+        };
         let opt = |v: Option<i64>| v.map(Value::Int).unwrap_or(Value::Unit);
         match op.name.as_str() {
             "Insert" => {
                 let k = self.int_arg(op, 0)?;
                 let v = self.int_arg(op, 1)?;
-                let old = tree.insert(k, v);
-                Ok((self.state(&tree), opt(old)))
+                let (i, old) = find(k)?;
+                let entry = Value::list([Value::Int(k), Value::Int(v)]);
+                let mut next = Vec::clone(list);
+                if old.is_some() {
+                    next[i] = entry;
+                } else {
+                    next.insert(i, entry);
+                }
+                Ok((Value::List(Arc::new(next)), opt(old)))
             }
             "Delete" => {
                 let k = self.int_arg(op, 0)?;
-                match tree.remove(&k) {
-                    Some(removed) => Ok((self.state(&tree), Value::Int(removed))),
-                    None => Ok((state.clone(), Value::Unit)),
+                match find(k)? {
+                    (i, Some(removed)) => {
+                        let mut next = Vec::clone(list);
+                        next.remove(i);
+                        Ok((Value::List(Arc::new(next)), Value::Int(removed)))
+                    }
+                    (_, None) => Ok((state.clone(), Value::Unit)),
                 }
             }
             "Lookup" => {
                 let k = self.int_arg(op, 0)?;
-                Ok((state.clone(), opt(tree.get(&k).copied())))
+                Ok((state.clone(), opt(find(k)?.1)))
             }
             "Range" => {
                 let lo = self.int_arg(op, 0)?;
                 let hi = self.int_arg(op, 1)?;
-                let values = tree
-                    .range(&lo, &hi)
-                    .into_iter()
-                    .map(|(_, v)| Value::Int(*v));
-                Ok((state.clone(), Value::list(values)))
+                let from = partition_point(list, |key| key < lo)?;
+                // `lo > hi` leaves `to` at or before `from`: an empty interval.
+                let to = partition_point(list, |key| key <= hi)?.max(from);
+                let values = list[from..to]
+                    .iter()
+                    .map(|p| Ok(Value::Int(pair(p)?.1)))
+                    .collect::<Result<_, TypeError>>()?;
+                Ok((state.clone(), Value::List(Arc::new(values))))
             }
             _ if op.is_abort() => Ok((state.clone(), Value::Unit)),
             _ => Err(TypeError::UnknownOperation {
@@ -257,5 +285,27 @@ mod tests {
     #[test]
     fn spec_is_sound() {
         assert!(validate_conflict_spec(&BTreeDict, 2).is_empty());
+    }
+
+    #[test]
+    fn malformed_pairs_are_bad_state() {
+        let d = BTreeDict;
+        let bad = |state: Value, op: Operation| {
+            assert!(
+                matches!(d.apply(&state, &op), Err(TypeError::BadState { .. })),
+                "{op:?} on {state:?}"
+            );
+        };
+        let good = |k: i64| Value::list([Value::Int(k), Value::Int(k)]);
+        bad(Value::Int(3), Operation::unary("Lookup", 1));
+        bad(Value::list([Value::Int(1)]), Operation::unary("Lookup", 1));
+        bad(
+            Value::list([good(1), Value::list([Value::Int(2)])]),
+            Operation::new("Range", [Value::Int(0), Value::Int(9)]),
+        );
+        bad(
+            Value::list([good(1), Value::list([Value::Int(2), Value::Unit])]),
+            Operation::new("Insert", [Value::Int(2), Value::Int(5)]),
+        );
     }
 }

@@ -3,9 +3,9 @@
 //! The dictionary is the paper's Section 2 example of an object that wants
 //! its own intra-object synchronisation algorithm: "an object representing a
 //! dictionary data type (with methods Lookup, Insert and Delete) might be
-//! implemented as a B-tree" — the physical B-tree lives in [`crate::btree`];
-//! this module provides the semantic type whose conflict relation is
-//! *key-wise*: operations on different keys always commute.
+//! implemented as a B-tree" — the physical B-tree is the state itself, a
+//! [`PMap`]; this module provides the semantic type whose conflict relation
+//! is *key-wise*: operations on different keys always commute.
 
 use obase_core::error::TypeError;
 use obase_core::object::SemanticType;

@@ -15,23 +15,29 @@
 //! Every conflict specification is validated against the state-based ground
 //! truth by tests using [`obase_core::conflict::validate_conflict_spec`].
 //!
-//! The crate also contains a from-scratch [`btree`] module: the physical
-//! dictionary structure that the paper's Section 2 uses as its motivating
-//! example of an object wanting its own specialised intra-object
-//! synchronisation algorithm. [`BTreeDict`] lifts it into a semantic type of
-//! its own, with ordered `Range` scans whose conflicts are interval-aware.
+//! The paper's Section 2 motivates intra-object synchronisation with a
+//! dictionary "implemented as a B-tree". [`BTreeDict`] is that dictionary as
+//! a semantic type, with ordered `Range` scans whose conflicts are
+//! interval-aware; its state is a sorted pair list searched in place, and
+//! the code base's one B-tree is [`PMap`](obase_core::pmap::PMap), the
+//! persistent map behind every map-valued state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod account;
-pub mod btree;
 pub mod btreedict;
 pub mod counter;
 pub mod dict;
 pub mod queue;
 pub mod register;
 pub mod set;
+
+/// [`BTreeDict`] checked key for key against the standard library's
+/// `BTreeMap`.
+#[cfg(test)]
+#[path = "btree_model.rs"]
+mod btree;
 
 pub use account::Account;
 pub use btreedict::BTreeDict;

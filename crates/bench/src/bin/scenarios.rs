@@ -133,12 +133,12 @@ fn main() {
             spec.label()
         );
         let tracer = Arc::new(ChromeTraceObserver::new());
-        let report = scenario
-            .run_observed(
-                spec,
-                ExecutionBackend::Parallel { workers },
-                Observe::Trace(tracer.clone()),
-            )
+        let runtime = scenario
+            .builder(spec.clone(), ExecutionBackend::Parallel { workers })
+            .and_then(|b| b.observe(Observe::Trace(tracer.clone())).build())
+            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        let report = runtime
+            .run(&scenario.compile())
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
         report.assert_serialisable();
         tracer

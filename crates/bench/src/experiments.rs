@@ -909,8 +909,12 @@ pub fn e13_mvcc_read_path(scale: usize) -> Vec<Row> {
         ];
         for backend in &backends {
             for mvcc in [false, true] {
-                let report = scenario
-                    .run_with(spec, backend.clone(), Observe::Off, mvcc)
+                let runtime = scenario
+                    .builder(spec.clone(), backend.clone())
+                    .and_then(|b| b.observe(Observe::Off).mvcc(mvcc).build())
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let report = runtime
+                    .run(&scenario.compile())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
                 report.assert_serialisable();
                 let m = &report.metrics;

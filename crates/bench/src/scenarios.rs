@@ -109,8 +109,12 @@ pub fn scenario_rows_with(scenario: &Scenario, choice: &BackendChoice, mvcc: boo
                 },
                 other => other,
             };
-            let report = scenario
-                .run_with(spec, backend.clone(), obase_runtime::Observe::Latency, mvcc)
+            let runtime = scenario
+                .builder(spec.clone(), backend.clone())
+                .and_then(|b| b.mvcc(mvcc).build())
+                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+            let report = runtime
+                .run(&scenario.compile())
                 .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
             assert!(
                 !report.metrics.timed_out,

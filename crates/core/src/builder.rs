@@ -280,8 +280,8 @@ impl HistoryBuilder {
 
     /// Records a local read of a snapshot transaction, placed at the odd
     /// instant just after `anchor` — the last step of the committed version
-    /// the read observed. With no anchor (the object was never written before
-    /// the pinned watermark) the read sits at instant 1, before every
+    /// the read observed. With no anchor (no published write of the object
+    /// preceded the read) the read sits at instant 1, before every
     /// clock-allocated step. No clock tick is consumed and no program order
     /// is recorded.
     pub fn snapshot_local(

@@ -571,8 +571,8 @@ pub fn stitch(base: Arc<ObjectBase>, buffers: impl IntoIterator<Item = EventBuff
                 anchor,
             } => {
                 // The anchor's Local event is always sequenced before the
-                // snapshot that observed it (install → publish → pin →
-                // record happens-before), so the lookup cannot miss.
+                // snapshot that observed it (install → publish → read
+                // → record happens-before), so the lookup cannot miss.
                 let anchor = anchor.map(|a| lookup(&final_id, a));
                 let sid = builder.snapshot_local(exec, op, ret, anchor);
                 final_id.insert(step, sid);

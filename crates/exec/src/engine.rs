@@ -313,25 +313,16 @@ impl<R: HistoryRecorder> EngineState<R> {
     }
 
     /// Serves a snapshot-eligible pending transaction from committed
-    /// versions: pin the watermark, execute the plan, settle the whole tree
-    /// as committed — no scheduler call, no thread of control, no client
-    /// slot. Returns `false` (leaving the kernel untouched) when the
+    /// versions: execute the plan, settle the whole tree as committed — no
+    /// scheduler call, no thread of control, no client slot. Returns `false` (leaving the kernel untouched) when the
     /// transaction has no plan or its plan fails against the committed state
     /// (it then takes the normal path).
     fn try_snapshot(&mut self, p: crate::kernel::Pending) -> bool {
-        let outcome = match (
-            self.vs.as_mut(),
-            self.plans.get(p.spec).and_then(Option::as_ref),
-        ) {
-            (Some(vs), Some(plan)) => {
-                let w = vs.pin();
-                let outcome = mvcc::execute_plan(plan, vs, w).ok();
-                vs.unpin(w);
-                outcome
-            }
-            _ => None,
+        let (Some(vs), Some(plan)) = (&self.vs, self.plans.get(p.spec).and_then(Option::as_ref))
+        else {
+            return false;
         };
-        let Some(outcome) = outcome else {
+        let Ok(outcome) = mvcc::execute_plan(plan, vs) else {
             return false;
         };
         let top = self.kernel.settle_snapshot(&mut self.recorder, &outcome, p);

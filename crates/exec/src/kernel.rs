@@ -402,7 +402,7 @@ impl LifecycleKernel {
     /// invoke messages, anchored local reads, completions, the commit mark)
     /// and counts it — with no scheduler interaction and no certification.
     /// The MVCC read path calls this after executing an eligible plan
-    /// against pinned versions (see [`crate::mvcc`]); correctness rests on
+    /// against the published versions (see [`crate::mvcc`]); correctness rests on
     /// the versions being a published consistent cut, not on any lock.
     pub fn settle_snapshot(
         &mut self,

@@ -9,19 +9,19 @@
 //!
 //! Three pieces:
 //!
-//! * [`VersionedStore`] — per-object chains of committed versions, each
-//!   stamped with the *commit watermark* in force when it was published, plus
-//!   the machinery that decides when a committed transaction's installed
-//!   steps may be folded into a new version (the log-prefix publication
-//!   rule, below) and when old versions may be reclaimed (no active snapshot
-//!   can still reach them).
+//! * [`VersionedStore`] — the newest committed version of every object a
+//!   publication has written, plus the machinery that decides when a
+//!   committed transaction's installed steps may be folded into it (the
+//!   log-prefix publication rule, below). Both drivers read it under the
+//!   lock that guards its publications, so a read always sees the newest
+//!   version and no older one is ever kept.
 //! * [`classify`] — the static analysis that decides whether a transaction
 //!   spec is *snapshot-eligible*: constant-propagates the program from the
 //!   top level and checks that every reachable local operation satisfies
 //!   [`op_is_readonly`](obase_core::object::SemanticType::op_is_readonly).
-//! * [`execute_plan`] — runs an eligible plan against the versions visible
-//!   at a pinned watermark, producing the executed tree the lifecycle
-//!   kernel settles via `settle_snapshot` (no certification, no locks).
+//! * [`execute_plan`] — runs an eligible plan against the committed
+//!   versions, producing the executed tree the lifecycle kernel settles via
+//!   `settle_snapshot` (no certification, no locks).
 //!
 //! # The log-prefix publication rule
 //!
@@ -43,12 +43,12 @@
 //!
 //! # Why snapshot reads are serialisable
 //!
-//! A snapshot transaction R pinned at watermark `W` reads only state
-//! published at or below `W`, so its conflict edges run (writer ≤ W) → R →
-//! (writer > W). A cycle T1 → R → T2 → T1 would need T2 published after `W`
-//! yet ordered before T1 published at or below `W`; the prefix rule makes
-//! watermarks respect installed-step order per object, so no such pair
-//! exists. `docs/MVCC.md` spells the argument out.
+//! A snapshot transaction R reads, under the store lock, the state
+//! published at the current watermark `W`, so its conflict edges run
+//! (writer ≤ W) → R → (writer > W). A cycle T1 → R → T2 → T1 would need T2
+//! published after `W` yet ordered before T1 published at or below `W`; the
+//! prefix rule makes watermarks respect installed-step order per object, so
+//! no such pair exists. `docs/MVCC.md` spells the argument out.
 
 use crate::program::{Expr, ObjRef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
 use obase_core::error::TypeError;
@@ -59,19 +59,6 @@ use obase_core::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// One committed version of an object.
-#[derive(Clone, Debug)]
-pub struct Version {
-    /// The commit watermark under which this version was published.
-    pub wm: u64,
-    /// The object state after applying the published prefix.
-    pub state: Value,
-    /// The last published installed step folded into this version, if any —
-    /// snapshot reads record it so the history ties each read to the write
-    /// it observed.
-    pub anchor: Option<StepId>,
-}
-
 /// A mirrored installed step awaiting publication.
 #[derive(Clone, Debug)]
 struct PendingEntry {
@@ -81,26 +68,27 @@ struct PendingEntry {
     ret: Value,
 }
 
-/// Multi-version committed state: version chains, the publication queues
-/// that feed them, the commit watermark, and snapshot pins.
+/// Committed state for snapshot reads: the newest published version of
+/// each written object, the publication queues that feed it, and the commit
+/// watermark.
 ///
 /// Writers report installs ([`note_install`](Self::note_install)) and settle
 /// events ([`note_commit`](Self::note_commit) /
-/// [`note_abort`](Self::note_abort)); snapshot readers pin a watermark
-/// ([`pin`](Self::pin)), [`read`](Self::read) against it, and
-/// [`unpin`](Self::unpin). Garbage collection runs on every unpin and
-/// publication: the chain keeps the newest version at or below the oldest
-/// active pin plus everything newer.
+/// [`note_abort`](Self::note_abort)); snapshot readers [`read`](Self::read)
+/// under the same lock, so every read is of the newest version and a
+/// publication may replace it in place.
 #[derive(Debug)]
 pub struct VersionedStore {
     base: Arc<ObjectBase>,
-    versions: BTreeMap<ObjectId, Vec<Version>>,
+    /// The newest published state of each object a publication has
+    /// written, with the last published step folded into it — snapshot
+    /// reads record that anchor so the history ties each read to the write
+    /// it observed. An object absent here reads its initial state.
+    published: BTreeMap<ObjectId, (Value, Option<StepId>)>,
     pending: BTreeMap<ObjectId, Vec<PendingEntry>>,
     /// Committed top-level transactions whose steps are not yet published.
     unpublished: BTreeSet<ExecId>,
     watermark: u64,
-    /// Active snapshot pins: watermark → refcount.
-    pins: BTreeMap<u64, usize>,
     /// Publication freeze depth: while an abort cascade is being resolved, a
     /// committed-but-doomed transaction may transiently look publishable
     /// (its dirty-read source's mirrored steps are dropped before the victim
@@ -110,28 +98,14 @@ pub struct VersionedStore {
 }
 
 impl VersionedStore {
-    /// Creates a store with every object at version chain `[initial @ 0]`.
+    /// Creates a store in which every object reads its initial state.
     pub fn new(base: Arc<ObjectBase>) -> Self {
-        let versions = base
-            .iter()
-            .map(|s| {
-                (
-                    s.id,
-                    vec![Version {
-                        wm: 0,
-                        state: s.initial_state.clone(),
-                        anchor: None,
-                    }],
-                )
-            })
-            .collect();
         VersionedStore {
             base,
-            versions,
+            published: BTreeMap::new(),
             pending: BTreeMap::new(),
             unpublished: BTreeSet::new(),
             watermark: 0,
-            pins: BTreeMap::new(),
             frozen: 0,
         }
     }
@@ -236,102 +210,44 @@ impl VersionedStore {
             .any(|q| q.first().is_some_and(|e| group.contains(&e.top)));
         if any_steps {
             self.watermark += 1;
-            let wm = self.watermark;
             for (o, queue) in &mut self.pending {
                 let cut = queue.iter().take_while(|e| group.contains(&e.top)).count();
                 if cut == 0 {
                     continue;
                 }
                 let ty = self.base.type_of(*o);
-                let chain = self
-                    .versions
-                    .get_mut(o)
-                    .expect("object seeded at construction");
-                let mut state = chain.last().expect("chains never empty").state.clone();
-                let mut anchor = None;
+                let (state, anchor) = self
+                    .published
+                    .entry(*o)
+                    .or_insert_with(|| (self.base.spec(*o).initial_state.clone(), None));
                 for e in queue.drain(..cut) {
                     let (next, ret) = ty
-                        .apply(&state, &e.op)
+                        .apply(state, &e.op)
                         .expect("committed steps replay on committed state");
                     debug_assert_eq!(ret, e.ret, "published replay must match recorded returns");
-                    state = next;
-                    anchor = Some(e.step);
+                    *state = next;
+                    *anchor = Some(e.step);
                 }
-                chain.push(Version { wm, state, anchor });
             }
         }
         for t in &group {
             self.unpublished.remove(t);
         }
-        self.gc();
         true
     }
 
-    /// Pins the current watermark for a snapshot read and returns it. The
-    /// versions visible at the pin survive until [`unpin`](Self::unpin).
-    pub fn pin(&mut self) -> u64 {
-        let w = self.watermark;
-        *self.pins.entry(w).or_insert(0) += 1;
-        w
-    }
-
-    /// Releases a pin taken by [`pin`](Self::pin) and reclaims versions no
-    /// longer reachable by any active snapshot.
-    pub fn unpin(&mut self, w: u64) {
-        let count = self.pins.get_mut(&w).expect("unpin without matching pin");
-        *count -= 1;
-        if *count == 0 {
-            self.pins.remove(&w);
+    /// The newest published state of `o`, with the anchor step the
+    /// snapshot read hangs off (`None` while `o` holds its initial state).
+    pub fn read(&self, o: ObjectId) -> (&Value, Option<StepId>) {
+        match self.published.get(&o) {
+            Some((state, anchor)) => (state, *anchor),
+            None => (&self.base.spec(o).initial_state, None),
         }
-        self.gc();
-    }
-
-    /// The newest version of `o` at or below watermark `w`, with the anchor
-    /// step the snapshot read hangs off.
-    pub fn read(&self, o: ObjectId, w: u64) -> (&Value, Option<StepId>) {
-        let chain = self
-            .versions
-            .get(&o)
-            .expect("object seeded at construction");
-        let v = chain
-            .iter()
-            .rev()
-            .find(|v| v.wm <= w)
-            .expect("GC keeps a version at or below every active pin");
-        (&v.state, v.anchor)
-    }
-
-    /// Drops versions unreachable from every active pin: per object, keep
-    /// the newest version at or below the oldest pin (the current watermark
-    /// if nothing is pinned) and everything newer.
-    fn gc(&mut self) {
-        let horizon = self.pins.keys().next().copied().unwrap_or(self.watermark);
-        for chain in self.versions.values_mut() {
-            let keep_from = chain.iter().rposition(|v| v.wm <= horizon).unwrap_or(0);
-            if keep_from > 0 {
-                chain.drain(..keep_from);
-            }
-        }
-    }
-
-    /// Length of the version chain of `o` (tests and GC assertions).
-    pub fn chain_len(&self, o: ObjectId) -> usize {
-        self.versions.get(&o).map_or(0, Vec::len)
-    }
-
-    /// The longest version chain across all objects.
-    pub fn max_chain_len(&self) -> usize {
-        self.versions.values().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Mirrored installed steps awaiting publication, across all objects.
     pub fn pending_entries(&self) -> usize {
         self.pending.values().map(Vec::len).sum()
-    }
-
-    /// Number of active snapshot pins.
-    pub fn active_pins(&self) -> usize {
-        self.pins.values().sum()
     }
 }
 
@@ -553,7 +469,7 @@ pub enum ExecutedItem {
     Local {
         /// The operation.
         op: Operation,
-        /// Its return value against the pinned version.
+        /// Its return value against the published version.
         ret: Value,
         /// The last published step of the version read, if any.
         anchor: Option<StepId>,
@@ -562,18 +478,17 @@ pub enum ExecutedItem {
     Call(ExecutedCall),
 }
 
-/// Executes a snapshot plan against the versions visible at watermark `w`.
-/// A `TypeError` (an operation rejected by its type on the committed state)
+/// Executes a snapshot plan against the newest published versions. A
+/// `TypeError` (an operation rejected by its type on the committed state)
 /// sends the transaction back to the normal scheduled path.
 pub fn execute_plan(
     plan: &SnapshotPlan,
     vs: &VersionedStore,
-    w: u64,
 ) -> Result<SnapshotOutcome, TypeError> {
     let calls = plan
         .root
         .iter()
-        .map(|c| execute_call(c, vs, w))
+        .map(|c| execute_call(c, vs))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(SnapshotOutcome {
         name: plan.name.clone(),
@@ -581,13 +496,9 @@ pub fn execute_plan(
     })
 }
 
-fn execute_call(
-    call: &SnapshotCall,
-    vs: &VersionedStore,
-    w: u64,
-) -> Result<ExecutedCall, TypeError> {
+fn execute_call(call: &SnapshotCall, vs: &VersionedStore) -> Result<ExecutedCall, TypeError> {
     let ty = vs.base().type_of(call.object);
-    let (state, anchor) = vs.read(call.object, w);
+    let (state, anchor) = vs.read(call.object);
     let mut state = state.clone();
     let mut items = Vec::with_capacity(call.body.len());
     let mut ret = Value::Unit;
@@ -605,7 +516,7 @@ fn execute_call(
                 ret = r;
             }
             SnapshotNode::Call(sub) => {
-                let executed = execute_call(sub, vs, w)?;
+                let executed = execute_call(sub, vs)?;
                 ret = executed.ret.clone();
                 items.push(ExecutedItem::Call(executed));
             }
@@ -645,10 +556,10 @@ mod tests {
         vs.note_install(ExecId(2), c, StepId(1), add(3), Value::Unit);
         vs.note_commit(ExecId(2));
         assert_eq!(vs.watermark(), 0);
-        assert_eq!(vs.read(c, vs.watermark()).0, &Value::Int(0));
+        assert_eq!(vs.read(c).0, &Value::Int(0));
         vs.note_commit(ExecId(1));
         assert_eq!(vs.watermark(), 1);
-        assert_eq!(vs.read(c, vs.watermark()).0, &Value::Int(8));
+        assert_eq!(vs.read(c).0, &Value::Int(8));
         assert_eq!(vs.pending_entries(), 0);
     }
 
@@ -661,8 +572,8 @@ mod tests {
         assert_eq!(vs.watermark(), 0);
         vs.note_abort(ExecId(1));
         assert_eq!(vs.watermark(), 1);
-        assert_eq!(vs.read(c, 1).0, &Value::Int(3));
-        let anchor = vs.read(c, 1).1;
+        assert_eq!(vs.read(c).0, &Value::Int(3));
+        let anchor = vs.read(c).1;
         assert_eq!(anchor, Some(StepId(1)));
     }
 
@@ -682,57 +593,33 @@ mod tests {
         assert_eq!(vs.watermark(), 0, "T1 is blocked behind T2 on y");
         vs.note_commit(ExecId(2));
         assert_eq!(vs.watermark(), 1, "the group publishes under one watermark");
-        assert_eq!(vs.read(x, 1).0, &Value::Int(11));
-        assert_eq!(vs.read(y, 1).0, &Value::Int(22));
+        assert_eq!(vs.read(x).0, &Value::Int(11));
+        assert_eq!(vs.read(y).0, &Value::Int(22));
     }
 
-    #[test]
-    fn pin_keeps_versions_alive_and_unpin_reclaims() {
-        let (mut vs, c) = counter_store();
-        let w0 = vs.pin();
-        assert_eq!(w0, 0);
-        for i in 0..5u32 {
-            vs.note_install(ExecId(i), c, StepId(i), add(1), Value::Unit);
-            vs.note_commit(ExecId(i));
-        }
-        assert_eq!(vs.watermark(), 5);
-        // The pinned snapshot still reads the initial state.
-        assert_eq!(vs.read(c, w0).0, &Value::Int(0));
-        assert_eq!(
-            vs.chain_len(c),
-            6,
-            "all versions reachable from the pin survive"
-        );
-        vs.unpin(w0);
-        assert_eq!(vs.chain_len(c), 1, "GC keeps only the newest version");
-        assert_eq!(vs.read(c, vs.watermark()).0, &Value::Int(5));
-    }
-
+    /// A write-heavy loop with no reader in flight: each object's version
+    /// chain is at most its one newest version, and an object never
+    /// written has none.
     #[test]
     fn chain_stays_bounded_without_pins() {
-        let (mut vs, c) = counter_store();
+        let mut base = ObjectBase::new();
+        let objects: Vec<ObjectId> = (0..8)
+            .map(|i| base.add_object(format!("c{i}"), Arc::new(Counter::default())))
+            .collect();
+        let mut vs = VersionedStore::new(Arc::new(base));
+        // 1,000 commits over the first three objects; the other five are
+        // never written.
         for i in 0..1000u32 {
-            vs.note_install(ExecId(i), c, StepId(i), add(1), Value::Unit);
+            let o = objects[i as usize % 3];
+            vs.note_install(ExecId(i), o, StepId(i), add(1), Value::Unit);
             vs.note_commit(ExecId(i));
-            assert!(
-                vs.max_chain_len() <= 2,
-                "write-heavy loop must not grow chains"
-            );
         }
-        assert_eq!(vs.read(c, vs.watermark()).0, &Value::Int(1000));
-    }
-
-    #[test]
-    fn reads_resolve_to_newest_version_at_or_below_the_pin() {
-        let (mut vs, c) = counter_store();
-        vs.note_install(ExecId(1), c, StepId(0), add(7), Value::Unit);
-        vs.note_commit(ExecId(1));
-        let w = vs.pin();
-        vs.note_install(ExecId(2), c, StepId(1), add(100), Value::Unit);
-        vs.note_commit(ExecId(2));
-        assert_eq!(vs.read(c, w).0, &Value::Int(7));
-        assert_eq!(vs.read(c, vs.watermark()).0, &Value::Int(107));
-        vs.unpin(w);
+        assert_eq!(vs.watermark(), 1000);
+        let written: Vec<ObjectId> = vs.published.keys().copied().collect();
+        assert_eq!(written, objects[..3], "one version per written object");
+        assert_eq!(vs.read(objects[0]), (&Value::Int(334), Some(StepId(999))));
+        assert_eq!(vs.read(objects[2]), (&Value::Int(333), Some(StepId(998))));
+        assert_eq!(vs.read(objects[7]), (&Value::Int(0), None));
     }
 
     fn dict_def() -> (ObjectBaseDef, ObjectId) {
@@ -828,9 +715,7 @@ mod tests {
             body: Program::invoke(d, "get", [Value::from("k")]),
         };
         let plan = classify(&spec, &def).unwrap();
-        let w = vs.pin();
-        let outcome = execute_plan(&plan, &vs, w).unwrap();
-        vs.unpin(w);
+        let outcome = execute_plan(&plan, &vs).unwrap();
         assert_eq!(outcome.local_reads(), 1);
         assert_eq!(outcome.calls[0].ret, Value::from(42));
         match &outcome.calls[0].items[0] {

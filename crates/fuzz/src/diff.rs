@@ -201,7 +201,7 @@ fn guarded<T>(
     }
 }
 
-/// Builds and runs one leg. This reimplements `Scenario::runtime_with`
+/// Builds and runs one leg. This reimplements `Scenario::builder`
 /// rather than calling it because the builder has a single
 /// `wrap_scheduler` slot: the saboteur (when present) and the fault
 /// injector must compose inside one closure.

@@ -71,10 +71,10 @@ pub struct ParParams {
     /// default — the next power of two at least twice the worker count.
     pub shards: usize,
     /// Enables the MVCC snapshot read path: transactions whose every
-    /// operation is read-only execute against committed versions pinned at a
-    /// commit watermark, with no scheduler-plane interaction and no
-    /// lifecycle-lock traffic on the read hot path. Off by default; writers
-    /// are unaffected either way.
+    /// operation is read-only execute against the newest committed versions,
+    /// read under the version store's lock, with no scheduler-plane
+    /// interaction and no lifecycle-lock traffic on the read hot path. Off
+    /// by default; writers are unaffected either way.
     pub mvcc: bool,
 }
 
@@ -550,7 +550,7 @@ fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
 
 /// The MVCC snapshot fast path: if this attempt's transaction is
 /// snapshot-eligible (statically read-only), execute it against the
-/// committed versions visible at a pinned watermark and settle it committed
+/// newest committed versions and settle it committed
 /// — no scheduler-plane request, no parking, no certification. The only
 /// lifecycle-lock acquisition is the final settle (registering the finished
 /// execution tree and its history is inherently a lifecycle transition);
@@ -561,16 +561,8 @@ fn try_snapshot(shared: &Shared, actx: &mut ActCtx, p: Pending) -> bool {
     let Some(plan) = shared.plans.get(p.spec).and_then(Option::as_ref) else {
         return false;
     };
-    let outcome = {
-        let Some(mut vs) = vs(shared) else {
-            return false;
-        };
-        let w = vs.pin();
-        let outcome = mvcc::execute_plan(plan, &vs, w).ok();
-        vs.unpin(w);
-        outcome
-    };
-    let Some(outcome) = outcome else {
+    // The read holds the store lock, so no publication lands mid-plan.
+    let Some(outcome) = vs(shared).and_then(|vs| mvcc::execute_plan(plan, &vs).ok()) else {
         return false;
     };
     let top = {

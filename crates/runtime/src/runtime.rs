@@ -401,7 +401,7 @@ impl RuntimeBuilder {
 
     /// Enables the MVCC snapshot read path (default off). With it on,
     /// transactions whose every operation is statically read-only execute
-    /// against committed multi-version state pinned at a commit watermark —
+    /// against the newest committed versions of the objects they read —
     /// no scheduler interaction, no certification, no aborts — while
     /// writers go through the scheduler unchanged. Applies to all three
     /// backends; with it off, runs are bit-for-bit what they were before

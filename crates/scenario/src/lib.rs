@@ -51,57 +51,34 @@ pub use spec::{
 };
 
 use obase_runtime::{
-    ConfigError, ExecutionBackend, Observe, RunReport, Runtime, RuntimeError, SchedulerSpec, Verify,
+    ConfigError, ExecutionBackend, Observe, RunReport, Runtime, RuntimeBuilder, RuntimeError,
+    SchedulerSpec, Verify,
 };
 use std::time::Duration;
 
 impl Scenario {
-    /// Builds a [`Runtime`] configured for this scenario: clients, seed,
-    /// retries, [`Verify::Full`], the requested backend, the fault
-    /// injector (when the plan injects anything), the deadline (when the
-    /// plan sets one) and [`Observe::Latency`] — every scenario run carries
-    /// a per-phase latency report.
-    pub fn runtime(
+    /// A [`RuntimeBuilder`] configured for this scenario: clients, seed,
+    /// retries, [`Verify::Full`], the requested backend, the fault injector
+    /// (when the plan injects anything), the deadline (when the plan sets
+    /// one) and [`Observe::Latency`] — every scenario run carries a
+    /// per-phase latency report. Chain [`RuntimeBuilder::observe`] for
+    /// another observation plan (e.g. [`Observe::Trace`] to export a
+    /// Perfetto timeline) and [`RuntimeBuilder::mvcc`] to switch the
+    /// snapshot read path on; the read-mix scenarios (`read-mostly-dict`,
+    /// `read-only-rush`) are built to be run both ways.
+    pub fn builder(
         &self,
         spec: SchedulerSpec,
         backend: ExecutionBackend,
-    ) -> Result<Runtime, ConfigError> {
-        self.runtime_observed(spec, backend, Observe::Latency)
-    }
-
-    /// Like [`Scenario::runtime`] with an explicit observation plan — e.g.
-    /// [`Observe::Trace`] to export a Perfetto timeline of the run.
-    pub fn runtime_observed(
-        &self,
-        spec: SchedulerSpec,
-        backend: ExecutionBackend,
-        observe: Observe,
-    ) -> Result<Runtime, ConfigError> {
-        self.runtime_with(spec, backend, observe, false)
-    }
-
-    /// Like [`Scenario::runtime_observed`] with the MVCC snapshot read path
-    /// switched on or off ([`RuntimeBuilder::mvcc`]); the read-mix
-    /// scenarios (`read-mostly-dict`, `read-only-rush`) are built to be run
-    /// both ways.
-    ///
-    /// [`RuntimeBuilder::mvcc`]: obase_runtime::RuntimeBuilder::mvcc
-    pub fn runtime_with(
-        &self,
-        spec: SchedulerSpec,
-        backend: ExecutionBackend,
-        observe: Observe,
-        mvcc: bool,
-    ) -> Result<Runtime, ConfigError> {
+    ) -> Result<RuntimeBuilder, ConfigError> {
         let mut builder = Runtime::builder()
             .scheduler(spec)
             .clients(self.clients)
             .seed(self.seed)
             .retries(self.retries)
             .backend(backend)
-            .mvcc(mvcc)
             .verify(Verify::Full)
-            .observe(observe);
+            .observe(Observe::Latency);
         if let Some(ms) = self.faults.deadline_ms {
             builder = builder.deadline(Duration::from_millis(ms));
         }
@@ -118,42 +95,19 @@ impl Scenario {
                 )
             });
         }
-        builder.build()
+        Ok(builder)
     }
 
     /// Compiles and runs the scenario under one scheduler spec on one
     /// backend, returning the verified report (latency included, per
-    /// [`Scenario::runtime`]).
+    /// [`Scenario::builder`]).
     pub fn run(
         &self,
         spec: &SchedulerSpec,
         backend: ExecutionBackend,
     ) -> Result<RunReport, RuntimeError> {
-        self.runtime(spec.clone(), backend)?.run(&self.compile())
-    }
-
-    /// Compiles and runs the scenario with an explicit observation plan.
-    pub fn run_observed(
-        &self,
-        spec: &SchedulerSpec,
-        backend: ExecutionBackend,
-        observe: Observe,
-    ) -> Result<RunReport, RuntimeError> {
-        self.runtime_observed(spec.clone(), backend, observe)?
-            .run(&self.compile())
-    }
-
-    /// Compiles and runs the scenario with the MVCC snapshot read path on
-    /// or off; `report.metrics.snapshot_reads` says how much of the run the
-    /// fast path absorbed.
-    pub fn run_with(
-        &self,
-        spec: &SchedulerSpec,
-        backend: ExecutionBackend,
-        observe: Observe,
-        mvcc: bool,
-    ) -> Result<RunReport, RuntimeError> {
-        self.runtime_with(spec.clone(), backend, observe, mvcc)?
+        self.builder(spec.clone(), backend)?
+            .build()?
             .run(&self.compile())
     }
 }
@@ -319,7 +273,7 @@ mod tests {
         let mut s = by_name("abort-storm").unwrap();
         s.faults.storm = Some(inverted);
         assert_eq!(
-            s.runtime(s.specs[0].clone(), ExecutionBackend::Simulated)
+            s.builder(s.specs[0].clone(), ExecutionBackend::Simulated)
                 .err(),
             Some(ConfigError::InvertedFaultWindow {
                 from: 200,

@@ -30,7 +30,7 @@ pub enum AdtKind {
     Set,
     /// The paper's dictionary with key-wise conflicts.
     Dictionary,
-    /// The B-tree-backed ordered dictionary with interval-aware `Range`
+    /// The ordered integer-keyed dictionary with interval-aware `Range`
     /// conflicts ([`obase_adt::BTreeDict`]).
     BTreeDict,
     /// A FIFO queue (the step-level locking example of Section 5.1).

@@ -16,7 +16,7 @@
 //! * [`core`] — the formal model (histories, conflicts, serialisation
 //!   graphs, Theorems 1, 2 and 5);
 //! * [`adt`] — semantic object types (registers, counters, accounts, sets,
-//!   dictionaries, FIFO queues, a from-scratch B-tree);
+//!   dictionaries, an ordered B-tree dictionary, FIFO queues);
 //! * [`lock`] — nested two-phase locking and the flat Gemstone-style
 //!   baseline;
 //! * [`tso`] — nested timestamp ordering (conservative and provisional);

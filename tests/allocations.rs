@@ -1,24 +1,29 @@
 //! Allocation regression test: a run pays for the objects it touches, not
-//! for the whole object base.
+//! for the whole object base, and an ordered-dictionary read pays for what
+//! it returns, not for the size of the dictionary.
 //!
 //! One two-operation transaction goes through `Runtime::run` configured as
 //! the server runs a batch (the serve default scheduler, workers, retries
 //! and MVCC setting, `Verify::Quick`, `Observe::Latency`), over a base of 8
-//! and of 2,048 accounts. A counting global allocator around [`System`]
-//! counts the allocations the run makes; the minimum of 10 runs at 2,048
-//! accounts may exceed the one at 8 by at most 5% plus 16. Unlike a timing
-//! gate, the count does not move with host load.
+//! and of 2,048 accounts, once as served and once with the MVCC snapshot
+//! read path on. A counting global allocator around [`System`] counts the
+//! allocations the run makes; the minimum of 10 runs at 2,048 accounts may
+//! exceed the one at 8 by at most 5% plus 16. A `BTreeDict` `Lookup` and
+//! `Range` on a 4,096-pair state may allocate at most 4 more than the same
+//! operation on a 16-pair state. Unlike a timing gate, the count does not
+//! move with host load.
 //!
 //! The binary holds this one test so that no other test allocates while a
-//! run is being counted. It spells the server's runtime out rather than
+//! count is being taken. It spells the server's runtime out rather than
 //! calling `ServeConfig::runtime`, so that it also builds against older
 //! versions of the library for comparison. Run it with
 //! `cargo test --release --test allocations -- --nocapture` to see the
 //! counts.
 
-use obase::adt::Account;
+use obase::adt::{Account, BTreeDict};
 use obase::core::ids::ObjectId;
-use obase::core::object::ObjectBase;
+use obase::core::object::{ObjectBase, SemanticType};
+use obase::core::op::Operation;
 use obase::core::value::Value;
 use obase::exec::{Expr, MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
 use obase::runtime::{ExecutionBackend, Observe, Runtime, Verify};
@@ -99,48 +104,79 @@ fn accounts(accounts: usize) -> WorkloadSpec {
     }
 }
 
+/// `f`'s result and the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
 /// The fewest allocations any of 10 runs of `workload` made.
 fn min_allocations(runtime: &Runtime, workload: &WorkloadSpec) -> u64 {
     (0..10)
         .map(|_| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let report = runtime.run(workload).expect("a well-formed workload");
-            let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            let (report, made) = counted(|| runtime.run(workload).expect("a well-formed workload"));
             assert_eq!(report.metrics.committed, 1, "{:?}", report.metrics);
             assert!(report.checks.all_passed());
-            drop(report);
             made
         })
         .min()
         .expect("ten runs")
 }
 
+/// A `BTreeDict` state of `pairs` pairs `[k, 10k]`.
+fn sorted_pairs(pairs: i64) -> Value {
+    Value::list((0..pairs).map(|k| Value::list([Value::Int(k), Value::Int(10 * k)])))
+}
+
 #[test]
 fn a_run_allocates_for_what_it_touches_not_for_the_base() {
     let serve = ServeConfig::default();
-    let mut builder = Runtime::builder()
-        .scheduler(serve.scheduler.clone())
-        .backend(ExecutionBackend::Parallel {
-            workers: serve.workers,
-        })
-        .retries(serve.retries)
-        .mvcc(serve.mvcc)
-        .verify(Verify::Quick)
-        .observe(Observe::Latency);
-    if serve.store_shards > 0 {
-        builder = builder.store_shards(serve.store_shards);
-    }
-    let runtime = builder
-        .build()
-        .expect("the serve defaults are a valid runtime");
     let (small, large) = (accounts(8), accounts(2_048));
-    let at_8 = min_allocations(&runtime, &small);
-    let at_2048 = min_allocations(&runtime, &large);
-    println!("allocations per run: {at_8} at 8 accounts, {at_2048} at 2048 accounts");
-    let bound = at_8 + at_8 / 20 + 16;
-    assert!(
-        at_2048 <= bound,
-        "a run over 2048 accounts made {at_2048} allocations against {at_8} over 8 \
-         (bound {bound}): the run is paying for the size of the object base"
-    );
+    for mvcc in [serve.mvcc, true] {
+        let mut builder = Runtime::builder()
+            .scheduler(serve.scheduler.clone())
+            .backend(ExecutionBackend::Parallel {
+                workers: serve.workers,
+            })
+            .retries(serve.retries)
+            .mvcc(mvcc)
+            .verify(Verify::Quick)
+            .observe(Observe::Latency);
+        if serve.store_shards > 0 {
+            builder = builder.store_shards(serve.store_shards);
+        }
+        let runtime = builder
+            .build()
+            .expect("the serve defaults are a valid runtime");
+        let at_8 = min_allocations(&runtime, &small);
+        let at_2048 = min_allocations(&runtime, &large);
+        println!(
+            "allocations per run (mvcc {mvcc}): {at_8} at 8 accounts, {at_2048} at 2048 accounts"
+        );
+        let bound = at_8 + at_8 / 20 + 16;
+        assert!(
+            at_2048 <= bound,
+            "a run over 2048 accounts (mvcc {mvcc}) made {at_2048} allocations against \
+             {at_8} over 8 (bound {bound}): the run is paying for the size of the object base"
+        );
+    }
+
+    // Both reads return the same values on both states; only the number of
+    // pairs they search differs.
+    let (short, long) = (sorted_pairs(16), sorted_pairs(4_096));
+    for op in [
+        Operation::unary("Lookup", 7),
+        Operation::new("Range", [Value::Int(4), Value::Int(8)]),
+    ] {
+        let apply =
+            |state: &Value| counted(|| BTreeDict.apply(state, &op).expect("a well-formed read")).1;
+        let (at_16, at_4096) = (apply(&short), apply(&long));
+        println!("allocations per {op:?}: {at_16} at 16 pairs, {at_4096} at 4096 pairs");
+        assert!(
+            at_4096 <= at_16 + 4,
+            "{op:?} on 4096 pairs made {at_4096} allocations against {at_16} on 16: \
+             the read is paying for the size of the dictionary"
+        );
+    }
 }

@@ -3,11 +3,10 @@
 //! The fast path must be *free* correctness-wise: every run with snapshots
 //! on — any backend, any seed — passes the same serialisability oracle as
 //! the scheduled path (legality, Theorem 2 with witness, Theorem 5), with
-//! the snapshot transactions' reads serialised at their pinned commit
-//! watermark. And it must be *invisible* when off: the `.mvcc(false)`
+//! the snapshot transactions' reads serialised at the commit watermark
+//! they read under the store lock. And it must be *invisible* when off: the `.mvcc(false)`
 //! baseline is bit-for-bit the run the knob's introduction never touched.
 
-use obase::exec::VersionedStore;
 use obase::prelude::*;
 use obase::scenario::{self, Scenario};
 
@@ -19,6 +18,21 @@ fn read_mix_scenarios() -> Vec<Scenario> {
         .iter()
         .map(|n| scenario::by_name(n).expect("built-in"))
         .collect()
+}
+
+/// Runs `s` under `spec` on `backend`, unobserved, with snapshots on or off.
+fn run_mvcc(
+    s: &Scenario,
+    spec: &SchedulerSpec,
+    backend: ExecutionBackend,
+    mvcc: bool,
+) -> RunReport {
+    let label = backend.label();
+    s.builder(spec.clone(), backend)
+        .and_then(|b| b.observe(Observe::Off).mvcc(mvcc).build())
+        .unwrap_or_else(|e| panic!("{}/{label}: {e}", s.name))
+        .run(&s.compile())
+        .unwrap_or_else(|e| panic!("{}/{label}: {e}", s.name))
 }
 
 /// Both in-memory backends, both read-mix scenarios, snapshots on: the full
@@ -33,9 +47,7 @@ fn snapshot_runs_pass_the_oracle_on_both_in_memory_backends() {
         }
         for backend in backends {
             let label = backend.label();
-            let report = s
-                .run_with(spec, backend, Observe::Off, true)
-                .unwrap_or_else(|e| panic!("{}/{label}: {e}", s.name));
+            let report = run_mvcc(&s, spec, backend, true);
             assert!(!report.metrics.timed_out, "{}/{label} timed out", s.name);
             report.assert_serialisable();
             assert!(
@@ -67,9 +79,7 @@ fn hundred_seed_sweep_holds_the_oracle() {
     for i in 0..100u64 {
         let mut s = base.clone();
         s.seed = 2_000 + i;
-        let report = s
-            .run_with(&spec, ExecutionBackend::Simulated, Observe::Off, true)
-            .unwrap_or_else(|e| panic!("seed {}: {e}", s.seed));
+        let report = run_mvcc(&s, &spec, ExecutionBackend::Simulated, true);
         report.assert_serialisable();
         absorbed += report.metrics.snapshot_reads;
     }
@@ -84,9 +94,7 @@ fn mvcc_off_is_the_exact_baseline() {
     for s in read_mix_scenarios() {
         let spec = &s.specs[0];
         let plain = s.run(spec, ExecutionBackend::Simulated).unwrap();
-        let off = s
-            .run_with(spec, ExecutionBackend::Simulated, Observe::Off, false)
-            .unwrap();
+        let off = run_mvcc(&s, spec, ExecutionBackend::Simulated, false);
         assert_eq!(plain.metrics.rounds, off.metrics.rounds, "{}", s.name);
         assert_eq!(plain.metrics.committed, off.metrics.committed, "{}", s.name);
         assert_eq!(plain.metrics.aborts, off.metrics.aborts, "{}", s.name);
@@ -111,12 +119,8 @@ fn mvcc_off_is_the_exact_baseline() {
 fn mvcc_on_is_deterministic_on_the_simulator() {
     let s = scenario::by_name("read-mostly-dict").expect("built-in");
     let spec = &s.specs[0];
-    let a = s
-        .run_with(spec, ExecutionBackend::Simulated, Observe::Off, true)
-        .unwrap();
-    let b = s
-        .run_with(spec, ExecutionBackend::Simulated, Observe::Off, true)
-        .unwrap();
+    let a = run_mvcc(&s, spec, ExecutionBackend::Simulated, true);
+    let b = run_mvcc(&s, spec, ExecutionBackend::Simulated, true);
     assert_eq!(a.metrics.rounds, b.metrics.rounds);
     assert_eq!(a.metrics.committed, b.metrics.committed);
     assert_eq!(a.metrics.snapshot_reads, b.metrics.snapshot_reads);
@@ -159,19 +163,22 @@ fn durable_backend_snapshots_and_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Watermark pinning through the public API: a long-running snapshot keeps
-/// the version it reads alive while newer commits land; releasing the pin
-/// lets GC reclaim, and an unpinned write-heavy loop keeps chains bounded.
+/// Reads through the public API: a read, taken under the store lock, sees
+/// the newest committed version; publication replaces that version in place,
+/// so a write-heavy loop holds one version per object and no mirrored step
+/// outlives its commit.
 #[test]
 fn pins_hold_versions_and_gc_reclaims() {
     use obase::core::ids::{ExecId, StepId};
     use obase::core::object::ObjectBase;
     use obase::core::op::Operation;
     use obase::core::value::Value;
+    use obase::exec::VersionedStore;
     use std::sync::Arc;
 
     let mut base = ObjectBase::new();
     let x = base.add_object("x", Arc::new(obase::adt::Register::default()));
+    let y = base.add_object("y", Arc::new(obase::adt::Register::default()));
     let mut vs = VersionedStore::new(Arc::new(base));
 
     let commit_write = |vs: &mut VersionedStore, e: u32, v: i64| {
@@ -186,23 +193,13 @@ fn pins_hold_versions_and_gc_reclaims() {
     };
 
     commit_write(&mut vs, 1, 10);
-    let pin = vs.pin(); // a long-running snapshot starts here
-    for e in 2..30 {
+    assert_eq!(vs.read(x), (&Value::Int(10), Some(StepId(1))));
+    for e in 2..1030 {
         commit_write(&mut vs, e, i64::from(e));
+        assert_eq!(vs.read(x), (&Value::Int(i64::from(e)), Some(StepId(e))));
+        assert_eq!(vs.pending_entries(), 0, "mirrored steps kept at exec {e}");
+        assert_eq!(vs.watermark(), u64::from(e));
     }
-    // The pinned version survives the churn and still reads its value.
-    assert_eq!(vs.read(x, pin).0, &Value::Int(10));
-    assert!(
-        vs.chain_len(x) > 1,
-        "newer committed versions must accumulate while the pin holds"
-    );
-    vs.unpin(pin);
-    // With no active snapshot, only the newest version is reachable.
-    assert_eq!(vs.chain_len(x), 1, "GC must reclaim once the pin is gone");
-    // Write-heavy loop without pins: the chain never grows.
-    for e in 30..1030 {
-        commit_write(&mut vs, e, i64::from(e));
-        assert!(vs.chain_len(x) <= 2, "chain unbounded at exec {e}");
-    }
-    assert_eq!(vs.active_pins(), 0);
+    // An object never written reads its initial state, anchored nowhere.
+    assert_eq!(vs.read(y), (&Value::Int(0), None));
 }

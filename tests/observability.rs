@@ -181,12 +181,10 @@ fn snapshot_reads_surface_in_latency_and_trace() {
     let s = obase::scenario::by_name("read-mostly-dict").expect("built-in");
     let tracer = Arc::new(ChromeTraceObserver::new());
     let report = s
-        .run_with(
-            &s.specs[0],
-            ExecutionBackend::Simulated,
-            Observe::Trace(tracer.clone()),
-            true,
-        )
+        .builder(s.specs[0].clone(), ExecutionBackend::Simulated)
+        .and_then(|b| b.observe(Observe::Trace(tracer.clone())).mvcc(true).build())
+        .expect("a library scenario builds")
+        .run(&s.compile())
         .expect("observed MVCC run completes");
     report.assert_serialisable();
     assert!(
