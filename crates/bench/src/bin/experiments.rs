@@ -20,8 +20,6 @@
 //! survive.
 
 use obase_bench as xp;
-use obase_ser::Json;
-use std::collections::BTreeMap;
 
 /// An experiment entry: key, title, and the row-producing function.
 type Experiment = (
@@ -261,23 +259,7 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| "BENCH_results.json".to_owned());
     // Merge into the existing results document so entries produced by other
     // runs — the `scenarios` binary's `"scenarios"` key, or families this
-    // run skipped — survive. An existing file that fails to parse is an
-    // error, not an excuse to clobber it.
-    let mut doc: BTreeMap<String, Json> = match std::fs::read_to_string(&out_path) {
-        Ok(existing) => match Json::parse(&existing) {
-            Ok(Json::Object(map)) => map,
-            Ok(_) | Err(_) => panic!(
-                "{out_path} exists but is not a JSON object; refusing to overwrite it \
-                 (fix or remove the file, or pick another --out path)"
-            ),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-        Err(e) => panic!("cannot read existing {out_path}: {e}; refusing to overwrite it"),
-    };
-    if let Json::Object(map) = xp::results_json(&results) {
-        doc.extend(map);
-    }
-    std::fs::write(&out_path, Json::Object(doc).to_string() + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    // run skipped — survive.
+    xp::merge_results(&out_path, xp::results_json(&results)).unwrap_or_else(|e| panic!("{e}"));
     eprintln!("wrote {out_path} ({} experiments merged)", results.len());
 }

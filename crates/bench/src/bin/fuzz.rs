@@ -31,7 +31,6 @@
 
 use obase_fuzz::{bugbase, campaign, DiffConfig, FuzzConfig};
 use obase_ser::Json;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -192,48 +191,28 @@ fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
 /// the `"fuzz"` key, preserving entries written by the other binaries.
 fn write_results(cfg: &FuzzConfig, outcome: &campaign::CampaignOutcome, out: Option<&str>) {
     let out_path = out.unwrap_or("BENCH_results.json");
-    let mut doc: BTreeMap<String, Json> = match std::fs::read_to_string(out_path) {
-        Ok(existing) => match Json::parse(&existing) {
-            Ok(Json::Object(map)) => map,
-            Ok(_) | Err(_) => {
-                eprintln!(
-                    "{out_path} exists but is not a JSON object; refusing to overwrite it \
-                     (fix or remove the file, or pick another --out path)"
-                );
-                std::process::exit(2);
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-        Err(e) => {
-            eprintln!("cannot read existing {out_path}: {e}; refusing to overwrite it");
-            std::process::exit(2);
-        }
-    };
-    doc.insert(
-        "fuzz".to_owned(),
-        Json::object([
-            ("seed", Json::Int(cfg.seed as i64)),
-            ("cases", Json::Int(outcome.cases as i64)),
-            ("runs", Json::Int(outcome.runs as i64)),
-            ("committed", Json::Int(outcome.committed as i64)),
-            ("recoveries", Json::Int(outcome.recoveries as i64)),
-            ("elapsed_secs", Json::Float(outcome.elapsed.as_secs_f64())),
-            ("coverage", outcome.coverage.to_json()),
-            (
-                "new_bugs",
-                Json::Array(
-                    outcome
-                        .bugs
-                        .iter()
-                        .map(|b| Json::Str(b.fingerprint.clone()))
-                        .collect(),
-                ),
+    let stats = Json::object([
+        ("seed", Json::Int(cfg.seed as i64)),
+        ("cases", Json::Int(outcome.cases as i64)),
+        ("runs", Json::Int(outcome.runs as i64)),
+        ("committed", Json::Int(outcome.committed as i64)),
+        ("recoveries", Json::Int(outcome.recoveries as i64)),
+        ("elapsed_secs", Json::Float(outcome.elapsed.as_secs_f64())),
+        ("coverage", outcome.coverage.to_json()),
+        (
+            "new_bugs",
+            Json::Array(
+                outcome
+                    .bugs
+                    .iter()
+                    .map(|b| Json::Str(b.fingerprint.clone()))
+                    .collect(),
             ),
-            ("duplicates", Json::Int(outcome.duplicates as i64)),
-        ]),
-    );
-    if let Err(e) = std::fs::write(out_path, Json::Object(doc).to_string() + "\n") {
-        eprintln!("cannot write {out_path}: {e}");
+        ),
+        ("duplicates", Json::Int(outcome.duplicates as i64)),
+    ]);
+    if let Err(e) = obase_bench::merge_results(out_path, Json::object([("fuzz", stats)])) {
+        eprintln!("{e}");
         std::process::exit(2);
     }
     eprintln!("merged campaign stats into {out_path}");

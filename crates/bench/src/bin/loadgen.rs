@@ -30,7 +30,6 @@ use obase_obs::Histogram;
 use obase_runtime::SchedulerSpec;
 use obase_ser::Json;
 use obase_serve::{ServeClient, ServeConfig, Server, SubmitOutcome};
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -207,23 +206,8 @@ fn main() {
     );
 
     // Merge under "serve"; everything else in the document survives.
-    let mut doc: BTreeMap<String, Json> = match std::fs::read_to_string(&out_path) {
-        Ok(existing) => match Json::parse(&existing) {
-            Ok(Json::Object(map)) => map,
-            Ok(_) | Err(_) => panic!(
-                "{out_path} exists but is not a JSON object; refusing to overwrite it \
-                 (fix or remove the file, or pick another --out path)"
-            ),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-        Err(e) => panic!("cannot read existing {out_path}: {e}; refusing to overwrite it"),
-    };
     let entry = xp::results_json(&[("serve", title.as_str(), vec![row])]);
-    if let Json::Object(map) = entry {
-        doc.extend(map);
-    }
-    std::fs::write(&out_path, Json::Object(doc).to_string() + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    xp::merge_results(&out_path, entry).unwrap_or_else(|e| panic!("{e}"));
     eprintln!("wrote {out_path}");
 
     if assert_drop_free {

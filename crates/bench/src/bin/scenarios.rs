@@ -30,8 +30,6 @@
 use obase_bench as xp;
 use obase_runtime::{ChromeTraceObserver, ExecutionBackend, Observe};
 use obase_scenario::Scenario;
-use obase_ser::Json;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn main() {
@@ -156,24 +154,8 @@ fn main() {
     println!("{}", xp::render_table(&title, &rows));
 
     // Merge into the existing results document (experiment entries written
-    // by the `experiments` binary survive). An existing file that fails to
-    // parse is an error, not an excuse to clobber it.
-    let mut doc: BTreeMap<String, Json> = match std::fs::read_to_string(&out_path) {
-        Ok(existing) => match Json::parse(&existing) {
-            Ok(Json::Object(map)) => map,
-            Ok(_) | Err(_) => panic!(
-                "{out_path} exists but is not a JSON object; refusing to overwrite it \
-                 (fix or remove the file, or pick another --out path)"
-            ),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-        Err(e) => panic!("cannot read existing {out_path}: {e}; refusing to overwrite it"),
-    };
+    // by the `experiments` binary survive).
     let entry = xp::results_json(&[("scenarios", title.as_str(), rows)]);
-    if let Json::Object(map) = entry {
-        doc.extend(map);
-    }
-    std::fs::write(&out_path, Json::Object(doc).to_string() + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    xp::merge_results(&out_path, entry).unwrap_or_else(|e| panic!("{e}"));
     eprintln!("wrote {out_path}");
 }

@@ -119,6 +119,34 @@ pub fn results_json(results: &[(&str, &str, Vec<Row>)]) -> Json {
     Json::Object(doc)
 }
 
+/// Merges `entries`, a JSON object, into the results document at `path`:
+/// the document's other keys survive. An existing file that is not a JSON
+/// object is refused, never overwritten.
+pub fn merge_results(path: &str, entries: Json) -> Result<(), String> {
+    let mut doc = match std::fs::read_to_string(path) {
+        Ok(existing) => match Json::parse(&existing) {
+            Ok(Json::Object(map)) => map,
+            Ok(_) | Err(_) => {
+                return Err(format!(
+                    "{path} exists but is not a JSON object; refusing to overwrite it \
+                     (fix or remove the file, or pick another --out path)"
+                ))
+            }
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
+        Err(e) => {
+            return Err(format!(
+                "cannot read existing {path}: {e}; refusing to overwrite it"
+            ))
+        }
+    };
+    if let Json::Object(map) = entries {
+        doc.extend(map);
+    }
+    std::fs::write(path, Json::Object(doc).to_string() + "\n")
+        .map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 /// Renders rows as a Markdown table.
 pub fn render_table(title: &str, rows: &[Row]) -> String {
     let mut columns: Vec<String> = Vec::new();
@@ -1176,11 +1204,18 @@ pub fn check_flat_guard(rows: &[Row]) -> Result<(), String> {
 /// latency report: fold it into its lifetime aggregate. Here each workload
 /// keeps one aggregate that has seen 2,048 distinct blocked objects before
 /// its first fold, so a fold that paid for the aggregate's size would show.
+///
+/// `codec_us_p50` times the wire codec around the run: the row's
+/// transaction as a `Submit` frame and its answer as a `Result` frame, each
+/// through `wire::encode_frame` and `wire::decode_frame`, so the table
+/// shows the codec beside `run_us_p50`.
 pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
     use obase_core::ids::ObjectId;
     use obase_core::object::{ObjectBase, TypeHandle};
     use obase_core::value::Value;
     use obase_exec::{Expr, MethodDef, ObjRef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
+    use obase_serve::wire::{decode_frame, encode_frame};
+    use obase_serve::Frame;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1287,7 +1322,8 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
             ),
         ),
     ];
-    // Per workload: its lifetime aggregate, then the run and fold figures.
+    // Per workload: its lifetime aggregate, then the run, fold and codec
+    // figures.
     let mut points: Vec<_> = workloads
         .into_iter()
         .map(|(name, workload)| {
@@ -1295,6 +1331,7 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
                 name,
                 workload,
                 blocked_on_many(2_048),
+                Vec::new(),
                 Vec::new(),
                 Vec::new(),
             )
@@ -1318,23 +1355,46 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
         aggregate.merge(latency);
         (run_us, t1.elapsed().as_nanos() as f64 / 1_000.0)
     };
+    // The transaction's `Submit` and its `Result`, each encoded and
+    // decoded: the microseconds that took.
+    let codec_us = |submit: &Frame| {
+        let result = Frame::Result {
+            id: 1,
+            committed: true,
+            latency_us: 1_000,
+        };
+        let t0 = Instant::now();
+        for frame in [submit, &result] {
+            let bytes = encode_frame(frame);
+            let (back, _) = decode_frame(&bytes).expect("an encoded frame decodes");
+            std::hint::black_box(back);
+        }
+        t0.elapsed().as_nanos() as f64 / 1_000.0
+    };
     let median = |mut figures: Vec<f64>| {
         figures.sort_by(f64::total_cmp);
         figures[figures.len() / 2]
     };
     for _ in 0..reps {
-        for (_, workload, aggregate, run_figures, fold_figures) in &mut points {
+        for (_, workload, aggregate, run_figures, fold_figures, codec_figures) in &mut points {
             run_and_fold_us(workload, aggregate);
             let (runs, folds): (Vec<f64>, Vec<f64>) = (0..RUNS)
                 .map(|_| run_and_fold_us(workload, aggregate))
                 .unzip();
             run_figures.push(median(runs));
             fold_figures.push(median(folds));
+            let submit = Frame::Submit {
+                id: 1,
+                name: "solo".into(),
+                body: workload.transactions[0].body.clone(),
+            };
+            codec_us(&submit);
+            codec_figures.push(median((0..RUNS).map(|_| codec_us(&submit)).collect()));
         }
     }
     points
         .into_iter()
-        .map(|(name, _, _, mut figures, folds)| {
+        .map(|(name, _, _, mut figures, folds, codecs)| {
             figures.sort_by(f64::total_cmp);
             let at = |q: f64| figures[((figures.len() - 1) as f64 * q).round() as usize];
             Row::new(name)
@@ -1342,6 +1402,7 @@ pub fn e15_batch_of_one(scale: usize) -> Vec<Row> {
                 .with("run_us_p50", at(0.5))
                 .with("run_us_p75", at(0.75))
                 .with("latency_fold_us_p50", median(folds))
+                .with("codec_us_p50", median(codecs))
                 .with("repetitions", figures.len() as f64)
         })
         .collect()

@@ -148,9 +148,10 @@ impl VersionedStore {
     /// publication (removing its steps may complete another transaction's
     /// prefix).
     pub fn note_abort(&mut self, top: ExecId) {
-        for queue in self.pending.values_mut() {
+        self.pending.retain(|_, queue| {
             queue.retain(|e| e.top != top);
-        }
+            !queue.is_empty()
+        });
         self.unpublished.remove(&top);
         self.try_publish();
     }
@@ -229,6 +230,9 @@ impl VersionedStore {
                     *anchor = Some(e.step);
                 }
             }
+            // A drained queue goes, so that later publications scan only
+            // the objects with steps still waiting.
+            self.pending.retain(|_, queue| !queue.is_empty());
         }
         for t in &group {
             self.unpublished.remove(t);
@@ -620,6 +624,34 @@ mod tests {
         assert_eq!(vs.read(objects[0]), (&Value::Int(334), Some(StepId(999))));
         assert_eq!(vs.read(objects[2]), (&Value::Int(333), Some(StepId(998))));
         assert_eq!(vs.read(objects[7]), (&Value::Int(0), None));
+    }
+
+    /// Single-write commits to distinct objects leave no drained queue
+    /// behind for later publications to scan.
+    #[test]
+    fn drained_queues_are_dropped() {
+        let mut base = ObjectBase::new();
+        let objects: Vec<ObjectId> = (0..5_000)
+            .map(|i| base.add_object(format!("c{i}"), Arc::new(Counter::default())))
+            .collect();
+        let mut vs = VersionedStore::new(Arc::new(base));
+        for (i, &o) in objects.iter().enumerate() {
+            let i = i as u32;
+            vs.note_install(ExecId(i), o, StepId(i), add(1), Value::Unit);
+            vs.note_commit(ExecId(i));
+        }
+        assert_eq!(vs.watermark(), 5_000);
+        assert!(vs.pending.is_empty(), "{} queues left", vs.pending.len());
+        // An aborted writer's queue goes too.
+        vs.note_install(
+            ExecId(9_000),
+            objects[0],
+            StepId(9_000),
+            add(1),
+            Value::Unit,
+        );
+        vs.note_abort(ExecId(9_000));
+        assert!(vs.pending.is_empty());
     }
 
     fn dict_def() -> (ObjectBaseDef, ObjectId) {

@@ -1,20 +1,31 @@
-//! # obase-ser — a minimal JSON value, writer and parser
+//! # obase-ser — a minimal JSON value, reader and writer
 //!
 //! The runtime facade treats scheduler configurations as *data*: a
 //! [`SchedulerSpec`](https://docs.rs/obase-runtime) can be rendered to JSON,
 //! stored, diffed and parsed back. This crate supplies the tiny JSON kernel
-//! that makes that possible without external dependencies: a [`Json`] value
-//! type, a compact writer and a recursive-descent parser.
+//! that makes that possible without external dependencies: a pull
+//! [`Reader`] over JSON text, a [`Writer`] that appends JSON text to a byte
+//! buffer, and a [`Json`] value type whose parser and printer are built on
+//! the two. Typed codecs (the wire protocol, the write-ahead log) use the
+//! reader and writer directly and build no [`Json`] tree on the way.
 //!
 //! The subset is deliberately small but complete for the workspace's needs:
 //! objects, arrays, strings (with `\uXXXX` escapes), integers, floats,
-//! booleans and null.
+//! booleans and null. Reading and writing are linear in the text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+mod read;
+#[cfg(test)]
+mod reference;
+mod write;
+
+pub use read::Reader;
+pub use write::Writer;
 
 /// A JSON value.
 ///
@@ -103,81 +114,22 @@ impl Json {
         self.as_object().and_then(|o| o.get(key))
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Of duplicate keys in an object, the last
+    /// one wins.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(v)
+        let mut reader = Reader::new(input);
+        let value = reader.json()?;
+        reader.end()?;
+        Ok(value)
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    // Keep a decimal point so the value parses back as a float.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    // JSON has no Inf/NaN; degrade to null.
-                    write!(f, "null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Array(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Object(map) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
+        let mut out = Vec::new();
+        Writer::new(&mut out).json(self);
+        f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
 }
 
 /// A parse failure with a byte offset into the input.
@@ -251,224 +203,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected {word:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex_escape()?;
-                            let c = if (0xD800..=0xDBFF).contains(&code) {
-                                // High surrogate: a \uXXXX low surrogate must
-                                // follow; combine into one code point.
-                                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(br"\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex_escape()?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| self.err("invalid code point"))?
-                            } else {
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Reads the four hex digits of a `\uXXXX` escape (cursor on the `u`),
-    /// leaving the cursor on the last digit.
-    fn hex_escape(&mut self) -> Result<u32, ParseError> {
-        let hex = self
-            .bytes
-            .get(self.pos + 1..self.pos + 5)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut float = false;
-        if self.peek() == Some(b'.') {
-            float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("malformed number"))
-        } else {
-            text.parse::<i64>()
-                .map(Json::Int)
-                .map_err(|_| self.err("malformed number"))
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -589,5 +323,203 @@ mod tests {
         let (line, col) = e.line_col(doc);
         assert_eq!((line, col), (1, 7));
         assert!(e.render(doc).ends_with('^'));
+    }
+
+    /// The reader and writer against the parser and printer they replaced
+    /// (`reference`): seeded random documents print to the same text, and
+    /// every corruption of them, every truncation, every byte flip, shuffled
+    /// and duplicated keys, added whitespace and escapes, parses to the same
+    /// value or fails with the same error.
+    #[test]
+    fn reader_and_writer_match_the_reference() {
+        use obase_rng::{ChaCha8Rng, Rng, SeedableRng, SliceRandom};
+
+        const CHARS: &[char] = &[
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{1}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            '✓',
+            '\u{1F600}',
+        ];
+        fn text(rng: &mut ChaCha8Rng) -> String {
+            (0..rng.gen_range(0..6usize))
+                .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                .collect()
+        }
+        fn value(rng: &mut ChaCha8Rng, depth: usize) -> Json {
+            match rng.gen_range(0..if depth == 0 { 6 } else { 8usize }) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.gen_bool(0.5)),
+                2 => Json::Int([0, -1, i64::MIN, i64::MAX, 42][rng.gen_range(0..5usize)]),
+                3 => Json::Float([0.5, -2.0, 1e-300, 3.25e-7, 123.0][rng.gen_range(0..5usize)]),
+                4 | 5 => Json::Str(text(rng)),
+                6 => Json::Array(
+                    (0..rng.gen_range(0..4usize))
+                        .map(|_| value(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => Json::Object(
+                    (0..rng.gen_range(0..4usize))
+                        .map(|_| (text(rng), value(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+        /// `j` printed loosely: whitespace, keys shuffled and duplicated
+        /// (the duplicate first, so the document still means `j`), and
+        /// characters written as `\u` escapes.
+        fn loose(rng: &mut ChaCha8Rng, j: &Json, out: &mut String) {
+            let ws = |rng: &mut ChaCha8Rng, out: &mut String| {
+                if rng.gen_bool(0.3) {
+                    out.push_str([" ", "\n", "\t ", "\r\n"][rng.gen_range(0..4usize)]);
+                }
+            };
+            let string = |rng: &mut ChaCha8Rng, s: &str, out: &mut String| {
+                out.push('"');
+                for c in s.chars() {
+                    if rng.gen_bool(0.3) || c == '"' || c == '\\' || (c as u32) < 0x20 {
+                        let mut units = [0u16; 2];
+                        for u in c.encode_utf16(&mut units) {
+                            out.push_str(&format!("\\u{u:04X}"));
+                        }
+                    } else if c == '/' && rng.gen_bool(0.5) {
+                        out.push_str("\\/");
+                    } else {
+                        out.push(c);
+                    }
+                }
+                out.push('"');
+            };
+            ws(rng, out);
+            match j {
+                Json::Str(s) => string(rng, s, out),
+                Json::Array(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        loose(rng, item, out);
+                    }
+                    ws(rng, out);
+                    out.push(']');
+                }
+                Json::Object(map) => {
+                    let mut entries: Vec<(&String, &Json)> = map.iter().collect();
+                    entries.shuffle(rng);
+                    out.push('{');
+                    let mut first = true;
+                    for (k, v) in entries {
+                        let dup = rng.gen_bool(0.3).then_some(Json::Int(7));
+                        for v in dup.as_ref().into_iter().chain([v]) {
+                            if !std::mem::take(&mut first) {
+                                out.push(',');
+                            }
+                            ws(rng, out);
+                            string(rng, k, out);
+                            ws(rng, out);
+                            out.push(':');
+                            loose(rng, v, out);
+                        }
+                    }
+                    ws(rng, out);
+                    out.push('}');
+                }
+                other => out.push_str(&other.to_string()),
+            }
+            ws(rng, out);
+        }
+
+        let same = |input: &str| {
+            assert_eq!(Json::parse(input), reference::parse(input), "on {input:?}");
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        for _ in 0..300 {
+            let j = value(&mut rng, 3);
+            let printed = j.to_string();
+            assert_eq!(printed, reference::print(&j));
+            assert_eq!(Json::parse(&printed).as_ref(), Ok(&j));
+            let mut text = String::new();
+            loose(&mut rng, &j, &mut text);
+            assert_eq!(Json::parse(&text).as_ref(), Ok(&j), "on {text:?}");
+            same(&text);
+            for cut in (0..text.len()).filter(|c| text.is_char_boundary(*c)) {
+                same(&text[..cut]);
+            }
+            for i in 0..text.len() {
+                for flip in [0x01u8, 0x20, 0x80] {
+                    let mut bytes = text.clone().into_bytes();
+                    bytes[i] ^= flip;
+                    if let Ok(flipped) = String::from_utf8(bytes) {
+                        same(&flipped);
+                    }
+                }
+            }
+        }
+        for odd in [
+            "\"\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\udc00\"",
+            "\"\\u+041\"",
+            "\"\\u12\"",
+            "\"\\q\"",
+            "-",
+            "1.",
+            "-.5",
+            "1e",
+            "01",
+            "99999999999999999999",
+            "[1 2]",
+            "{,}",
+            "{\"a\" 1}",
+            "[,1]",
+            "nul",
+            "\u{1}",
+            "é",
+        ] {
+            same(odd);
+        }
+    }
+
+    #[test]
+    fn a_long_string_reads_in_linear_time() {
+        let long = format!("\"{}\\n\"", "é".repeat(512 << 10));
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&long).expect("one long string");
+        let took = t0.elapsed();
+        assert_eq!(parsed.as_str().map(str::len), Some((1 << 20) + 1));
+        assert!(took.as_secs_f64() < 1.0, "a 1 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped_and_fields_take_the_last_duplicate() {
+        let text = r#"{"b": "plain", "a": 1, "b": "esc\"aped", "c": [1, {"x": 2}]}"#;
+        let mut r = Reader::new(text);
+        let [a, b, missing] = r.fields(&["a", "b", "zz"]).expect("an object");
+        r.end().expect("nothing after it");
+        assert_eq!(missing, None);
+        assert_eq!(r.at(a.expect("a")).int(), Ok(1));
+        let b = r.at(b.expect("b")).str().expect("a string");
+        assert!(matches!(b, std::borrow::Cow::Owned(ref s) if s == "esc\"aped"));
+        let mut plain = Reader::new(r#""plain""#);
+        assert!(matches!(
+            plain.str(),
+            Ok(std::borrow::Cow::Borrowed("plain"))
+        ));
+        // Shape errors carry the offset of the value.
+        assert_eq!(Reader::new(" 1.5").int().map_err(|e| e.offset), Err(1));
+        assert!(Reader::new("\"x\"").int_as::<u32>().is_err());
+        assert!(Reader::new("-1").int_as::<u32>().is_err());
     }
 }

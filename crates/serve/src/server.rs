@@ -212,8 +212,13 @@ struct Session {
 
 impl Session {
     fn write(&self, frame: &Frame) -> Result<(), WireError> {
+        self.write_all(std::slice::from_ref(frame))
+    }
+
+    /// Writes `frames` in order, with one write to the socket.
+    fn write_all<'f>(&self, frames: impl IntoIterator<Item = &'f Frame>) -> Result<(), WireError> {
         let _guard = self.write_lock.lock().expect("session write lock");
-        wire::write_frame(&mut &*self.stream, frame)
+        wire::write_frames(&mut &*self.stream, frames)
     }
 }
 
@@ -813,23 +818,33 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, inline: bool) {
     send_frames(shared, answers.iter().map(|(sid, frame)| (*sid, frame)));
 }
 
-/// Writes each frame to its session: the sessions are resolved under one
-/// `sessions` lock, the frames written with no server lock held, and the
-/// delivery counts added under one `world` lock.
+/// Writes the frames to their sessions, each session's in their order and
+/// with one write: the sessions are resolved under one `sessions` lock, the
+/// frames written with no server lock held, and the delivery counts added
+/// under one `world` lock.
 fn send_frames<'f>(shared: &Shared, frames: impl Iterator<Item = (u64, &'f Frame)>) {
-    let targets: Vec<(Option<Arc<Session>>, &Frame)> = {
+    let mut frames: Vec<(u64, &Frame)> = frames.collect();
+    // Stable: a session's frames keep their order.
+    frames.sort_by_key(|&(sid, _)| sid);
+    let targets: Vec<_> = {
         let sessions = shared.sessions.lock().expect("sessions lock");
         frames
-            .map(|(sid, frame)| (sessions.get(&sid).cloned(), frame))
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (sessions.get(&run[0].0).cloned(), run))
             .collect()
     };
-    let delivered = targets
+    let delivered: usize = targets
         .iter()
-        .filter(|(session, frame)| session.as_ref().is_some_and(|s| s.write(frame).is_ok()))
-        .count() as u64;
+        .filter(|(session, run)| {
+            session
+                .as_ref()
+                .is_some_and(|s| s.write_all(run.iter().map(|(_, f)| *f)).is_ok())
+        })
+        .map(|(_, run)| run.len())
+        .sum();
     let mut w = shared.world.lock().expect("world lock");
-    w.results_sent += delivered;
-    w.send_failures += targets.len() as u64 - delivered;
+    w.results_sent += delivered as u64;
+    w.send_failures += (frames.len() - delivered) as u64;
 }
 
 // ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@
 //! client cannot make the server allocate unboundedly.
 
 use obase_core::ids::ObjectId;
-use obase_exec::{Expr, ObjRef, Program, TxnSpec};
-use obase_ser::Json;
+use obase_exec::codec::{read_value, write_value};
+use obase_exec::{Expr, ObjRef, Program};
+use obase_ser::{Json, ParseError, Reader, Writer};
+use std::cell::RefCell;
 use std::fmt;
 use std::io::{Read, Write};
-
-pub use obase_exec::codec::{value_from_json, value_to_json};
 
 /// Protocol version carried in `hello`/`welcome`. A server refuses a
 /// mismatched hello with a typed `error` frame rather than guessing.
@@ -234,363 +234,348 @@ impl Frame {
 // ---------------------------------------------------------------------------
 // Program codec (tagged arrays; values in the shared `obase_exec::codec`).
 
-fn expr_to_json(e: &Expr) -> Json {
-    match e {
-        Expr::Const(v) => Json::Array(vec![Json::str("c"), value_to_json(v)]),
-        Expr::Param(i) => Json::Array(vec![Json::str("p"), Json::Int(*i as i64)]),
+fn write_args(w: &mut Writer<'_>, args: &[Expr]) {
+    w.array();
+    for arg in args {
+        w.array();
+        match arg {
+            Expr::Const(v) => write_value(w.str("c"), v),
+            Expr::Param(i) => {
+                w.str("p").int(*i as i64);
+            }
+        }
+        w.end_array();
     }
+    w.end_array();
 }
 
-fn expr_from_json(j: &Json) -> Result<Expr, WireError> {
-    let bad = |d: &str| WireError::BadFrame(format!("bad expr encoding: {d}"));
-    let arr = j.as_array().ok_or_else(|| bad("not a tagged array"))?;
-    match (arr.first().and_then(Json::as_str), arr.get(1)) {
-        (Some("c"), Some(v)) => value_from_json(v).map(Expr::Const).map_err(|e| bad(&e)),
-        (Some("p"), Some(i)) => i
-            .as_int()
-            .and_then(|i| usize::try_from(i).ok())
-            .map(Expr::Param)
-            .ok_or_else(|| bad("param index")),
-        _ => Err(bad("expected [\"c\", value] or [\"p\", n]")),
-    }
+/// Reads `[konst, payload]` with `read`, or `["p", n]` as parameter `n`.
+fn read_operand<'a, T>(
+    r: &mut Reader<'a>,
+    konst: &str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, ParseError>,
+    param: fn(usize) -> T,
+) -> Result<T, ParseError> {
+    let tag = r.tagged()?;
+    r.need_item("an operand needs a payload")?;
+    let operand = match &*tag {
+        "p" => param(r.int_as()?),
+        tag if tag == konst => read(r)?,
+        _ => return Err(r.error(format!("expected [{konst:?}, ...] or [\"p\", n]"))),
+    };
+    r.rest()?;
+    Ok(operand)
 }
 
-fn objref_to_json(o: &ObjRef) -> Json {
-    match o {
-        ObjRef::Const(id) => Json::Array(vec![Json::str("o"), Json::Int(i64::from(id.0))]),
-        ObjRef::Param(i) => Json::Array(vec![Json::str("p"), Json::Int(*i as i64)]),
-    }
+fn read_expr(r: &mut Reader<'_>) -> Result<Expr, ParseError> {
+    read_operand(r, "c", |r| read_value(r).map(Expr::Const), Expr::Param)
 }
 
-fn objref_from_json(j: &Json) -> Result<ObjRef, WireError> {
-    let bad = |d: &str| WireError::BadFrame(format!("bad object ref: {d}"));
-    let arr = j.as_array().ok_or_else(|| bad("not a tagged array"))?;
-    match (arr.first().and_then(Json::as_str), arr.get(1)) {
-        (Some("o"), Some(i)) => i
-            .as_int()
-            .and_then(|i| u32::try_from(i).ok())
-            .map(|i| ObjRef::Const(ObjectId(i)))
-            .ok_or_else(|| bad("object id")),
-        (Some("p"), Some(i)) => i
-            .as_int()
-            .and_then(|i| usize::try_from(i).ok())
-            .map(ObjRef::Param)
-            .ok_or_else(|| bad("param index")),
-        _ => Err(bad("expected [\"o\", id] or [\"p\", n]")),
-    }
-}
-
-/// Encodes a transaction [`Program`] in the scenario-DSL shape: tagged
+/// Writes a transaction [`Program`] in the scenario-DSL shape: tagged
 /// arrays `["local", op, args]`, `["invoke", obj, method, args]`,
 /// `["seq", [...]]`, `["par", [...]]`.
-pub fn program_to_json(p: &Program) -> Json {
+fn write_program(w: &mut Writer<'_>, p: &Program) {
+    w.array();
     match p {
-        Program::Local { op, args } => Json::Array(vec![
-            Json::str("local"),
-            Json::str(op.clone()),
-            Json::Array(args.iter().map(expr_to_json).collect()),
-        ]),
+        Program::Local { op, args } => write_args(w.str("local").str(op), args),
         Program::Invoke {
             object,
             method,
             args,
-        } => Json::Array(vec![
-            Json::str("invoke"),
-            objref_to_json(object),
-            Json::str(method.clone()),
-            Json::Array(args.iter().map(expr_to_json).collect()),
-        ]),
-        Program::Seq(ps) => Json::Array(vec![
-            Json::str("seq"),
-            Json::Array(ps.iter().map(program_to_json).collect()),
-        ]),
-        Program::Par(ps) => Json::Array(vec![
-            Json::str("par"),
-            Json::Array(ps.iter().map(program_to_json).collect()),
-        ]),
+        } => {
+            w.str("invoke").array();
+            match object {
+                ObjRef::Const(id) => w.str("o").int(i64::from(id.0)),
+                ObjRef::Param(i) => w.str("p").int(*i as i64),
+            };
+            write_args(w.end_array().str(method), args);
+        }
+        Program::Seq(ps) | Program::Par(ps) => {
+            w.str(if matches!(p, Program::Seq(_)) {
+                "seq"
+            } else {
+                "par"
+            });
+            w.array();
+            for p in ps {
+                write_program(w, p);
+            }
+            w.end_array();
+        }
     }
+    w.end_array();
 }
 
-/// Decodes a [`Program`] from its tagged-array encoding.
-pub fn program_from_json(j: &Json) -> Result<Program, WireError> {
-    let bad = |d: &str| WireError::BadFrame(format!("bad program encoding: {d}"));
-    let arr = j.as_array().ok_or_else(|| bad("not a tagged array"))?;
-    let tag = arr
-        .first()
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("no string tag"))?;
-    let exprs = |j: &Json| -> Result<Vec<Expr>, WireError> {
-        j.as_array()
-            .ok_or_else(|| bad("args is not an array"))?
-            .iter()
-            .map(expr_from_json)
-            .collect()
-    };
-    let progs = |j: &Json| -> Result<Vec<Program>, WireError> {
-        j.as_array()
-            .ok_or_else(|| bad("block is not an array"))?
-            .iter()
-            .map(program_from_json)
-            .collect()
-    };
-    match tag {
+/// Reads a [`Program`] from its tagged-array encoding. Items past the ones
+/// a shape needs are skipped.
+pub fn read_program(r: &mut Reader<'_>) -> Result<Program, ParseError> {
+    let tag = r.tagged()?;
+    let program = match &*tag {
         "local" => {
-            let op = arr
-                .get(1)
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("local needs an op name"))?;
-            let args = exprs(arr.get(2).ok_or_else(|| bad("local needs args"))?)?;
-            Ok(Program::Local {
-                op: op.to_owned(),
-                args,
-            })
+            r.need_item("local needs an op name")?;
+            let op = r.string_owned()?;
+            r.need_item("local needs args")?;
+            let args = r.list(read_expr)?;
+            Program::Local { op, args }
         }
         "invoke" => {
-            let object = objref_from_json(arr.get(1).ok_or_else(|| bad("invoke needs a target"))?)?;
-            let method = arr
-                .get(2)
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("invoke needs a method name"))?;
-            let args = exprs(arr.get(3).ok_or_else(|| bad("invoke needs args"))?)?;
-            Ok(Program::Invoke {
+            r.need_item("invoke needs a target")?;
+            let object = read_operand(
+                r,
+                "o",
+                |r| r.int_as().map(|i| ObjRef::Const(ObjectId(i))),
+                ObjRef::Param,
+            )?;
+            r.need_item("invoke needs a method name")?;
+            let method = r.string_owned()?;
+            r.need_item("invoke needs args")?;
+            let args = r.list(read_expr)?;
+            Program::Invoke {
                 object,
-                method: method.to_owned(),
+                method,
                 args,
-            })
+            }
         }
-        "seq" => progs(arr.get(1).ok_or_else(|| bad("seq needs a block"))?).map(Program::Seq),
-        "par" => progs(arr.get(1).ok_or_else(|| bad("par needs a block"))?).map(Program::Par),
-        other => Err(bad(&format!("unknown program tag {other:?}"))),
-    }
-}
-
-/// Encodes a named transaction.
-pub fn txn_to_json(t: &TxnSpec) -> Json {
-    Json::object([
-        ("name", Json::str(t.name.clone())),
-        ("body", program_to_json(&t.body)),
-    ])
-}
-
-/// Decodes a named transaction.
-pub fn txn_from_json(j: &Json) -> Result<TxnSpec, WireError> {
-    let name = j
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::BadFrame("transaction needs a name".into()))?;
-    let body = program_from_json(
-        j.get("body")
-            .ok_or_else(|| WireError::BadFrame("transaction needs a body".into()))?,
-    )?;
-    Ok(TxnSpec {
-        name: name.to_owned(),
-        body,
-    })
+        "seq" | "par" => {
+            r.need_item("a block needs its programs")?;
+            let block = r.list(read_program)?;
+            if tag == "seq" {
+                Program::Seq(block)
+            } else {
+                Program::Par(block)
+            }
+        }
+        other => return Err(r.error(format!("unknown program tag {other:?}"))),
+    };
+    r.rest()?;
+    Ok(program)
 }
 
 // ---------------------------------------------------------------------------
 // Frame codec.
 
-fn reject_to_json(r: &RejectReason) -> Json {
-    let mut fields = vec![("kind", Json::str(r.key()))];
-    match r {
-        RejectReason::QueueFull { depth } => {
-            fields.push(("depth", Json::Int(*depth as i64)));
-        }
-        RejectReason::Invalid(detail) => {
-            fields.push(("detail", Json::str(detail.clone())));
-        }
-        RejectReason::Draining => {}
-    }
-    Json::object(fields)
-}
-
-fn reject_from_json(j: &Json) -> Result<RejectReason, WireError> {
-    let bad = |d: &str| WireError::BadFrame(format!("bad reject reason: {d}"));
-    match j.get("kind").and_then(Json::as_str) {
-        Some("queue_full") => {
-            let depth = j
-                .get("depth")
-                .and_then(Json::as_int)
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| bad("queue_full needs a depth"))?;
-            Ok(RejectReason::QueueFull { depth })
-        }
-        Some("draining") => Ok(RejectReason::Draining),
-        Some("invalid") => Ok(RejectReason::Invalid(
-            j.get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-        )),
-        Some(other) => Err(bad(&format!("unknown kind {other:?}"))),
-        None => Err(bad("missing kind")),
-    }
-}
-
-/// Renders a frame as its JSON document (without the length prefix).
-pub fn frame_to_json(f: &Frame) -> Json {
-    let t = ("t", Json::str(f.tag()));
+/// Appends `f` to `out` as a length-prefixed frame: the JSON document's
+/// keys in sorted order, `"t"` last.
+fn encode_frame_into(f: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let w = &mut Writer::new(out);
+    w.object();
     match f {
-        Frame::Hello { client, protocol } => Json::object([
-            t,
-            ("client", Json::str(client.clone())),
-            ("protocol", Json::Int(*protocol)),
-        ]),
+        Frame::Hello { client, protocol } => {
+            w.key("client").str(client).key("protocol").int(*protocol);
+        }
         Frame::Welcome {
             server,
             protocol,
             objects,
-        } => Json::object([
-            t,
-            ("server", Json::str(server.clone())),
-            ("protocol", Json::Int(*protocol)),
-            ("objects", Json::Int(*objects as i64)),
-        ]),
-        Frame::Submit { id, name, body } => Json::object([
-            t,
-            ("id", Json::Int(*id as i64)),
-            ("name", Json::str(name.clone())),
-            ("body", program_to_json(body)),
-        ]),
+        } => {
+            w.key("objects").int(*objects as i64);
+            w.key("protocol").int(*protocol).key("server").str(server);
+        }
+        Frame::Submit { id, name, body } => {
+            write_program(w.key("body"), body);
+            w.key("id").int(*id as i64).key("name").str(name);
+        }
         Frame::Result {
             id,
             committed,
             latency_us,
-        } => Json::object([
-            t,
-            ("id", Json::Int(*id as i64)),
-            ("committed", Json::Bool(*committed)),
-            ("latency_us", Json::Int(*latency_us as i64)),
-        ]),
-        Frame::Reject { id, reason } => Json::object([
-            t,
-            ("id", Json::Int(*id as i64)),
-            ("reason", reject_to_json(reason)),
-        ]),
-        Frame::Status => Json::object([t]),
-        Frame::StatusReport { body } => Json::object([t, ("body", body.clone())]),
-        Frame::Reconcile { config } => Json::object([t, ("config", config.clone())]),
-        Frame::Reconciled { changed } => Json::object([
-            t,
-            (
-                "changed",
-                Json::Array(changed.iter().map(|c| Json::str(c.clone())).collect()),
-            ),
-        ]),
-        Frame::Error { code, detail } => Json::object([
-            t,
-            ("code", Json::str(code.clone())),
-            ("detail", Json::str(detail.clone())),
-        ]),
-        Frame::Goodbye => Json::object([t]),
+        } => {
+            w.key("committed")
+                .bool(*committed)
+                .key("id")
+                .int(*id as i64);
+            w.key("latency_us").int(*latency_us as i64);
+        }
+        Frame::Reject { id, reason } => {
+            w.key("id").int(*id as i64).key("reason").object();
+            match reason {
+                RejectReason::QueueFull { depth } => w.key("depth").int(*depth as i64),
+                RejectReason::Invalid(detail) => w.key("detail").str(detail),
+                RejectReason::Draining => w,
+            };
+            w.key("kind").str(reason.key()).end_object();
+        }
+        Frame::Status | Frame::Goodbye => {}
+        Frame::StatusReport { body } => {
+            w.key("body").json(body);
+        }
+        Frame::Reconcile { config } => {
+            w.key("config").json(config);
+        }
+        Frame::Reconciled { changed } => {
+            w.key("changed").array();
+            for c in changed {
+                w.str(c);
+            }
+            w.end_array();
+        }
+        Frame::Error { code, detail } => {
+            w.key("code").str(code).key("detail").str(detail);
+        }
+    }
+    w.key("t").str(f.tag()).end_object();
+    let len = (out.len() - start - 4) as u32;
+    debug_assert!(len <= MAX_FRAME_LEN);
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Every top-level key a frame has.
+const FIELDS: [&str; 15] = [
+    "t",
+    "id",
+    "name",
+    "body",
+    "committed",
+    "latency_us",
+    "client",
+    "protocol",
+    "server",
+    "objects",
+    "reason",
+    "config",
+    "changed",
+    "code",
+    "detail",
+];
+
+fn read_reject(r: &mut Reader<'_>) -> Result<RejectReason, ParseError> {
+    let [kind, depth, detail] = r.fields(&["kind", "depth", "detail"])?;
+    let kind = kind.ok_or_else(|| r.error("missing kind"))?;
+    match &*r.at(kind).str()? {
+        "queue_full" => Ok(RejectReason::QueueFull {
+            depth: r
+                .at(depth.ok_or_else(|| r.error("queue_full needs a depth"))?)
+                .int_as()?,
+        }),
+        "draining" => Ok(RejectReason::Draining),
+        "invalid" => Ok(RejectReason::Invalid(
+            detail
+                .and_then(|d| r.at(d).string_owned().ok())
+                .unwrap_or_default(),
+        )),
+        other => Err(r.error(format!("unknown kind {other:?}"))),
     }
 }
 
-/// Parses a frame from its JSON document.
-pub fn frame_from_json(j: &Json) -> Result<Frame, WireError> {
-    let obj = j
-        .as_object()
-        .ok_or_else(|| WireError::BadFrame("frame is not a JSON object".into()))?;
-    let tag = obj
-        .get("t")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::BadFrame("frame has no \"t\" tag".into()))?;
-    let need_str = |k: &str| {
-        j.get(k)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| WireError::BadFrame(format!("{tag} needs a string {k:?}")))
-    };
-    let need_int = |k: &str| {
-        j.get(k)
-            .and_then(Json::as_int)
-            .ok_or_else(|| WireError::BadFrame(format!("{tag} needs an integer {k:?}")))
-    };
-    let need_u64 = |k: &str| {
-        need_int(k).and_then(|i| {
-            u64::try_from(i).map_err(|_| WireError::BadFrame(format!("{tag}: {k} is negative")))
-        })
-    };
-    match tag {
-        "hello" => Ok(Frame::Hello {
-            client: need_str("client")?,
-            protocol: need_int("protocol")?,
-        }),
-        "welcome" => Ok(Frame::Welcome {
-            server: need_str("server")?,
-            protocol: need_int("protocol")?,
-            objects: need_int("objects").and_then(|i| {
-                usize::try_from(i)
-                    .map_err(|_| WireError::BadFrame("welcome: objects is negative".into()))
-            })?,
-        }),
-        "submit" => Ok(Frame::Submit {
-            id: need_u64("id")?,
-            name: need_str("name")?,
-            body: program_from_json(
-                j.get("body")
-                    .ok_or_else(|| WireError::BadFrame("submit needs a body".into()))?,
-            )?,
-        }),
-        "result" => Ok(Frame::Result {
-            id: need_u64("id")?,
-            committed: j
-                .get("committed")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| WireError::BadFrame("result needs a bool \"committed\"".into()))?,
-            latency_us: need_u64("latency_us")?,
-        }),
-        "reject" => Ok(Frame::Reject {
-            id: need_u64("id")?,
-            reason: reject_from_json(
-                j.get("reason")
-                    .ok_or_else(|| WireError::BadFrame("reject needs a reason".into()))?,
-            )?,
-        }),
-        "status" => Ok(Frame::Status),
-        "status_report" => Ok(Frame::StatusReport {
-            body: j
-                .get("body")
-                .cloned()
-                .ok_or_else(|| WireError::BadFrame("status_report needs a body".into()))?,
-        }),
-        "reconcile" => Ok(Frame::Reconcile {
-            config: j
-                .get("config")
-                .cloned()
-                .ok_or_else(|| WireError::BadFrame("reconcile needs a config".into()))?,
-        }),
-        "reconciled" => Ok(Frame::Reconciled {
-            changed: j
-                .get("changed")
-                .and_then(Json::as_array)
-                .ok_or_else(|| WireError::BadFrame("reconciled needs a changed list".into()))?
-                .iter()
-                .map(|c| {
-                    c.as_str().map(str::to_owned).ok_or_else(|| {
-                        WireError::BadFrame("reconciled: changed entries are strings".into())
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        "error" => Ok(Frame::Error {
-            code: need_str("code")?,
-            detail: need_str("detail")?,
-        }),
-        "goodbye" => Ok(Frame::Goodbye),
-        other => Err(WireError::UnknownTag(other.to_owned())),
+/// Decodes a frame's JSON document in two passes. The first validates the
+/// whole document and finds where each top-level key's value starts (the
+/// last occurrence's, for a duplicate key) without allocating; the second
+/// reads the tag, then the tag's fields at their offsets. So a payload that
+/// is not JSON is [`WireError::BadJson`] whatever its shape, and keys come
+/// in any order although `"t"` prints last.
+fn decode_payload(text: &str) -> Result<Frame, WireError> {
+    let bad_json = |e: ParseError| WireError::BadJson(e.render(text));
+    let mut r = Reader::new(text);
+    if r.peek() != Some(b'{') {
+        r.skip().and_then(|()| r.end()).map_err(bad_json)?;
+        return Err(WireError::BadFrame("frame is not a JSON object".into()));
     }
+    let at = r.fields(&FIELDS).map_err(bad_json)?;
+    r.end().map_err(bad_json)?;
+    let [t, id, name, body, committed, latency_us, client, protocol, server, objects, reason, config, changed, code, detail] =
+        at;
+    let tag = t
+        .and_then(|p| r.at(p).str().ok())
+        .ok_or_else(|| WireError::BadFrame("frame has no \"t\" tag".into()))?;
+    let doc = Doc { r, tag: &tag };
+    Ok(match &*tag {
+        "hello" => Frame::Hello {
+            client: doc.get("client", client, Reader::string_owned)?,
+            protocol: doc.get("protocol", protocol, Reader::int)?,
+        },
+        "welcome" => Frame::Welcome {
+            server: doc.get("server", server, Reader::string_owned)?,
+            protocol: doc.get("protocol", protocol, Reader::int)?,
+            objects: doc.get("objects", objects, Reader::int_as)?,
+        },
+        "submit" => Frame::Submit {
+            id: doc.get("id", id, Reader::int_as)?,
+            name: doc.get("name", name, Reader::string_owned)?,
+            body: doc.get("body", body, read_program)?,
+        },
+        "result" => Frame::Result {
+            id: doc.get("id", id, Reader::int_as)?,
+            committed: doc.get("committed", committed, Reader::bool)?,
+            latency_us: doc.get("latency_us", latency_us, Reader::int_as)?,
+        },
+        "reject" => Frame::Reject {
+            id: doc.get("id", id, Reader::int_as)?,
+            reason: doc.get("reason", reason, read_reject)?,
+        },
+        "status" => Frame::Status,
+        "status_report" => Frame::StatusReport {
+            body: doc.get("body", body, Reader::json)?,
+        },
+        "reconcile" => Frame::Reconcile {
+            config: doc.get("config", config, Reader::json)?,
+        },
+        "reconciled" => Frame::Reconciled {
+            changed: doc.get("changed", changed, |r| r.list(Reader::string_owned))?,
+        },
+        "error" => Frame::Error {
+            code: doc.get("code", code, Reader::string_owned)?,
+            detail: doc.get("detail", detail, Reader::string_owned)?,
+        },
+        "goodbye" => Frame::Goodbye,
+        other => return Err(WireError::UnknownTag(other.to_owned())),
+    })
+}
+
+/// A frame's document after the first pass, and its tag.
+struct Doc<'a, 't> {
+    r: Reader<'a>,
+    tag: &'t str,
+}
+
+impl<'a> Doc<'a, '_> {
+    /// Reads the field `key`, whose value the first pass found `at`.
+    fn get<T>(
+        &self,
+        key: &str,
+        at: Option<usize>,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, WireError> {
+        let tag = self.tag;
+        let at = at.ok_or_else(|| WireError::BadFrame(format!("{tag} needs {key:?}")))?;
+        read(&mut self.r.at(at)).map_err(|e| {
+            WireError::BadFrame(format!(
+                "{tag}: bad {key:?} at byte {}: {}",
+                e.offset, e.message
+            ))
+        })
+    }
+}
+
+/// Keeps a thread's frame buffer for reuse up to this capacity.
+const SCRATCH_KEEP: usize = 64 << 10;
+
+thread_local! {
+    /// The thread's frame buffer: frames are encoded into it and payloads
+    /// read into it, so that neither allocates once it is warm.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's empty frame buffer.
+fn with_scratch<T>(f: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    SCRATCH.with(|cell| {
+        let mut buf = cell.take();
+        buf.clear();
+        let out = f(&mut buf);
+        if buf.capacity() <= SCRATCH_KEEP {
+            cell.replace(buf);
+        }
+        out
+    })
 }
 
 /// Encodes a frame as length-prefixed bytes.
 pub fn encode_frame(f: &Frame) -> Vec<u8> {
-    let payload = frame_to_json(f).to_string().into_bytes();
-    debug_assert!(payload.len() as u64 <= u64::from(MAX_FRAME_LEN));
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
+    with_scratch(|buf| {
+        encode_frame_into(f, buf);
+        buf.to_vec()
+    })
 }
 
 /// Decodes one frame from the front of `buf`, returning the frame and the
@@ -621,10 +606,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
             want,
         });
     }
-    let payload =
-        std::str::from_utf8(&rest[..want]).map_err(|e| WireError::BadUtf8(e.to_string()))?;
-    let json = Json::parse(payload).map_err(|e| WireError::BadJson(e.render(payload)))?;
-    frame_from_json(&json).map(|f| (f, 4 + want))
+    decode_payload(utf8(&rest[..want])?).map(|f| (f, 4 + want))
+}
+
+fn utf8(payload: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(payload).map_err(|e| WireError::BadUtf8(e.to_string()))
 }
 
 /// Reads exactly `buf.len()` bytes; distinguishes a clean EOF before any
@@ -644,7 +630,8 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
 
 /// Reads one frame from a stream. A clean close at a frame boundary is
 /// [`WireError::Closed`]; a close inside a frame is a typed
-/// [`WireError::Truncated`].
+/// [`WireError::Truncated`]. The payload is read once, into the thread's
+/// frame buffer, and decoded where it lies.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut prefix = [0u8; 4];
     match read_full(r, &mut prefix)? {
@@ -660,19 +647,31 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
         });
     }
     let want = len as usize;
-    let mut payload = vec![0u8; want];
-    let got = read_full(r, &mut payload)?;
-    if got < want {
-        return Err(WireError::Truncated { got, want });
-    }
-    let text = std::str::from_utf8(&payload).map_err(|e| WireError::BadUtf8(e.to_string()))?;
-    let json = Json::parse(text).map_err(|e| WireError::BadJson(e.render(text)))?;
-    frame_from_json(&json)
+    with_scratch(|payload| {
+        payload.resize(want, 0);
+        let got = read_full(r, payload)?;
+        if got < want {
+            return Err(WireError::Truncated { got, want });
+        }
+        decode_payload(utf8(payload)?)
+    })
 }
 
 /// Writes one frame to a stream.
 pub fn write_frame(w: &mut impl Write, f: &Frame) -> Result<(), WireError> {
-    w.write_all(&encode_frame(f))
-        .and_then(|()| w.flush())
-        .map_err(|e| WireError::Io(e.to_string()))
+    write_frames(w, [f])
+}
+
+/// Writes frames to a stream, in order, with one `write_all`.
+pub fn write_frames<'f>(
+    w: &mut impl Write,
+    frames: impl IntoIterator<Item = &'f Frame>,
+) -> Result<(), WireError> {
+    with_scratch(|buf| {
+        for f in frames {
+            encode_frame_into(f, buf);
+        }
+        w.write_all(buf).and_then(|()| w.flush())
+    })
+    .map_err(|e| WireError::Io(e.to_string()))
 }

@@ -12,8 +12,8 @@
 use obase_core::ids::{ExecId, ObjectId, StepId};
 use obase_core::op::Operation;
 use obase_core::value::Value;
-use obase_exec::codec::{value_from_json, value_to_json};
-use obase_ser::Json;
+use obase_exec::codec::{read_value, write_value};
+use obase_ser::{ParseError, Reader, Writer};
 
 /// Format version stamped into the header record.
 pub const FORMAT_VERSION: i64 = 1;
@@ -134,65 +134,67 @@ pub enum WalRecord {
     },
 }
 
-fn op_to_json(op: &Operation) -> Json {
-    Json::object([
-        (
-            "a",
-            Json::Array(op.args.iter().map(value_to_json).collect()),
-        ),
-        ("n", Json::str(op.name.clone())),
-    ])
+/// The record keys [`WalRecord::decode`] reads.
+const KEYS: [&str; 15] = [
+    "t", "v", "objects", "e", "n", "s", "p", "c", "o", "m", "a", "op", "r", "b", "an",
+];
+
+fn write_op(w: &mut Writer<'_>, op: &Operation) {
+    w.key("op").object().key("a").array();
+    for arg in &op.args {
+        write_value(w, arg);
+    }
+    w.end_array().key("n").str(&op.name).end_object();
 }
 
-fn op_from_json(j: &Json) -> Result<Operation, String> {
-    let name = j
-        .get("n")
-        .and_then(Json::as_str)
-        .ok_or("operation has no name")?;
-    let args = j
-        .get("a")
-        .and_then(Json::as_array)
-        .ok_or("operation has no args array")?
-        .iter()
-        .map(value_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Operation::new(name, args))
+fn read_op(r: &mut Reader<'_>) -> Result<Operation, ParseError> {
+    let [args, name] = r.fields(&["a", "n"])?;
+    let at = |field: Option<usize>, key: &str| {
+        field
+            .map(|p| r.at(p))
+            .ok_or_else(|| r.error(format!("operation has no {key:?}")))
+    };
+    let name = at(name, "n")?.str()?;
+    Ok(Operation::new(name, at(args, "a")?.list(read_value)?))
 }
 
-fn values_to_json(vs: &[Value]) -> Json {
-    Json::Array(vs.iter().map(value_to_json).collect())
-}
-
-fn get_u32(j: &Json, key: &str) -> Result<u32, String> {
-    j.get(key)
-        .and_then(Json::as_int)
-        .and_then(|i| u32::try_from(i).ok())
-        .ok_or_else(|| format!("missing or non-u32 field {key:?}"))
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
+/// Writes the keys an invocation record has besides `"t"`.
+fn write_invoke(
+    w: &mut Writer<'_>,
+    [step, parent, child, target]: [u32; 4],
+    method: &str,
+    args: &[Value],
+) {
+    w.key("a").array();
+    for arg in args {
+        write_value(w, arg);
+    }
+    w.end_array();
+    w.key("c").int(child.into()).key("m").str(method);
+    w.key("o").int(target.into()).key("p").int(parent.into());
+    w.key("s").int(step.into());
 }
 
 impl WalRecord {
-    /// Encodes the record as one JSON document.
-    pub fn to_json(&self) -> Json {
-        match self {
-            WalRecord::Header { version, objects } => Json::object([
-                ("t", Json::str("H")),
-                ("v", Json::Int(*version)),
-                (
-                    "objects",
-                    Json::Array(objects.iter().map(|n| Json::str(n.clone())).collect()),
-                ),
-            ]),
-            WalRecord::BeginTop { exec, name } => Json::object([
-                ("t", Json::str("B")),
-                ("e", Json::Int(exec.0 as i64)),
-                ("n", Json::str(name.clone())),
-            ]),
+    /// Appends the record's JSON document to `out`, keys in sorted order.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let w = &mut Writer::new(out);
+        w.object();
+        let tag = match self {
+            WalRecord::Header { version, objects } => {
+                w.key("objects").array();
+                for name in objects {
+                    w.str(name);
+                }
+                // The one record with a key that sorts after "t".
+                w.end_array().key("t").str("H").key("v").int(*version);
+                w.end_object();
+                return;
+            }
+            WalRecord::BeginTop { exec, name } => {
+                w.key("e").int(exec.0.into()).key("n").str(name);
+                "B"
+            }
             WalRecord::Invoke {
                 step,
                 parent,
@@ -200,43 +202,9 @@ impl WalRecord {
                 target,
                 method,
                 args,
-            } => Json::object([
-                ("t", Json::str("I")),
-                ("s", Json::Int(step.0 as i64)),
-                ("p", Json::Int(parent.0 as i64)),
-                ("c", Json::Int(child.0 as i64)),
-                ("o", Json::Int(target.0 as i64)),
-                ("m", Json::str(method.clone())),
-                ("a", values_to_json(args)),
-            ]),
-            WalRecord::Local {
-                step,
-                exec,
-                op,
-                ret,
-            } => Json::object([
-                ("t", Json::str("L")),
-                ("s", Json::Int(step.0 as i64)),
-                ("e", Json::Int(exec.0 as i64)),
-                ("op", op_to_json(op)),
-                ("r", value_to_json(ret)),
-            ]),
-            WalRecord::ProgramOrder { exec, a, b } => Json::object([
-                ("t", Json::str("P")),
-                ("e", Json::Int(exec.0 as i64)),
-                ("a", Json::Int(a.0 as i64)),
-                ("b", Json::Int(b.0 as i64)),
-            ]),
-            WalRecord::Complete { step, ret } => Json::object([
-                ("t", Json::str("C")),
-                ("s", Json::Int(step.0 as i64)),
-                ("r", value_to_json(ret)),
-            ]),
-            WalRecord::Abort { exec } => {
-                Json::object([("t", Json::str("A")), ("e", Json::Int(exec.0 as i64))])
-            }
-            WalRecord::CommitTop { exec } => {
-                Json::object([("t", Json::str("K")), ("e", Json::Int(exec.0 as i64))])
+            } => {
+                write_invoke(w, [step.0, parent.0, child.0, target.0], method, args);
+                "I"
             }
             WalRecord::SnapshotInvoke {
                 step,
@@ -245,15 +213,22 @@ impl WalRecord {
                 target,
                 method,
                 args,
-            } => Json::object([
-                ("t", Json::str("V")),
-                ("s", Json::Int(step.0 as i64)),
-                ("p", Json::Int(parent.0 as i64)),
-                ("c", Json::Int(child.0 as i64)),
-                ("o", Json::Int(target.0 as i64)),
-                ("m", Json::str(method.clone())),
-                ("a", values_to_json(args)),
-            ]),
+            } => {
+                write_invoke(w, [step.0, parent.0, child.0, target.0], method, args);
+                "V"
+            }
+            WalRecord::Local {
+                step,
+                exec,
+                op,
+                ret,
+            } => {
+                w.key("e").int(exec.0.into());
+                write_op(w, op);
+                write_value(w.key("r"), ret);
+                w.key("s").int(step.0.into());
+                "L"
+            }
             WalRecord::SnapshotLocal {
                 step,
                 exec,
@@ -261,116 +236,127 @@ impl WalRecord {
                 ret,
                 anchor,
             } => {
-                let mut fields = vec![
-                    ("t", Json::str("R")),
-                    ("s", Json::Int(step.0 as i64)),
-                    ("e", Json::Int(exec.0 as i64)),
-                    ("op", op_to_json(op)),
-                    ("r", value_to_json(ret)),
-                ];
                 if let Some(a) = anchor {
-                    fields.push(("an", Json::Int(a.0 as i64)));
+                    w.key("an").int(a.0.into());
                 }
-                Json::object(fields)
+                w.key("e").int(exec.0.into());
+                write_op(w, op);
+                write_value(w.key("r"), ret);
+                w.key("s").int(step.0.into());
+                "R"
             }
-            WalRecord::SnapshotComplete { step, ret } => Json::object([
-                ("t", Json::str("S")),
-                ("s", Json::Int(step.0 as i64)),
-                ("r", value_to_json(ret)),
-            ]),
-        }
+            WalRecord::ProgramOrder { exec, a, b } => {
+                w.key("a").int(a.0.into()).key("b").int(b.0.into());
+                w.key("e").int(exec.0.into());
+                "P"
+            }
+            WalRecord::Complete { step, ret } => {
+                write_value(w.key("r"), ret);
+                w.key("s").int(step.0.into());
+                "C"
+            }
+            WalRecord::SnapshotComplete { step, ret } => {
+                write_value(w.key("r"), ret);
+                w.key("s").int(step.0.into());
+                "S"
+            }
+            WalRecord::Abort { exec } => {
+                w.key("e").int(exec.0.into());
+                "A"
+            }
+            WalRecord::CommitTop { exec } => {
+                w.key("e").int(exec.0.into());
+                "K"
+            }
+        };
+        w.key("t").str(tag).end_object();
     }
 
-    /// Decodes a record from one JSON document. Total: malformed input is an
-    /// error, never a panic.
-    pub fn from_json(j: &Json) -> Result<WalRecord, String> {
-        match get_str(j, "t")? {
-            "H" => Ok(WalRecord::Header {
-                version: j
-                    .get("v")
-                    .and_then(Json::as_int)
-                    .ok_or("header has no version")?,
-                objects: j
-                    .get("objects")
-                    .and_then(Json::as_array)
-                    .ok_or("header has no objects array")?
-                    .iter()
-                    .map(|o| {
-                        o.as_str()
-                            .map(str::to_owned)
-                            .ok_or("non-string object name")
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "B" => Ok(WalRecord::BeginTop {
-                exec: ExecId(get_u32(j, "e")?),
-                name: get_str(j, "n")?.to_owned(),
-            }),
-            "I" => Ok(WalRecord::Invoke {
-                step: StepId(get_u32(j, "s")?),
-                parent: ExecId(get_u32(j, "p")?),
-                child: ExecId(get_u32(j, "c")?),
-                target: ObjectId(get_u32(j, "o")?),
-                method: get_str(j, "m")?.to_owned(),
-                args: j
-                    .get("a")
-                    .and_then(Json::as_array)
-                    .ok_or("invoke has no args array")?
-                    .iter()
-                    .map(value_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "L" => Ok(WalRecord::Local {
-                step: StepId(get_u32(j, "s")?),
-                exec: ExecId(get_u32(j, "e")?),
-                op: op_from_json(j.get("op").ok_or("local has no op")?)?,
-                ret: value_from_json(j.get("r").ok_or("local has no ret")?)?,
-            }),
-            "P" => Ok(WalRecord::ProgramOrder {
-                exec: ExecId(get_u32(j, "e")?),
-                a: StepId(get_u32(j, "a")?),
-                b: StepId(get_u32(j, "b")?),
-            }),
-            "C" => Ok(WalRecord::Complete {
-                step: StepId(get_u32(j, "s")?),
-                ret: value_from_json(j.get("r").ok_or("complete has no ret")?)?,
-            }),
-            "A" => Ok(WalRecord::Abort {
-                exec: ExecId(get_u32(j, "e")?),
-            }),
-            "K" => Ok(WalRecord::CommitTop {
-                exec: ExecId(get_u32(j, "e")?),
-            }),
-            "V" => Ok(WalRecord::SnapshotInvoke {
-                step: StepId(get_u32(j, "s")?),
-                parent: ExecId(get_u32(j, "p")?),
-                child: ExecId(get_u32(j, "c")?),
-                target: ObjectId(get_u32(j, "o")?),
-                method: get_str(j, "m")?.to_owned(),
-                args: j
-                    .get("a")
-                    .and_then(Json::as_array)
-                    .ok_or("snapshot invoke has no args array")?
-                    .iter()
-                    .map(value_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "R" => Ok(WalRecord::SnapshotLocal {
-                step: StepId(get_u32(j, "s")?),
-                exec: ExecId(get_u32(j, "e")?),
-                op: op_from_json(j.get("op").ok_or("snapshot local has no op")?)?,
-                ret: value_from_json(j.get("r").ok_or("snapshot local has no ret")?)?,
-                anchor: match j.get("an") {
-                    Some(_) => Some(StepId(get_u32(j, "an")?)),
-                    None => None,
+    /// Decodes a record from one JSON document: keys in any order, the last
+    /// of duplicate keys winning, unknown keys ignored. Total: malformed
+    /// input is an error, never a panic.
+    pub fn decode(text: &str) -> Result<WalRecord, String> {
+        let mut r = Reader::new(text);
+        let at = r.fields(&KEYS).map_err(|e| e.to_string())?;
+        r.end().map_err(|e| e.to_string())?;
+        // The reader at `key`'s value.
+        let field = |key: &str| {
+            let i = KEYS.iter().position(|k| *k == key).expect("a known key");
+            at[i]
+                .map(|p| r.at(p))
+                .ok_or_else(|| format!("missing field {key:?}"))
+        };
+        let bad = |key: &'static str| move |e: ParseError| format!("field {key:?}: {e}");
+        let id = |key: &'static str| field(key)?.int_as::<u32>().map_err(bad(key));
+        let text = |key: &'static str| field(key)?.string_owned().map_err(bad(key));
+        let value = |key: &'static str| read_value(&mut field(key)?).map_err(bad(key));
+        let values = |key: &'static str| field(key)?.list(read_value).map_err(bad(key));
+        let op = || read_op(&mut field("op")?).map_err(bad("op"));
+        let tag = field("t")?.str().map_err(bad("t"))?;
+        Ok(match &*tag {
+            "H" => WalRecord::Header {
+                version: field("v")?.int().map_err(bad("v"))?,
+                objects: field("objects")?
+                    .list(Reader::string_owned)
+                    .map_err(bad("objects"))?,
+            },
+            "B" => WalRecord::BeginTop {
+                exec: ExecId(id("e")?),
+                name: text("n")?,
+            },
+            "I" => WalRecord::Invoke {
+                step: StepId(id("s")?),
+                parent: ExecId(id("p")?),
+                child: ExecId(id("c")?),
+                target: ObjectId(id("o")?),
+                method: text("m")?,
+                args: values("a")?,
+            },
+            "L" => WalRecord::Local {
+                step: StepId(id("s")?),
+                exec: ExecId(id("e")?),
+                op: op()?,
+                ret: value("r")?,
+            },
+            "P" => WalRecord::ProgramOrder {
+                exec: ExecId(id("e")?),
+                a: StepId(id("a")?),
+                b: StepId(id("b")?),
+            },
+            "C" => WalRecord::Complete {
+                step: StepId(id("s")?),
+                ret: value("r")?,
+            },
+            "A" => WalRecord::Abort {
+                exec: ExecId(id("e")?),
+            },
+            "K" => WalRecord::CommitTop {
+                exec: ExecId(id("e")?),
+            },
+            "V" => WalRecord::SnapshotInvoke {
+                step: StepId(id("s")?),
+                parent: ExecId(id("p")?),
+                child: ExecId(id("c")?),
+                target: ObjectId(id("o")?),
+                method: text("m")?,
+                args: values("a")?,
+            },
+            "R" => WalRecord::SnapshotLocal {
+                step: StepId(id("s")?),
+                exec: ExecId(id("e")?),
+                op: op()?,
+                ret: value("r")?,
+                anchor: match field("an") {
+                    Ok(_) => Some(StepId(id("an")?)),
+                    Err(_) => None,
                 },
-            }),
-            "S" => Ok(WalRecord::SnapshotComplete {
-                step: StepId(get_u32(j, "s")?),
-                ret: value_from_json(j.get("r").ok_or("snapshot complete has no ret")?)?,
-            }),
-            other => Err(format!("unknown record tag {other:?}")),
-        }
+            },
+            "S" => WalRecord::SnapshotComplete {
+                step: StepId(id("s")?),
+                ret: value("r")?,
+            },
+            other => return Err(format!("unknown record tag {other:?}")),
+        })
     }
 }
 
@@ -379,8 +365,10 @@ mod tests {
     use super::*;
 
     fn round_trip(rec: WalRecord) {
-        let text = rec.to_json().to_string();
-        let back = WalRecord::from_json(&Json::parse(&text).expect("parse")).expect("decode");
+        let mut bytes = Vec::new();
+        rec.encode(&mut bytes);
+        let text = String::from_utf8(bytes).expect("UTF-8");
+        let back = WalRecord::decode(&text).expect("decode");
         assert_eq!(rec, back, "round trip through {text}");
     }
 
@@ -462,8 +450,7 @@ mod tests {
             "{\"t\":\"L\",\"s\":0,\"e\":0,\"op\":{\"n\":\"R\",\"a\":[]},\"r\":[\"q\"]}",
             "[1,2,3]",
         ] {
-            let j = Json::parse(text).expect("valid JSON");
-            assert!(WalRecord::from_json(&j).is_err(), "accepted {text}");
+            assert!(WalRecord::decode(text).is_err(), "accepted {text}");
         }
     }
 }

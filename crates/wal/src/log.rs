@@ -29,7 +29,6 @@
 
 use crate::codec::WalRecord;
 use obase_obs::{ObsEvent, ObsLane};
-use obase_ser::Json;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -61,11 +60,14 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 
 /// Encodes one record as a complete frame (header plus payload).
 pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
-    let payload = record.to_json().to_string().into_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = vec![0; FRAME_HEADER];
+    record.encode(&mut frame);
+    let payload = &frame[FRAME_HEADER..];
+    let header = [
+        (payload.len() as u32).to_le_bytes(),
+        checksum(payload).to_le_bytes(),
+    ];
+    frame[..FRAME_HEADER].copy_from_slice(header.as_flattened());
     frame
 }
 
@@ -193,8 +195,7 @@ pub fn scan(path: &Path) -> io::Result<LogScan> {
         }
         let record = std::str::from_utf8(payload)
             .ok()
-            .and_then(|text| Json::parse(text).ok())
-            .and_then(|json| WalRecord::from_json(&json).ok());
+            .and_then(|text| WalRecord::decode(text).ok());
         match record {
             Some(r) => {
                 at += FRAME_HEADER + len as usize;

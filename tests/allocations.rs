@@ -1,6 +1,7 @@
 //! Allocation regression test: a run pays for the objects it touches, not
-//! for the whole object base, and an ordered-dictionary read pays for what
-//! it returns, not for the size of the dictionary.
+//! for the whole object base, an ordered-dictionary read pays for what it
+//! returns, not for the size of the dictionary, and the wire codec builds
+//! nothing on the way between bytes and frames.
 //!
 //! One two-operation transaction goes through `Runtime::run` configured as
 //! the server runs a batch (the serve default scheduler, workers, retries
@@ -10,8 +11,14 @@
 //! allocations the run makes; the minimum of 10 runs at 2,048 accounts may
 //! exceed the one at 8 by at most 5% plus 16. A `BTreeDict` `Lookup` and
 //! `Range` on a 4,096-pair state may allocate at most 4 more than the same
-//! operation on a 16-pair state. Unlike a timing gate, the count does not
-//! move with host load.
+//! operation on a 16-pair state. Two counts are absolute: the served run
+//! over 8 accounts may make at most 5% plus 4 more than the 174 it made
+//! when this bound was set, and the codec's are exact. Decoding a `Result`
+//! frame allocates nothing and encoding one allocates its bytes once; a
+//! `Submit` shaped like servebench's `flat-accounts` and `large-dict`
+//! submissions decodes with no allocation beyond the strings and vectors
+//! the decoded frame owns, and encodes with one. Unlike a timing gate, the
+//! count does not move with host load.
 //!
 //! The binary holds this one test so that no other test allocates while a
 //! count is being taken. It spells the server's runtime out rather than
@@ -27,7 +34,8 @@ use obase::core::op::Operation;
 use obase::core::value::Value;
 use obase::exec::{Expr, MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
 use obase::runtime::{ExecutionBackend, Observe, Runtime, Verify};
-use obase::serve::ServeConfig;
+use obase::serve::wire::{decode_frame, encode_frame};
+use obase::serve::{Frame, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,6 +132,53 @@ fn min_allocations(runtime: &Runtime, workload: &WorkloadSpec) -> u64 {
         .expect("ten runs")
 }
 
+/// The heap blocks `p` owns: one per non-empty string and vector, and a
+/// list's shared vector. (The gated shapes hold no maps.)
+fn owned_program(p: &Program) -> u64 {
+    let vec = |empty: bool| u64::from(!empty);
+    let string = |s: &str| u64::from(!s.is_empty());
+    let args = |args: &[Expr]| {
+        let values: u64 = args
+            .iter()
+            .map(|a| match a {
+                Expr::Const(v) => owned_value(v),
+                Expr::Param(_) => 0,
+            })
+            .sum();
+        vec(args.is_empty()) + values
+    };
+    match p {
+        Program::Local { op, args: a } => string(op) + args(a),
+        Program::Invoke {
+            method, args: a, ..
+        } => string(method) + args(a),
+        Program::Seq(ps) | Program::Par(ps) => {
+            vec(ps.is_empty()) + ps.iter().map(owned_program).sum::<u64>()
+        }
+    }
+}
+
+fn owned_value(v: &Value) -> u64 {
+    match v {
+        Value::Str(s) => u64::from(!s.is_empty()),
+        Value::List(items) => 2 + items.iter().map(owned_value).sum::<u64>(),
+        Value::Map(_) => unreachable!("the gated shapes hold no maps"),
+        _ => 0,
+    }
+}
+
+/// The allocations one `decode_frame` and one `encode_frame` of `frame`
+/// make, after a warm-up of each.
+fn codec_allocations(frame: &Frame) -> (u64, u64) {
+    let bytes = encode_frame(frame);
+    decode_frame(&bytes).expect("an encoded frame decodes");
+    let (decoded, decode) = counted(|| decode_frame(&bytes));
+    assert_eq!(decoded.expect("an encoded frame decodes").0, *frame);
+    let (encoded, encode) = counted(|| encode_frame(frame));
+    assert_eq!(encoded, bytes);
+    (decode, encode)
+}
+
 /// A `BTreeDict` state of `pairs` pairs `[k, 10k]`.
 fn sorted_pairs(pairs: i64) -> Value {
     Value::list((0..pairs).map(|k| Value::list([Value::Int(k), Value::Int(10 * k)])))
@@ -154,11 +209,71 @@ fn a_run_allocates_for_what_it_touches_not_for_the_base() {
         println!(
             "allocations per run (mvcc {mvcc}): {at_8} at 8 accounts, {at_2048} at 2048 accounts"
         );
+        if !mvcc {
+            const RECORDED: u64 = 174;
+            let absolute = RECORDED + RECORDED * 5 / 100 + 4;
+            assert!(
+                at_8 <= absolute,
+                "a served run over 8 accounts made {at_8} allocations, more than the \
+                 {absolute} allowed over the {RECORDED} recorded"
+            );
+        }
         let bound = at_8 + at_8 / 20 + 16;
         assert!(
             at_2048 <= bound,
             "a run over 2048 accounts (mvcc {mvcc}) made {at_2048} allocations against \
              {at_8} over 8 (bound {bound}): the run is paying for the size of the object base"
+        );
+    }
+
+    let result = Frame::Result {
+        id: 4_096,
+        committed: true,
+        latency_us: 1_250,
+    };
+    let (decode, encode) = codec_allocations(&result);
+    println!("allocations per Result frame: decode {decode}, encode {encode}");
+    assert_eq!(
+        (decode, encode),
+        (0, 1),
+        "a Result frame's decode and encode"
+    );
+    let invoke = |o: u32, method: &str, args: Vec<Value>| Program::Invoke {
+        object: obase::exec::ObjRef::Const(ObjectId(o)),
+        method: method.into(),
+        args: args.into_iter().map(Expr::Const).collect(),
+    };
+    for (shape, body) in [
+        (
+            "flat-accounts",
+            Program::Seq(vec![
+                invoke(17, "deposit", vec![Value::Int(5)]),
+                invoke(200, "balance", vec![]),
+            ]),
+        ),
+        (
+            "large-dict",
+            Program::Seq(vec![
+                invoke(3, "lookup", vec![Value::from("k500")]),
+                invoke(5, "put", vec![Value::from("k77"), Value::Int(-1)]),
+            ]),
+        ),
+    ] {
+        let owned = 1 + owned_program(&body);
+        let submit = Frame::Submit {
+            id: 81_920,
+            name: "t".into(),
+            body,
+        };
+        let (decode, encode) = codec_allocations(&submit);
+        println!(
+            "allocations per {shape} Submit frame: decode {decode} (the frame owns {owned}), \
+             encode {encode}"
+        );
+        assert!(
+            decode <= owned && encode == 1,
+            "a {shape} Submit frame allocated {decode} to decode (it owns {owned}) \
+             and {encode} to encode (bound 1)"
         );
     }
 

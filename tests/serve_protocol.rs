@@ -5,12 +5,12 @@
 
 use obase::core::ids::ObjectId;
 use obase::core::value::Value;
+use obase::exec::codec::{read_value, write_value};
 use obase::exec::{Expr, ObjRef, Program};
-use obase::serve::wire::{
-    self, decode_frame, encode_frame, read_frame, value_from_json, value_to_json,
-};
+use obase::serve::wire::{self, decode_frame, encode_frame, read_frame};
 use obase::serve::{Frame, RejectReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
-use obase_ser::Json;
+use obase_ser::{Json, Reader, Writer};
+use std::time::{Duration, Instant};
 
 /// A transaction body exercising every `Program`, `Expr` and `ObjRef`
 /// shape the DSL has.
@@ -127,7 +127,10 @@ fn values_round_trip_through_the_tagged_encoding() {
         Value::map([("a", Value::Map(Default::default())), ("b", Value::Int(2))]),
     ];
     for v in values {
-        let back = value_from_json(&value_to_json(&v)).expect("round trip");
+        let mut text = Vec::new();
+        write_value(&mut Writer::new(&mut text), &v);
+        let text = String::from_utf8(text).expect("the writer writes UTF-8");
+        let back = read_value(&mut Reader::new(&text)).expect("round trip");
         assert_eq!(back, v);
     }
 }
@@ -274,10 +277,39 @@ fn program_codec_rejects_unknown_shapes() {
         "[]",
         "7",
     ] {
-        let json = Json::parse(text).expect("valid JSON");
+        Json::parse(text).expect("valid JSON");
         assert!(
-            wire::program_from_json(&json).is_err(),
+            wire::read_program(&mut Reader::new(text)).is_err(),
             "{text:?} decoded as a program"
         );
     }
+}
+
+/// A submission whose name fills a whole 4 MiB frame decodes in linear
+/// time, from a slice and from a stream.
+#[test]
+fn a_frame_of_the_maximum_size_decodes_in_linear_time() {
+    let submit = |name: String| Frame::Submit {
+        id: 1,
+        name,
+        body: Program::Seq(vec![]),
+    };
+    let overhead = encode_frame(&submit(String::new())).len() - 4;
+    let name = "n".repeat(MAX_FRAME_LEN as usize - overhead);
+    let bytes = encode_frame(&submit(name.clone()));
+    assert_eq!(bytes.len(), 4 + MAX_FRAME_LEN as usize);
+    let t0 = Instant::now();
+    let (decoded, used) = decode_frame(&bytes).expect("a full-size frame");
+    let decode = t0.elapsed();
+    let t1 = Instant::now();
+    let read = read_frame(&mut std::io::Cursor::new(&bytes)).expect("a full-size frame");
+    let stream = t1.elapsed();
+    assert_eq!(used, bytes.len());
+    assert_eq!(decoded, submit(name));
+    assert_eq!(read, decoded);
+    let limit = Duration::from_secs(1);
+    assert!(
+        decode < limit && stream < limit,
+        "decode_frame took {decode:?} and read_frame {stream:?}"
+    );
 }

@@ -798,6 +798,58 @@ fn a_pipelined_burst_still_batches() {
     );
 }
 
+/// A session that pipelines many submissions gets every answer exactly
+/// once and in submission order, though its answers leave each batch as
+/// one write.
+#[test]
+fn pipelined_answers_arrive_once_in_submission_order() {
+    let scenario = scenario();
+    let workload = scenario.compile();
+    let server =
+        Server::for_scenario(&scenario, ServeConfig::default(), "127.0.0.1:0").expect("bind");
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    wire::write_frame(
+        &mut raw,
+        &Frame::Hello {
+            client: "pipeline".into(),
+            protocol: PROTOCOL_VERSION,
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        wire::read_frame(&mut raw).expect("welcome"),
+        Frame::Welcome { .. }
+    ));
+    const N: u64 = 200;
+    let frames: Vec<Frame> = (1..=N)
+        .map(|id| {
+            let t = &workload.transactions[id as usize % workload.transactions.len()];
+            Frame::Submit {
+                id,
+                name: t.name.clone(),
+                body: t.body.clone(),
+            }
+        })
+        .collect();
+    wire::write_frames(&mut raw, &frames).expect("every submission");
+    let answered: Vec<u64> = (0..N)
+        .map(|_| match wire::read_frame(&mut raw).expect("answer") {
+            Frame::Result { id, .. } => id,
+            other => panic!("expected a result, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(answered, (1..=N).collect::<Vec<u64>>());
+    drop(raw);
+
+    let summary = server.shutdown();
+    assert_eq!(summary.committed + summary.gave_up, N);
+    assert!(
+        summary.batches > 1,
+        "one batch cannot show the order across batches"
+    );
+}
+
 #[test]
 fn lone_and_pipelined_sessions_merge_into_one_history() {
     let scenario = scenario();
