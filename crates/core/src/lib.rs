@@ -29,8 +29,8 @@
 //! * **Abort semantics** (Section 3): [`aborts`].
 //! * **Append-only history recording** for concurrent backends (per-worker
 //!   event buffers stitched by a global sequence counter): [`record`].
-//! * **The scheduler interface** used by the concurrency-control crates
-//!   (`obase-lock`, `obase-tso`, `obase-occ`) and the execution engine
+//! * **The scheduler interface** implemented by the concurrency-control
+//!   crate (`obase-sched`) and driven by the execution engine
 //!   (`obase-exec`): [`sched`].
 //! * **The backend-agnostic lifecycle building blocks** shared by every
 //!   execution backend — the execution registry, the abort/cascade

@@ -18,7 +18,7 @@
 //! object `o` and `→_e` is acyclic for every execution `e`, then `h` is
 //! serialisable. Keeping `SG_local` acyclic is the job of *intra-object*
 //! synchronisation; keeping `SG_mesg` and `→_e` acyclic is the job of
-//! *inter-object* synchronisation. The optimistic certifier in `obase-occ`
+//! *inter-object* synchronisation. The optimistic certifier in `obase-sched`
 //! enforces exactly these conditions at commit time.
 
 use crate::graph::DiGraph;

@@ -6,9 +6,9 @@
 //! observe operations as transactions issue them and decide whether each
 //! operation may proceed, must wait, or forces an abort. The
 //! [`Scheduler`] trait captures that interaction. Implementations live in the
-//! `obase-lock`, `obase-tso` and `obase-occ` crates; the engine in
-//! `obase-exec` drives them and records the resulting history, which the core
-//! theory (Theorems 2 and 5) then verifies.
+//! `obase-sched` crate; the execution backends drive them and record the
+//! resulting history, which the core theory (Theorems 2 and 5) then
+//! verifies.
 
 use crate::ids::{ExecId, ObjectId};
 use crate::object::TypeHandle;

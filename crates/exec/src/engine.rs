@@ -808,7 +808,7 @@ mod tests {
     use obase_adt::{Counter, Register};
     use obase_core::object::ObjectBase;
     use obase_core::sched::NullScheduler;
-    use obase_lock::N2plScheduler;
+    use obase_sched::N2plScheduler;
     use std::sync::Arc;
 
     /// Builds a tiny bank-like workload: `n` transactions each invoking

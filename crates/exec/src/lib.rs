@@ -5,9 +5,8 @@
 //! and parallel composition), user transactions are submitted as programs of
 //! the environment, and a deterministic interleaving simulator executes them
 //! under the control of a pluggable concurrency-control
-//! [`Scheduler`](obase_core::sched::Scheduler) (N2PL and flat locking from
-//! `obase-lock`, NTO from `obase-tso`, the SGT certifier from `obase-occ`, or
-//! the [`mixed`] composition of per-object policies).
+//! [`Scheduler`](obase_core::sched::Scheduler) (the paper's algorithms and
+//! their per-object mixtures live in `obase-sched`).
 //!
 //! Every run records a full history in the core model; the committed
 //! projection is returned as a legal [`History`](obase_core::history::History)
@@ -64,7 +63,6 @@ pub mod codec;
 pub mod engine;
 pub mod kernel;
 pub mod metrics;
-pub mod mixed;
 pub mod mvcc;
 pub mod program;
 pub mod store;
@@ -72,7 +70,6 @@ pub mod store;
 pub use engine::{drive, execute, ExecParams, RunResult};
 pub use kernel::LifecycleKernel;
 pub use metrics::RunMetrics;
-pub use mixed::MixedScheduler;
 pub use mvcc::{classify, execute_plan, plan_specs, SnapshotOutcome, SnapshotPlan, VersionedStore};
 pub use program::{
     Expr, MethodDef, ObjRef, ObjectBaseDef, Program, ProgramError, TxnSpec, WorkloadSpec,

@@ -126,7 +126,7 @@
 //! use obase_core::object::ObjectBase;
 //! use obase_core::value::Value;
 //! use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
-//! use obase_lock::N2plScheduler;
+//! use obase_sched::N2plScheduler;
 //! use std::sync::Arc;
 //!
 //! let mut base = ObjectBase::new();
@@ -178,8 +178,8 @@ mod tests {
     use obase_core::object::ObjectBase;
     use obase_core::value::Value;
     use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
-    use obase_lock::N2plScheduler;
     use obase_obs::ObsHandle;
+    use obase_sched::N2plScheduler;
     use std::sync::Arc;
 
     /// `n` transactions each bumping both of two counters through nested
@@ -523,7 +523,7 @@ mod tests {
         let wl = counter_workload(6);
         let result = execute_parallel(
             &wl,
-            Box::new(obase_occ::SgtCertifier::new()),
+            Box::new(obase_sched::SgtCertifier::new()),
             &ParParams::default(),
             &ObsHandle::off(),
         );

@@ -245,8 +245,7 @@ mod tests {
     use obase_core::object::ObjectBase;
     use obase_core::op::Operation;
     use obase_core::sched::NullScheduler;
-    use obase_lock::N2plScheduler;
-    use obase_occ::SgtCertifier;
+    use obase_sched::{N2plScheduler, SgtCertifier};
     use std::sync::Arc;
 
     fn index_two_objects() -> (ExecIndex, ObjectId, ObjectId) {

@@ -54,7 +54,7 @@ pub enum ConfigError {
     /// A serving front end with an ingress batch bound of zero: no admitted
     /// transaction could ever be executed.
     ZeroBatch,
-    /// The registry has no factory for a spec kind.
+    /// A serialised spec names a kind that does not exist.
     UnknownKind(String),
     /// A serialised spec did not parse or had the wrong shape.
     BadSpec(String),
@@ -106,7 +106,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "ingress batches need room for at least 1 transaction")
             }
             ConfigError::UnknownKind(kind) => {
-                write!(f, "no scheduler factory registered for kind {kind:?}")
+                write!(f, "unknown scheduler kind {kind:?}")
             }
             ConfigError::BadSpec(detail) => write!(f, "malformed scheduler spec: {detail}"),
         }

@@ -8,8 +8,8 @@
 //! * a [`SchedulerSpec`] describes a concurrency-control configuration as
 //!   plain data (serialisable to JSON and back), so schedulers are chosen by
 //!   configuration rather than by importing concrete types;
-//! * a [`SchedulerRegistry`] instantiates any spec — including custom,
-//!   externally registered kinds — into a live scheduler;
+//! * [`SchedulerSpec::build`] turns a spec into a live scheduler from
+//!   `obase-sched`, one `match` over the spec's variants;
 //! * the fluent [`Runtime`] builder validates the run configuration with
 //!   typed [`ConfigError`]s instead of panics and owns the engine loop;
 //! * every run returns a [`RunReport`] that bundles the committed history,
@@ -47,22 +47,19 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod registry;
 pub mod report;
 pub mod runtime;
 pub mod spec;
 
 pub use error::{ConfigError, RuntimeError, TheoryViolation};
-pub use registry::{SchedulerFactory, SchedulerRegistry};
 pub use report::{Faceoff, RunReport, TheoryChecks};
 pub use runtime::{ExecutionBackend, Observe, Runtime, RuntimeBuilder, SchedulerWrapper, Verify};
 pub use spec::SchedulerSpec;
 
 // Re-export the enums scheduler specs are parameterised by, so spec authors
 // need only this crate.
-pub use obase_lock::{FlatMode, LockGranularity};
 pub use obase_par::ParParams;
-pub use obase_tso::NtoStyle;
+pub use obase_sched::{FlatMode, LockGranularity, NtoStyle};
 
 // Re-export the observability surface, so benches and scenarios configure
 // tracing without a direct `obase-obs` dependency.

@@ -27,7 +27,6 @@
 //! ```
 
 use crate::error::{ConfigError, RuntimeError};
-use crate::registry::SchedulerRegistry;
 use crate::report::{Faceoff, RunReport};
 use crate::spec::SchedulerSpec;
 use obase_core::sched::Scheduler;
@@ -40,10 +39,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A decorator applied to every scheduler the runtime instantiates, after
-/// the registry built it and before the backend runs it. Used to interpose
+/// the spec built it and before the backend runs it. Used to interpose
 /// on the scheduler contract — e.g. `obase-scenario`'s fault injector wraps
 /// the real scheduler to doom transactions and stall workers on a seeded
-/// plan — without the registry having to know about the decoration.
+/// plan — without the spec having to know about the decoration.
 pub type SchedulerWrapper = Arc<dyn Fn(Box<dyn Scheduler>) -> Box<dyn Scheduler> + Send + Sync>;
 
 /// `Option<SchedulerWrapper>` with a useful `Debug` (closures have none).
@@ -191,7 +190,6 @@ pub enum Verify {
 #[derive(Debug)]
 pub struct Runtime {
     spec: SchedulerSpec,
-    registry: SchedulerRegistry,
     params: ExecParams,
     backend: ExecutionBackend,
     store_shards: Option<usize>,
@@ -299,7 +297,7 @@ impl Runtime {
     /// workloads surface as typed errors instead of mid-run panics.
     pub fn run(&self, workload: &WorkloadSpec) -> Result<RunReport, RuntimeError> {
         validate_workload(workload)?;
-        let scheduler = self.registry.instantiate(&self.spec)?;
+        let scheduler = self.spec.build()?;
         let (obs, rec) = self.observer();
         let result = self.dispatch(workload, scheduler, &obs)?;
         let latency = self.latency_of(rec);
@@ -321,7 +319,7 @@ impl Runtime {
         validate_workload(workload)?;
         let mut reports = Vec::with_capacity(specs.len());
         for spec in specs {
-            let scheduler = self.registry.instantiate(spec)?;
+            let scheduler = spec.build()?;
             let (obs, rec) = self.observer();
             let result = self.dispatch(workload, scheduler, &obs)?;
             let latency = self.latency_of(rec);
@@ -354,7 +352,6 @@ impl Runtime {
 #[derive(Debug, Default)]
 pub struct RuntimeBuilder {
     spec: Option<SchedulerSpec>,
-    registry: SchedulerRegistry,
     params: ExecParams,
     backend: ExecutionBackend,
     store_shards: Option<usize>,
@@ -442,7 +439,7 @@ impl RuntimeBuilder {
     }
 
     /// Installs a scheduler decorator applied to every scheduler this
-    /// runtime instantiates (after the registry built it, before a run
+    /// runtime instantiates (after the spec built it, before a run
     /// starts). Decorators interpose on the full
     /// [`Scheduler`] contract, so they work
     /// identically on both backends — `obase-scenario` uses this to inject
@@ -476,17 +473,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Replaces the scheduler registry (to add custom scheduler kinds).
-    pub fn registry(mut self, registry: SchedulerRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Validates the configuration and builds the runtime.
     ///
     /// Fails with a typed [`ConfigError`] if no scheduler was set, `clients`
-    /// or `max_rounds` is zero, the spec itself is inconsistent (e.g. an
-    /// empty or nested `Mixed`), or the registry cannot instantiate it.
+    /// or `max_rounds` is zero, or the spec itself is inconsistent (e.g. an
+    /// empty or nested `Mixed`).
     pub fn build(self) -> Result<Runtime, ConfigError> {
         let spec = self.spec.ok_or(ConfigError::MissingScheduler)?;
         if self.params.clients == 0 {
@@ -501,11 +492,10 @@ impl RuntimeBuilder {
         if self.store_shards == Some(0) {
             return Err(ConfigError::ZeroShards);
         }
-        // Dry-run instantiation so bad specs fail at build time, not per run.
-        let _ = self.registry.instantiate(&spec)?;
+        // Bad specs fail at build time, not per run.
+        spec.validate()?;
         Ok(Runtime {
             spec,
-            registry: self.registry,
             params: self.params,
             backend: self.backend,
             store_shards: self.store_shards,

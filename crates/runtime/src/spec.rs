@@ -6,14 +6,16 @@
 //! contract, and Section 2 envisions each object choosing its own policy. A
 //! [`SchedulerSpec`] captures a choice of algorithm as plain *data* — it can
 //! be rendered to JSON, stored in a config file, diffed and parsed back — and
-//! the [`SchedulerRegistry`](crate::SchedulerRegistry) turns it into a live
-//! scheduler for one run.
+//! [`SchedulerSpec::build`] turns it into a live scheduler for one run.
 
 use crate::error::ConfigError;
 use obase_core::ids::ObjectId;
-use obase_lock::{FlatMode, LockGranularity};
+use obase_core::sched::{NullScheduler, Scheduler};
+use obase_sched::{
+    FlatMode, FlatObjectScheduler, LockGranularity, MixedScheduler, N2plScheduler, NtoScheduler,
+    NtoStyle, SgtCertifier,
+};
 use obase_ser::Json;
-use obase_tso::NtoStyle;
 use std::collections::BTreeSet;
 
 /// A declarative description of a concurrency-control configuration.
@@ -123,7 +125,7 @@ impl SchedulerSpec {
         ]
     }
 
-    /// The registry key of this spec's variant.
+    /// The `"kind"` tag of this spec's variant in its JSON form.
     pub fn kind(&self) -> &'static str {
         match self {
             SchedulerSpec::None => "none",
@@ -204,6 +206,42 @@ impl SchedulerSpec {
             }
         }
         Ok(())
+    }
+
+    /// Validates the spec and builds a fresh scheduler for it, named by
+    /// the spec's [`label`](SchedulerSpec::label).
+    ///
+    /// Each call produces a new instance: scheduler state (lock tables,
+    /// timestamps, conflict graphs) belongs to a single run.
+    pub fn build(&self) -> Result<Box<dyn Scheduler>, ConfigError> {
+        self.validate()?;
+        Ok(match self {
+            SchedulerSpec::None => Box::new(NullScheduler),
+            SchedulerSpec::Flat {
+                mode: FlatMode::Exclusive,
+            } => Box::new(FlatObjectScheduler::exclusive()),
+            SchedulerSpec::Flat {
+                mode: FlatMode::ReadWrite,
+            } => Box::new(FlatObjectScheduler::read_write()),
+            SchedulerSpec::N2pl { granularity } => {
+                Box::new(N2plScheduler::with_granularity(*granularity))
+            }
+            SchedulerSpec::Nto { style } => Box::new(NtoScheduler::with_style(*style)),
+            SchedulerSpec::SgtCertifier => Box::new(SgtCertifier::new()),
+            SchedulerSpec::Mixed {
+                default_intra,
+                per_object,
+            } => {
+                let mut mixed = MixedScheduler::new();
+                if let Some(d) = default_intra {
+                    mixed = mixed.with_default_intra(d.build()?);
+                }
+                for (object, sub) in per_object {
+                    mixed = mixed.with_intra(*object, sub.build()?);
+                }
+                Box::new(mixed)
+            }
+        })
     }
 
     /// Renders the spec as a JSON value.
@@ -360,6 +398,10 @@ mod tests {
                 (ObjectId(3), SchedulerSpec::nto_provisional()),
             ],
         });
+        specs.push(SchedulerSpec::Mixed {
+            default_intra: Some(Box::new(SchedulerSpec::flat_exclusive())),
+            per_object: vec![(ObjectId(2), SchedulerSpec::nto_conservative())],
+        });
         specs
     }
 
@@ -369,6 +411,13 @@ mod tests {
             let text = spec.to_json_string();
             let back = SchedulerSpec::parse(&text).unwrap();
             assert_eq!(spec, back, "round-trip failed for {text}");
+        }
+    }
+
+    #[test]
+    fn every_variant_builds_with_its_label() {
+        for spec in every_variant() {
+            assert_eq!(spec.build().unwrap().name(), spec.label(), "for {spec:?}");
         }
     }
 
@@ -388,20 +437,21 @@ mod tests {
             per_object: vec![],
         };
         assert_eq!(spec.validate(), Err(ConfigError::EmptyMixedSpec));
+        assert_eq!(spec.build().err(), Some(ConfigError::EmptyMixedSpec));
     }
 
     #[test]
     fn nested_mixed_is_rejected() {
         let inner = SchedulerSpec::mixed_with_default(SchedulerSpec::n2pl_step());
-        assert_eq!(
-            SchedulerSpec::mixed_with_default(inner.clone()).validate(),
-            Err(ConfigError::NestedMixedSpec)
-        );
+        let spec = SchedulerSpec::mixed_with_default(inner.clone());
+        assert_eq!(spec.validate(), Err(ConfigError::NestedMixedSpec));
+        assert_eq!(spec.build().err(), Some(ConfigError::NestedMixedSpec));
         let spec = SchedulerSpec::Mixed {
             default_intra: None,
             per_object: vec![(ObjectId(1), inner)],
         };
         assert_eq!(spec.validate(), Err(ConfigError::NestedMixedSpec));
+        assert_eq!(spec.build().err(), Some(ConfigError::NestedMixedSpec));
     }
 
     #[test]
@@ -416,6 +466,10 @@ mod tests {
         assert_eq!(
             spec.validate(),
             Err(ConfigError::DuplicateMixedObject(ObjectId(2)))
+        );
+        assert_eq!(
+            spec.build().err(),
+            Some(ConfigError::DuplicateMixedObject(ObjectId(2)))
         );
     }
 

@@ -261,9 +261,9 @@ mod tests {
             })
         );
         // ...the injector refuses to be built from it...
-        let inner = obase_runtime::SchedulerRegistry::with_builtins()
-            .instantiate(&obase_runtime::SchedulerSpec::n2pl_operation())
-            .expect("basic spec instantiates");
+        let inner = obase_runtime::SchedulerSpec::n2pl_operation()
+            .build()
+            .expect("basic spec builds");
         assert!(matches!(
             FaultInjector::new(inner, plan, 7),
             Err(ConfigError::InvertedFaultWindow { .. })

@@ -495,7 +495,7 @@ mod tests {
             seed: 7,
         });
         let dir = crate::scratch_dir(tag);
-        let mut sched = obase_lock::N2plScheduler::step_locks();
+        let mut sched = obase_sched::N2plScheduler::step_locks();
         execute_durable(
             &workload,
             &mut sched,

@@ -42,7 +42,7 @@
 //!     preload: 2,
 //!     seed: 7,
 //! });
-//! let mut sched = obase_lock::N2plScheduler::step_locks();
+//! let mut sched = obase_sched::N2plScheduler::step_locks();
 //! let dir = scratch_dir("doc");
 //! let result = execute_durable(
 //!     &workload,

@@ -650,8 +650,8 @@ mod tests {
     use super::*;
     use obase_core::sched::Scheduler;
     use obase_exec::{execute, ExecParams, RunResult};
-    use obase_lock::N2plScheduler;
     use obase_obs::ObsHandle;
+    use obase_sched::N2plScheduler;
 
     /// Runs `wl` on the simulator with a fixed seed and three clients.
     fn run(wl: &WorkloadSpec, scheduler: &mut dyn Scheduler) -> RunResult {

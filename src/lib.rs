@@ -17,12 +17,12 @@
 //!   graphs, Theorems 1, 2 and 5);
 //! * [`adt`] — semantic object types (registers, counters, accounts, sets,
 //!   dictionaries, an ordered B-tree dictionary, FIFO queues);
-//! * [`lock`] — nested two-phase locking and the flat Gemstone-style
-//!   baseline;
-//! * [`tso`] — nested timestamp ordering (conservative and provisional);
-//! * [`occ`] — the optimistic serialisation-graph certifier;
-//! * [`exec`] — transaction programs, the interleaving engine and the mixed
-//!   per-object scheduler;
+//! * [`sched`] — the schedulers: nested two-phase locking and the flat
+//!   Gemstone-style baseline, nested timestamp ordering (conservative and
+//!   provisional), the optimistic serialisation-graph certifier and the
+//!   mixed per-object composition;
+//! * [`exec`] — transaction programs, the lifecycle kernel and the
+//!   interleaving engine;
 //! * [`par`] — the multi-threaded wall-clock backend (worker pool, sharded
 //!   object store, real blocking), selected with
 //!   [`ExecutionBackend::Parallel`];
@@ -98,14 +98,12 @@ pub use obase_adt as adt;
 pub use obase_core as core;
 pub use obase_exec as exec;
 pub use obase_fuzz as fuzz;
-pub use obase_lock as lock;
 pub use obase_obs as obs;
-pub use obase_occ as occ;
 pub use obase_par as par;
 pub use obase_runtime as runtime;
 pub use obase_scenario as scenario;
+pub use obase_sched as sched;
 pub use obase_serve as serve;
-pub use obase_tso as tso;
 pub use obase_wal as wal;
 pub use obase_workload as workload;
 
@@ -124,7 +122,7 @@ pub mod prelude {
     };
     pub use obase_runtime::{
         ConfigError, ExecutionBackend, Faceoff, FlatMode, LockGranularity, NtoStyle, Observe,
-        RunReport, Runtime, RuntimeBuilder, RuntimeError, SchedulerRegistry, SchedulerSpec,
-        TheoryChecks, TheoryViolation, Verify,
+        RunReport, Runtime, RuntimeBuilder, RuntimeError, SchedulerSpec, TheoryChecks,
+        TheoryViolation, Verify,
     };
 }

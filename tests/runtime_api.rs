@@ -1,5 +1,5 @@
 //! Integration tests of the `Runtime` facade: spec round-trips and
-//! instantiation for every variant, builder validation, and determinism of
+//! scheduler builds for every variant, builder validation, and determinism of
 //! `RunReport` across repeated runs with the same seed.
 
 use obase::prelude::*;
@@ -21,15 +21,12 @@ fn every_spec() -> Vec<SchedulerSpec> {
 
 #[test]
 fn every_spec_round_trips_through_json_and_instantiates() {
-    let registry = SchedulerRegistry::with_builtins();
     for spec in every_spec() {
         let text = spec.to_json_string();
         let parsed = SchedulerSpec::parse(&text).expect("round-trip parses");
         assert_eq!(parsed, spec, "round-trip changed {text}");
-        let scheduler = registry
-            .instantiate(&parsed)
-            .expect("every built-in spec instantiates");
-        assert!(!scheduler.name().is_empty());
+        let scheduler = parsed.build().expect("every built-in spec builds");
+        assert_eq!(scheduler.name(), spec.label());
     }
 }
 
