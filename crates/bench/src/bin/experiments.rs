@@ -35,7 +35,6 @@ fn main() {
     let mut assert_scaling = false;
     let mut assert_durability = false;
     let mut assert_overhead = false;
-    let mut assert_read_scaling = false;
     let mut assert_flat = false;
     let mut selected: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -60,10 +59,6 @@ fn main() {
             // Observability guard: fail the process if the e12 sweep shows
             // the NullObserver plan below 97% of the no-observer baseline.
             "--assert-overhead" => assert_overhead = true,
-            // Read-scaling guard: fail the process if the e13 sweep shows
-            // the snapshot-on rounds-throughput below 1.5× the snapshot-off
-            // point on the 99/1 read mix.
-            "--assert-read-scaling" => assert_read_scaling = true,
             // Flat-cost guards: fail the process if the e14 sweep shows an
             // Insert on 65,536 keys costing more than 4× one on 64 keys, or
             // e15 shows a run over 2,048 accounts costing more than 2× one
@@ -136,11 +131,6 @@ fn main() {
             Box::new(xp::e12_observer_overhead),
         ),
         (
-            "e13",
-            "E13 — MVCC snapshot read path: snapshot-on vs off + sustained soak",
-            Box::new(xp::e13_mvcc_read_path),
-        ),
-        (
             "e14",
             "E14 — op cost vs object size: one Insert on a shared dictionary state",
             Box::new(xp::e14_op_cost_vs_object_size),
@@ -200,22 +190,6 @@ fn main() {
             Ok(()) => eprintln!("observer guard: ok (NullObserver ≥ 97% of no-observer baseline)"),
             Err(msg) => {
                 eprintln!("observer guard FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if assert_read_scaling {
-        let e13 = results
-            .iter()
-            .find(|(key, _, _)| *key == "e13")
-            .map(|(_, _, rows)| rows.as_slice())
-            .expect("--assert-read-scaling requires the e13 experiment to run");
-        match xp::check_read_scaling_guard(e13) {
-            Ok(()) => {
-                eprintln!("read-scaling guard: ok (snapshot-on ≥ 1.5× snapshot-off on 99/1)");
-            }
-            Err(msg) => {
-                eprintln!("read-scaling guard FAILED: {msg}");
                 std::process::exit(1);
             }
         }

@@ -13,7 +13,6 @@
 //! cargo run -p obase-bench --release --bin scenarios -- --backend par --workers 8
 //! cargo run -p obase-bench --release --bin scenarios -- --backend wal --wal-dir /tmp/wals
 //! cargo run -p obase-bench --release --bin scenarios -- --backend all  # sim + par + wal
-//! cargo run -p obase-bench --release --bin scenarios -- read-only-rush --mvcc
 //! cargo run -p obase-bench --release --bin scenarios -- --list          # names + intents
 //! cargo run -p obase-bench --release --bin scenarios -- --out results.json
 //! cargo run -p obase-bench --release --bin scenarios -- hot-queue --trace-out trace.json
@@ -41,7 +40,6 @@ fn main() {
     let mut files: Vec<String> = Vec::new();
     let mut selected: Vec<String> = Vec::new();
     let mut list = false;
-    let mut mvcc = false;
     let mut trace_out: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -58,10 +56,6 @@ fn main() {
             "--wal-dir" => wal_dir = Some(it.next().expect("--wal-dir takes a path")),
             "--trace-out" => trace_out = Some(it.next().expect("--trace-out takes a path")),
             "--list" => list = true,
-            // Run every selected scenario with the MVCC snapshot read path
-            // on; rows then carry mvcc=1.0 and live snapshot_reads /
-            // read_only_txns counters.
-            "--mvcc" => mvcc = true,
             other => selected.push(other.to_owned()),
         }
     }
@@ -117,7 +111,7 @@ fn main() {
     let mut rows: Vec<xp::Row> = Vec::new();
     for scenario in &scenarios {
         eprintln!("running scenario {}...", scenario.name);
-        rows.extend(xp::scenario_rows_with(scenario, &choice, mvcc));
+        rows.extend(xp::scenario_rows(scenario, &choice));
     }
 
     // A traced run on top of the sweep: the first scenario's first spec on

@@ -910,155 +910,6 @@ pub fn check_observer_guard(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
-/// E13 — the MVCC snapshot read path: the two read-mix scenarios
-/// (`read-mostly-dict` 95/5, `read-only-rush` 99/1) with the snapshot path
-/// on vs off, on both in-memory backends, plus a sustained soak.
-///
-/// The comparison legs run on the deterministic simulator and the parallel
-/// backend; the paired rows carry the `mvcc` marker, the scheduler-rounds
-/// throughput (the simulator's deterministic progress measure — snapshot
-/// transactions never enter the scheduler, so absorbed readers shrink the
-/// round count directly) and the `snapshot_reads` / `read_only_txns`
-/// counters. [`check_read_scaling_guard`] holds the on/off ratio on the
-/// 99/1 mix to ≥ 1.5×.
-///
-/// The soak leg scales the 99/1 scenario to `8_000 × scale³` transactions
-/// (a million-transaction soak at `--scale 5`), run in chunks on the
-/// simulator with verification off — version GC and watermark pinning under
-/// sustained write churn, measured in wall clock.
-pub fn e13_mvcc_read_path(scale: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for name in ["read-mostly-dict", "read-only-rush"] {
-        let scenario = obase_scenario::by_name(name).expect("built-in read-mix scenario");
-        let spec = &scenario.specs[0];
-        let backends = [
-            ExecutionBackend::Simulated,
-            ExecutionBackend::Parallel { workers: 4 },
-        ];
-        for backend in &backends {
-            for mvcc in [false, true] {
-                let runtime = scenario
-                    .builder(spec.clone(), backend.clone())
-                    .and_then(|b| b.observe(Observe::Off).mvcc(mvcc).build())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-                let report = runtime
-                    .run(&scenario.compile())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-                report.assert_serialisable();
-                let m = &report.metrics;
-                rows.push(
-                    Row::new(format!(
-                        "{name} / {} / mvcc {}",
-                        backend.label(),
-                        if mvcc { "on" } else { "off" }
-                    ))
-                    .with("mvcc", if mvcc { 1.0 } else { 0.0 })
-                    .with("committed", m.committed as f64)
-                    .with("aborts", m.aborts as f64)
-                    .with("rounds", m.rounds as f64)
-                    .with("throughput", m.throughput())
-                    .with("wall_ms", m.wall_micros as f64 / 1000.0)
-                    .with("snapshot_reads", m.snapshot_reads as f64)
-                    .with("read_only_txns", m.read_only_txns as f64)
-                    .with_histogram("aborts_by_reason", abort_reasons(m)),
-                );
-            }
-        }
-    }
-
-    // The soak: chunked so no single history grows unbounded, seeded per
-    // chunk so the compiled read/write pools and interleavings differ,
-    // verification off (the oracle legs above and the mvcc test suite carry
-    // correctness; the soak measures sustained throughput under version GC
-    // and watermark churn). The 95/5 mix is the honest soak workload: the
-    // read fraction is baked into a small compiled method pool, so the 99/1
-    // scenario's pools often carry no writer at all — 95/5 keeps committed
-    // writes (and thus version chains and GC) in play throughout, which the
-    // `installed_steps` column proves.
-    let chunk_txns = 2_000usize;
-    let total = 8_000 * scale * scale * scale;
-    let chunks = total.div_ceil(chunk_txns);
-    let base = obase_scenario::by_name("read-mostly-dict").expect("built-in");
-    let mut committed = 0u64;
-    let mut snapshot_reads = 0u64;
-    let mut read_only_txns = 0u64;
-    let mut installed_steps = 0u64;
-    let mut wall_micros = 0u64;
-    for chunk in 0..chunks {
-        let mut s = base.clone();
-        s.transactions = chunk_txns;
-        s.seed = 13_000 + chunk as u64;
-        let workload = s.compile();
-        let report = Runtime::builder()
-            .scheduler(s.specs[0].clone())
-            .clients(s.clients)
-            .seed(s.seed)
-            .retries(s.retries)
-            .mvcc(true)
-            .verify(Verify::None)
-            .build()
-            .expect("valid soak configuration")
-            .run(&workload)
-            .expect("well-formed compiled workload");
-        let m = &report.metrics;
-        committed += m.committed as u64;
-        snapshot_reads += m.snapshot_reads;
-        read_only_txns += m.read_only_txns as u64;
-        installed_steps += m.installed_steps as u64;
-        wall_micros += m.wall_micros;
-    }
-    let tps = if wall_micros == 0 {
-        0.0
-    } else {
-        committed as f64 / (wall_micros as f64 / 1_000_000.0)
-    };
-    rows.push(
-        Row::new(format!(
-            "soak / read-mostly-dict / simulated / {total} txns"
-        ))
-        .with("mvcc", 1.0)
-        .with("txns", total as f64)
-        .with("committed", committed as f64)
-        .with("snapshot_reads", snapshot_reads as f64)
-        .with("read_only_txns", read_only_txns as f64)
-        .with("installed_steps", installed_steps as f64)
-        .with("wall_ms", wall_micros as f64 / 1000.0)
-        .with("txn_per_sec", tps),
-    );
-    rows
-}
-
-/// The read-scaling guard over [`e13_mvcc_read_path`] rows: on the 99/1
-/// `read-only-rush` mix, the simulator's rounds-throughput with snapshots
-/// on must be at least 1.5× the snapshot-off point. Rounds are
-/// deterministic on the simulator, so this is a property of the engine, not
-/// of the machine: if the ratio collapses, read-only transactions are
-/// queueing through the scheduler again and the fast path is dead.
-pub fn check_read_scaling_guard(rows: &[Row]) -> Result<(), String> {
-    const FACTOR: f64 = 1.5;
-    let point = |mvcc: f64| {
-        rows.iter()
-            .find(|r| {
-                r.label.starts_with("read-only-rush / simulated")
-                    && r.values.get("mvcc") == Some(&mvcc)
-            })
-            .and_then(|r| r.values.get("throughput").copied())
-            .ok_or_else(|| {
-                format!("e13 rows missing the read-only-rush simulator mvcc={mvcc} point")
-            })
-    };
-    let off = point(0.0)?;
-    let on = point(1.0)?;
-    if on < off * FACTOR {
-        return Err(format!(
-            "snapshot-on rounds-throughput {on:.3} fell below {FACTOR} × the \
-             snapshot-off point {off:.3} on the 99/1 mix — read-only \
-             transactions are reaching the scheduler again"
-        ));
-    }
-    Ok(())
-}
-
 /// E14 — op cost vs object size: the median cost of one `Insert` that
 /// overwrites a key of a *shared* [`Dictionary`](obase_adt::Dictionary)
 /// state, as the engine applies it (`SemanticType::apply` on a state the
@@ -1578,32 +1429,6 @@ mod tests {
         ];
         assert!(check_durability_guard(&rows).is_err());
         assert!(check_durability_guard(&[]).is_err());
-    }
-
-    #[test]
-    fn read_scaling_guard_reads_e13_rows() {
-        let rows = vec![
-            Row::new("read-only-rush / simulated / mvcc off")
-                .with("mvcc", 0.0)
-                .with("throughput", 0.4),
-            Row::new("read-only-rush / simulated / mvcc on")
-                .with("mvcc", 1.0)
-                .with("throughput", 1.2),
-            Row::new("read-only-rush / parallel(4) / mvcc on")
-                .with("mvcc", 1.0)
-                .with("throughput", 0.1),
-        ];
-        assert!(check_read_scaling_guard(&rows).is_ok());
-        let rows = vec![
-            Row::new("read-only-rush / simulated / mvcc off")
-                .with("mvcc", 0.0)
-                .with("throughput", 0.4),
-            Row::new("read-only-rush / simulated / mvcc on")
-                .with("mvcc", 1.0)
-                .with("throughput", 0.5),
-        ];
-        assert!(check_read_scaling_guard(&rows).is_err());
-        assert!(check_read_scaling_guard(&[]).is_err());
     }
 
     #[test]

@@ -18,11 +18,11 @@ pub mod quick;
 pub mod scenarios;
 
 pub use experiments::{
-    check_durability_guard, check_flat_guard, check_observer_guard, check_read_scaling_guard,
-    check_run_flat_guard, check_scaling_guard, e10_worker_scaling, e11_durability,
-    e12_observer_overhead, e13_mvcc_read_path, e14_op_cost_vs_object_size, e15_batch_of_one,
-    e1_flat_vs_nested, e2_queue_locks, e3_semantic_conflict, e4_n2pl_vs_nto, e5_sg_checkers,
-    e6_mixed_cc, e7_internal_parallelism, e8_core_scaling, e9_backend_faceoff, merge_results,
-    render_table, results_json, with_latency_columns, Row,
+    check_durability_guard, check_flat_guard, check_observer_guard, check_run_flat_guard,
+    check_scaling_guard, e10_worker_scaling, e11_durability, e12_observer_overhead,
+    e14_op_cost_vs_object_size, e15_batch_of_one, e1_flat_vs_nested, e2_queue_locks,
+    e3_semantic_conflict, e4_n2pl_vs_nto, e5_sg_checkers, e6_mixed_cc, e7_internal_parallelism,
+    e8_core_scaling, e9_backend_faceoff, merge_results, render_table, results_json,
+    with_latency_columns, Row,
 };
-pub use scenarios::{scenario_rows, scenario_rows_with, BackendChoice, DEFAULT_GROUP_COMMIT};
+pub use scenarios::{scenario_rows, BackendChoice, DEFAULT_GROUP_COMMIT};

@@ -87,13 +87,6 @@ impl BackendChoice {
 /// Panics if a run times out or fails the serialisability checks — a bench
 /// sweep over a broken engine must not write plausible-looking numbers.
 pub fn scenario_rows(scenario: &Scenario, choice: &BackendChoice) -> Vec<Row> {
-    scenario_rows_with(scenario, choice, false)
-}
-
-/// [`scenario_rows`] with the MVCC snapshot read path on or off. Rows carry
-/// an `mvcc` marker column plus the `snapshot_reads` / `read_only_txns`
-/// counters, so a results file holds the on/off legs side by side.
-pub fn scenario_rows_with(scenario: &Scenario, choice: &BackendChoice, mvcc: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for spec in &scenario.specs {
         for backend in choice.backends() {
@@ -111,7 +104,7 @@ pub fn scenario_rows_with(scenario: &Scenario, choice: &BackendChoice, mvcc: boo
             };
             let runtime = scenario
                 .builder(spec.clone(), backend.clone())
-                .and_then(|b| b.mvcc(mvcc).build())
+                .and_then(|b| b.build())
                 .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
             let report = runtime
                 .run(&scenario.compile())
@@ -141,9 +134,6 @@ pub fn scenario_rows_with(scenario: &Scenario, choice: &BackendChoice, mvcc: boo
             .with("throughput", m.throughput())
             .with("wall_throughput", m.wall_throughput())
             .with("durable", if backend.is_durable() { 1.0 } else { 0.0 })
-            .with("mvcc", if mvcc { 1.0 } else { 0.0 })
-            .with("snapshot_reads", m.snapshot_reads as f64)
-            .with("read_only_txns", m.read_only_txns as f64)
             .with_histogram(
                 "aborts_by_reason",
                 m.aborts_by_reason
@@ -170,19 +160,6 @@ mod tests {
         assert!(rows.iter().all(|r| r.values["durable"] == 0.0));
         assert!(rows.iter().any(|r| r.label.contains("simulated")));
         assert!(rows.iter().any(|r| r.label.contains("parallel(2)")));
-    }
-
-    #[test]
-    fn mvcc_rows_record_snapshot_absorption() {
-        let s = obase_scenario::by_name("read-mostly-dict").unwrap();
-        let on = scenario_rows_with(&s, &BackendChoice::Simulated, true);
-        assert!(on
-            .iter()
-            .all(|r| r.values["mvcc"] == 1.0 && r.values["snapshot_reads"] > 0.0));
-        let off = scenario_rows(&s, &BackendChoice::Simulated);
-        assert!(off
-            .iter()
-            .all(|r| r.values["mvcc"] == 0.0 && r.values["snapshot_reads"] == 0.0));
     }
 
     #[test]

@@ -24,10 +24,6 @@ use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Start-time sentinel of a snapshot message step whose interval is deferred
-/// to [`HistoryBuilder::build`] (resolved to the span of its subtree).
-const SNAPSHOT_PENDING: u64 = u64::MAX;
-
 /// Incrementally builds a [`History`].
 #[derive(Debug)]
 pub struct HistoryBuilder {
@@ -95,10 +91,9 @@ impl HistoryBuilder {
     /// Advances and returns the virtual clock.
     ///
     /// The clock starts at 2 and strides by 2, so every clock-allocated step
-    /// sits at an even time ≥ 2. The odd instants in between (and the instant
-    /// 1 before everything) are reserved for snapshot reads, which fabricate
-    /// their position in time next to the committed version they observed
-    /// ([`HistoryBuilder::snapshot_local`]).
+    /// sits at an even time ≥ 2. A stride of 1 would order steps the same
+    /// way; 2 is kept so that recorded step times, and so every history
+    /// compared across versions, stay as earlier versions recorded them.
     pub fn next_tick(&mut self) -> u64 {
         let t = self.tick;
         self.tick += 2;
@@ -214,7 +209,7 @@ impl HistoryBuilder {
         interval: Interval,
     ) -> StepId {
         // Keep the clock strictly past the interval, rounded up to even so
-        // clock-allocated steps stay off the odd instants snapshot reads use.
+        // clock-allocated steps keep the clock's stride (see `next_tick`).
         let t = interval.end + 1;
         self.tick = self.tick.max(t + (t & 1));
         self.push_local(exec, LocalStep::new(op, ret), interval)
@@ -237,89 +232,6 @@ impl HistoryBuilder {
         self.execs[exec.index()].program_order.push((a, b));
     }
 
-    // ----- snapshot reads ---------------------------------------------------
-
-    /// Issues a message step of a snapshot-read transaction. Unlike
-    /// [`invoke`](HistoryBuilder::invoke), no clock tick is consumed: the
-    /// step's interval is deferred and resolved by
-    /// [`build`](HistoryBuilder::build) to the span of its subtree, because a
-    /// snapshot read's local steps fabricate their position in time next to
-    /// the committed versions they observed — possibly far in the builder's
-    /// past.
-    pub fn snapshot_invoke(
-        &mut self,
-        parent: ExecId,
-        target: ObjectId,
-        method: impl Into<String>,
-        args: impl IntoIterator<Item = Value>,
-    ) -> (StepId, ExecId) {
-        let method = method.into();
-        let step_id = StepId(self.steps.len() as u32);
-        let child = ExecId(self.execs.len() as u32);
-        self.steps.push(StepRecord {
-            id: step_id,
-            exec: parent,
-            kind: StepKind::Message {
-                target,
-                method: method.clone(),
-                args: args.into_iter().collect(),
-                child,
-                ret: Value::Unit,
-            },
-        });
-        self.starts.push(SNAPSHOT_PENDING);
-        self.ends.push(None);
-        // No program-order chaining: snapshot steps are ordered by their
-        // fabricated intervals alone (each read anchors to a different
-        // version, so issue order means nothing in history time).
-        self.execs[parent.index()].steps.push(step_id);
-        let created = self.push_exec(target, method, Some(parent), Some(step_id));
-        debug_assert_eq!(created, child);
-        (step_id, child)
-    }
-
-    /// Records a local read of a snapshot transaction, placed at the odd
-    /// instant just after `anchor` — the last step of the committed version
-    /// the read observed. With no anchor (no published write of the object
-    /// preceded the read) the read sits at instant 1, before every
-    /// clock-allocated step. No clock tick is consumed and no program order
-    /// is recorded.
-    pub fn snapshot_local(
-        &mut self,
-        exec: ExecId,
-        op: Operation,
-        ret: impl Into<Value>,
-        anchor: Option<StepId>,
-    ) -> StepId {
-        let t = match anchor {
-            Some(a) => self.starts[a.index()] + 1,
-            None => 1,
-        };
-        let id = StepId(self.steps.len() as u32);
-        self.steps.push(StepRecord {
-            id,
-            exec,
-            kind: StepKind::Local(LocalStep::new(op, ret)),
-        });
-        self.starts.push(t);
-        self.ends.push(Some(t));
-        self.execs[exec.index()].steps.push(id);
-        id
-    }
-
-    /// Completes a snapshot message step: records the value returned to the
-    /// sender. The interval stays deferred (resolved in
-    /// [`build`](HistoryBuilder::build)).
-    ///
-    /// # Panics
-    /// Panics if `step` is not a message step.
-    pub fn snapshot_complete(&mut self, step: StepId, ret: Value) {
-        match &mut self.steps[step.index()].kind {
-            StepKind::Message { ret: slot, .. } => *slot = ret,
-            _ => panic!("{step} is not a message step"),
-        }
-    }
-
     // ----- assembly ---------------------------------------------------------
 
     /// Finishes construction and returns the history.
@@ -333,27 +245,6 @@ impl HistoryBuilder {
         // their parents, so a reverse scan sees children first).
         let final_tick = self.tick;
         for idx in (0..self.steps.len()).rev() {
-            if self.starts[idx] == SNAPSHOT_PENDING {
-                // A snapshot message: its interval is the span of its subtree
-                // (children sit later in the arrays, so their sentinels are
-                // already resolved by this reverse scan). An empty subtree
-                // collapses to the pre-history instant 1.
-                let child = match &self.steps[idx].kind {
-                    StepKind::Message { child, .. } => *child,
-                    StepKind::Local(_) => unreachable!("snapshot sentinel on a local step"),
-                };
-                let (mut start, mut end) = (u64::MAX, 0);
-                for &s in &self.exec_subtree_steps(child) {
-                    start = start.min(self.starts[s.index()]);
-                    end = end.max(self.ends[s.index()].unwrap_or(self.starts[s.index()]));
-                }
-                if start == u64::MAX {
-                    (start, end) = (1, 1);
-                }
-                self.starts[idx] = start;
-                self.ends[idx] = Some(end.max(start));
-                continue;
-            }
             if self.ends[idx].is_none() {
                 let step = &self.steps[idx];
                 let end = match &step.kind {

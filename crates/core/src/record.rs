@@ -119,33 +119,6 @@ pub trait HistoryRecorder {
     fn record_commit_top(&mut self, exec: ExecId) {
         let _ = exec;
     }
-
-    /// A message step of a snapshot-read transaction (see
-    /// [`HistoryBuilder::snapshot_invoke`]): no clock tick, interval deferred
-    /// to the span of the subtree.
-    fn record_snapshot_invoke(
-        &mut self,
-        parent: ExecId,
-        child: ExecId,
-        target: ObjectId,
-        method: &str,
-        args: Vec<Value>,
-    ) -> StepId;
-
-    /// A local read of a snapshot transaction, anchored just after the last
-    /// step of the committed version it observed (`None` = before every
-    /// clock-allocated step). See [`HistoryBuilder::snapshot_local`].
-    fn record_snapshot_local(
-        &mut self,
-        exec: ExecId,
-        op: Operation,
-        ret: Value,
-        anchor: Option<StepId>,
-    ) -> StepId;
-
-    /// A snapshot message step's return value (interval stays deferred). See
-    /// [`HistoryBuilder::snapshot_complete`].
-    fn record_snapshot_complete(&mut self, step: StepId, ret: Value);
 }
 
 impl HistoryRecorder for HistoryBuilder {
@@ -187,36 +160,6 @@ impl HistoryRecorder for HistoryBuilder {
 
     fn record_abort(&mut self, exec: ExecId) {
         self.abort(exec);
-    }
-
-    fn record_snapshot_invoke(
-        &mut self,
-        parent: ExecId,
-        child: ExecId,
-        target: ObjectId,
-        method: &str,
-        args: Vec<Value>,
-    ) -> StepId {
-        let (msg, allocated) = self.snapshot_invoke(parent, target, method.to_owned(), args);
-        debug_assert_eq!(
-            allocated, child,
-            "builder and lifecycle registry disagree on execution numbering"
-        );
-        msg
-    }
-
-    fn record_snapshot_local(
-        &mut self,
-        exec: ExecId,
-        op: Operation,
-        ret: Value,
-        anchor: Option<StepId>,
-    ) -> StepId {
-        self.snapshot_local(exec, op, ret, anchor)
-    }
-
-    fn record_snapshot_complete(&mut self, step: StepId, ret: Value) {
-        self.snapshot_complete(step, ret);
     }
 }
 
@@ -278,41 +221,6 @@ pub enum Event {
     Abort {
         /// The aborted execution.
         exec: ExecId,
-    },
-    /// A snapshot-read message step (deferred interval).
-    SnapshotInvoke {
-        /// Provisional id of the message step.
-        step: StepId,
-        /// The invoking execution.
-        parent: ExecId,
-        /// The created child execution.
-        child: ExecId,
-        /// The target object.
-        target: ObjectId,
-        /// The invoked method.
-        method: String,
-        /// The invocation arguments.
-        args: Vec<Value>,
-    },
-    /// A snapshot read, anchored to the committed version it observed.
-    SnapshotLocal {
-        /// Provisional id of the step.
-        step: StepId,
-        /// The issuing execution.
-        exec: ExecId,
-        /// The (read-only) operation.
-        op: Operation,
-        /// The observed return value.
-        ret: Value,
-        /// Provisional id of the observed version's last step, if any.
-        anchor: Option<StepId>,
-    },
-    /// A snapshot message step's return value.
-    SnapshotComplete {
-        /// Provisional id of the message step.
-        step: StepId,
-        /// The value returned to the sender.
-        ret: Value,
     },
 }
 
@@ -448,48 +356,6 @@ impl HistoryRecorder for BufferedRecorder<'_> {
     fn record_abort(&mut self, exec: ExecId) {
         self.push(Event::Abort { exec });
     }
-
-    fn record_snapshot_invoke(
-        &mut self,
-        parent: ExecId,
-        child: ExecId,
-        target: ObjectId,
-        method: &str,
-        args: Vec<Value>,
-    ) -> StepId {
-        let step = self.clock.next_step();
-        self.push(Event::SnapshotInvoke {
-            step,
-            parent,
-            child,
-            target,
-            method: method.to_owned(),
-            args,
-        });
-        step
-    }
-
-    fn record_snapshot_local(
-        &mut self,
-        exec: ExecId,
-        op: Operation,
-        ret: Value,
-        anchor: Option<StepId>,
-    ) -> StepId {
-        let step = self.clock.next_step();
-        self.push(Event::SnapshotLocal {
-            step,
-            exec,
-            op,
-            ret,
-            anchor,
-        });
-        step
-    }
-
-    fn record_snapshot_complete(&mut self, step: StepId, ret: Value) {
-        self.push(Event::SnapshotComplete { step, ret });
-    }
 }
 
 /// Stitches per-activity event buffers into the run's history: merges all
@@ -550,35 +416,6 @@ pub fn stitch(base: Arc<ObjectBase>, buffers: impl IntoIterator<Item = EventBuff
             }
             Event::Abort { exec } => {
                 builder.abort(exec);
-            }
-            Event::SnapshotInvoke {
-                step,
-                parent,
-                child,
-                target,
-                method,
-                args,
-            } => {
-                let (msg, allocated) = builder.snapshot_invoke(parent, target, method, args);
-                assert_eq!(allocated, child, "invoke events out of execution-id order");
-                final_id.insert(step, msg);
-            }
-            Event::SnapshotLocal {
-                step,
-                exec,
-                op,
-                ret,
-                anchor,
-            } => {
-                // The anchor's Local event is always sequenced before the
-                // snapshot that observed it (install → publish → read
-                // → record happens-before), so the lookup cannot miss.
-                let anchor = anchor.map(|a| lookup(&final_id, a));
-                let sid = builder.snapshot_local(exec, op, ret, anchor);
-                final_id.insert(step, sid);
-            }
-            Event::SnapshotComplete { step, ret } => {
-                builder.snapshot_complete(lookup(&final_id, step), ret);
             }
         }
     }

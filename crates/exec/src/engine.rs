@@ -34,7 +34,6 @@
 //! — integration tests assert this.
 
 use crate::kernel::LifecycleKernel;
-use crate::mvcc::{self, SnapshotPlan, VersionedStore};
 use crate::program::{Expr, ObjRef, Program, WorkloadSpec};
 use crate::store::ObjectStore;
 use obase_core::builder::HistoryBuilder;
@@ -66,11 +65,6 @@ pub struct ExecParams {
     pub max_rounds: u64,
     /// Maximum number of concurrently running top-level transactions.
     pub clients: usize,
-    /// Enables the MVCC snapshot read path: transactions statically
-    /// classified as read-only ([`crate::mvcc::classify`]) are served from
-    /// committed versions with no scheduler interaction. Off by default —
-    /// the baseline run is bit-for-bit unaffected.
-    pub mvcc: bool,
 }
 
 impl Default for ExecParams {
@@ -80,7 +74,6 @@ impl Default for ExecParams {
             max_retries: 16,
             max_rounds: 200_000,
             clients: 4,
-            mvcc: false,
         }
     }
 }
@@ -135,10 +128,6 @@ struct EngineState<R: HistoryRecorder> {
     rng: ChaCha8Rng,
     olane: ObsLane,
     first_granted: BTreeSet<ExecId>,
-    /// Committed multi-version state, present iff `config.mvcc`.
-    vs: Option<VersionedStore>,
-    /// Snapshot plans per workload spec (empty unless `config.mvcc`).
-    plans: Vec<Option<SnapshotPlan>>,
 }
 
 /// The simulator's side of the shared abort loop: single-threaded, so every
@@ -200,9 +189,6 @@ impl<R: HistoryRecorder> ExecutionDriver for SimDriver<'_, R> {
         removed_steps: usize,
         invalidated: BTreeSet<ExecId>,
     ) -> Vec<ExecId> {
-        if let Some(vs) = self.st.vs.as_mut() {
-            vs.note_abort(top);
-        }
         let release = self.st.kernel.release_aborted(
             self.scheduler,
             top,
@@ -241,7 +227,6 @@ impl<R: HistoryRecorder> EngineState<R> {
         obs: &ObsHandle,
     ) -> Self {
         let base = std::sync::Arc::clone(workload.def.base());
-        let base2 = std::sync::Arc::clone(&base);
         EngineState {
             def: workload.def.clone(),
             specs: workload.transactions.clone(),
@@ -261,12 +246,6 @@ impl<R: HistoryRecorder> EngineState<R> {
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             olane: obs.lane("sim"),
             first_granted: BTreeSet::new(),
-            vs: config.mvcc.then(|| VersionedStore::new(base2)),
-            plans: if config.mvcc {
-                mvcc::plan_specs(workload)
-            } else {
-                Vec::new()
-            },
         }
     }
 
@@ -312,43 +291,11 @@ impl<R: HistoryRecorder> EngineState<R> {
         self.kernel.queue_is_empty() && self.running_clients == 0
     }
 
-    /// Serves a snapshot-eligible pending transaction from committed
-    /// versions: execute the plan, settle the whole tree as committed — no
-    /// scheduler call, no thread of control, no client slot. Returns `false` (leaving the kernel untouched) when the
-    /// transaction has no plan or its plan fails against the committed state
-    /// (it then takes the normal path).
-    fn try_snapshot(&mut self, p: crate::kernel::Pending) -> bool {
-        let (Some(vs), Some(plan)) = (&self.vs, self.plans.get(p.spec).and_then(Option::as_ref))
-        else {
-            return false;
-        };
-        let Ok(outcome) = mvcc::execute_plan(plan, vs) else {
-            return false;
-        };
-        let top = self.kernel.settle_snapshot(&mut self.recorder, &outcome, p);
-        // Keep the simulator's side table index-aligned with the registry
-        // (the snapshot settle allocated the whole subtree's exec ids).
-        self.side
-            .resize_with(self.kernel.execs.len(), SideMeta::default);
-        if self.olane.is_on() {
-            self.olane.emit(ObsEvent::SnapshotRead {
-                top,
-                spec: p.spec,
-                attempt: p.attempt,
-            });
-            self.olane.emit(ObsEvent::Commit { top });
-        }
-        true
-    }
-
     fn start_pending(&mut self, scheduler: &mut dyn Scheduler) {
         while self.running_clients < self.config.clients {
             let Some(p) = self.kernel.next_pending() else {
                 break;
             };
-            if self.try_snapshot(p) {
-                continue;
-            }
             let spec = &self.specs[p.spec];
             let top = self
                 .kernel
@@ -453,12 +400,6 @@ impl<R: HistoryRecorder> EngineState<R> {
     }
 
     fn abort_top_level(&mut self, scheduler: &mut dyn Scheduler, top: ExecId, reason: AbortReason) {
-        // Publication is frozen across the whole cascade: a committed victim
-        // must not publish in the window between its dirty-read source's
-        // retraction and its own abort mark.
-        if let Some(vs) = self.vs.as_mut() {
-            vs.freeze();
-        }
         resolve_abort(
             &mut SimDriver {
                 st: self,
@@ -468,9 +409,6 @@ impl<R: HistoryRecorder> EngineState<R> {
             reason,
             false,
         );
-        if let Some(vs) = self.vs.as_mut() {
-            vs.thaw();
-        }
     }
 
     fn do_local(
@@ -526,21 +464,11 @@ impl<R: HistoryRecorder> EngineState<R> {
             Decision::Grant => {}
         }
 
-        // Mirror the install for publication when MVCC is on (the clone is
-        // paid only on that path; the baseline is untouched).
-        let mirror = self.vs.is_some().then(|| (op.clone(), ret.clone()));
         self.store.install(object, exec, op, ret.clone(), new_state);
         let prev = self.threads[tid].prev_step;
         let sid = self
             .kernel
             .install_step(scheduler, &mut self.recorder, exec, object, step, prev);
-        if let Some((mop, mret)) = mirror {
-            let top = self.kernel.execs.top_of(exec);
-            self.vs
-                .as_mut()
-                .expect("mirror captured only when the store exists")
-                .note_install(top, object, sid, mop, mret);
-        }
         if self.olane.is_on() {
             self.note_unblock(tid);
             self.note_grant(exec);
@@ -677,9 +605,6 @@ impl<R: HistoryRecorder> EngineState<R> {
                 }
                 if self.olane.is_on() {
                     self.olane.emit(ObsEvent::Commit { top: exec });
-                }
-                if let Some(vs) = self.vs.as_mut() {
-                    vs.note_commit(exec);
                 }
                 self.running_clients -= 1;
             }

@@ -99,7 +99,6 @@
 //! [`account_release`]: LifecycleKernel::account_release
 
 use crate::metrics::RunMetrics;
-use crate::mvcc::{ExecutedCall, ExecutedItem, SnapshotOutcome};
 use obase_core::history::History;
 use obase_core::ids::{ExecId, ObjectId, StepId};
 use obase_core::lifecycle::{CascadeVictim, ExecRecord, ExecTable};
@@ -395,70 +394,6 @@ impl LifecycleKernel {
         record.committed = true;
         self.metrics.committed += 1;
         rec.record_commit_top(top);
-    }
-
-    /// Settles a snapshot-read transaction: registers its whole execution
-    /// tree as already committed, records the snapshot history (begin,
-    /// invoke messages, anchored local reads, completions, the commit mark)
-    /// and counts it — with no scheduler interaction and no certification.
-    /// The MVCC read path calls this after executing an eligible plan
-    /// against the published versions (see [`crate::mvcc`]); correctness rests on
-    /// the versions being a published consistent cut, not on any lock.
-    pub fn settle_snapshot(
-        &mut self,
-        rec: &mut dyn HistoryRecorder,
-        outcome: &SnapshotOutcome,
-        pending: Pending,
-    ) -> ExecId {
-        let top = ExecId(self.execs.len() as u32);
-        rec.record_begin_top(top, &outcome.name);
-        self.execs.push(ExecRecord {
-            parent: None,
-            object: ObjectId::ENVIRONMENT,
-            live: false,
-            aborted: false,
-            committed: true,
-            spec: Some((pending.spec, pending.attempt)),
-            children: Vec::new(),
-        });
-        for call in &outcome.calls {
-            self.record_snapshot_call(rec, top, call);
-        }
-        self.metrics.committed += 1;
-        self.metrics.read_only_txns += 1;
-        self.metrics.snapshot_reads += outcome.local_reads();
-        rec.record_commit_top(top);
-        top
-    }
-
-    fn record_snapshot_call(
-        &mut self,
-        rec: &mut dyn HistoryRecorder,
-        parent: ExecId,
-        call: &ExecutedCall,
-    ) {
-        let child = ExecId(self.execs.len() as u32);
-        let msg =
-            rec.record_snapshot_invoke(parent, child, call.object, &call.method, call.args.clone());
-        self.execs.push(ExecRecord {
-            parent: Some(parent),
-            object: call.object,
-            live: false,
-            aborted: false,
-            committed: true,
-            spec: None,
-            children: Vec::new(),
-        });
-        self.execs.record_mut(parent).children.push(child);
-        for item in &call.items {
-            match item {
-                ExecutedItem::Local { op, ret, anchor } => {
-                    rec.record_snapshot_local(child, op.clone(), ret.clone(), *anchor);
-                }
-                ExecutedItem::Call(sub) => self.record_snapshot_call(rec, child, sub),
-            }
-        }
-        rec.record_snapshot_complete(msg, call.ret.clone());
     }
 
     /// Certifies and commits a finished nested execution: the scheduler may

@@ -63,14 +63,12 @@ pub mod codec;
 pub mod engine;
 pub mod kernel;
 pub mod metrics;
-pub mod mvcc;
 pub mod program;
 pub mod store;
 
 pub use engine::{drive, execute, ExecParams, RunResult};
 pub use kernel::LifecycleKernel;
 pub use metrics::RunMetrics;
-pub use mvcc::{classify, execute_plan, plan_specs, SnapshotOutcome, SnapshotPlan, VersionedStore};
 pub use program::{
     Expr, MethodDef, ObjRef, ObjectBaseDef, Program, ProgramError, TxnSpec, WorkloadSpec,
 };

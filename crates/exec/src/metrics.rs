@@ -4,6 +4,11 @@ use obase_core::sched::AbortReason;
 use obase_ser::Json;
 use std::collections::BTreeMap;
 
+/// The label [`RunMetrics::absorb`] writes when the absorbed runs named
+/// different schedulers or backends. No scheduler or backend label holds
+/// `<`, so it cannot be mistaken for a line-up that really ran.
+pub const VARIED_LABEL: &str = "<varied>";
+
 /// Counters collected during an engine run.
 #[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
@@ -38,13 +43,6 @@ pub struct RunMetrics {
     pub installed_steps: u64,
     /// Local steps that were installed by executions that later aborted.
     pub wasted_steps: u64,
-    /// Top-level transactions settled through the MVCC snapshot read path
-    /// (no scheduler interaction, no certification). Zero unless the run
-    /// enabled snapshot reads.
-    pub read_only_txns: usize,
-    /// Local read operations served from committed versions by the snapshot
-    /// read path.
-    pub snapshot_reads: u64,
     /// Scheduling rounds until all transactions settled — the makespan of the
     /// run on the simulated parallel machine. The parallel backend reports
     /// its count of control-plane state transitions here (every grant,
@@ -100,14 +98,14 @@ impl RunMetrics {
     /// aggregators (the serving front end runs many batches and reports
     /// one merged metrics document): counts add, `timed_out` sticks, and
     /// the scheduler/backend labels stay put unless they were empty or
-    /// disagree (then `"mixed"` records that batches ran under different
-    /// line-ups, e.g. across a reconcile).
+    /// disagree (then [`VARIED_LABEL`] records that batches ran under
+    /// different line-ups, e.g. across a reconcile).
     pub fn absorb(&mut self, other: &RunMetrics) {
         let merge_label = |mine: &mut String, theirs: &str| {
             if mine.is_empty() {
                 *mine = theirs.to_owned();
             } else if mine != theirs && !theirs.is_empty() {
-                *mine = "mixed".to_owned();
+                *mine = VARIED_LABEL.to_owned();
             }
         };
         merge_label(&mut self.scheduler, &other.scheduler);
@@ -125,8 +123,6 @@ impl RunMetrics {
         self.blocked_events += other.blocked_events;
         self.installed_steps += other.installed_steps;
         self.wasted_steps += other.wasted_steps;
-        self.read_only_txns += other.read_only_txns;
-        self.snapshot_reads += other.snapshot_reads;
         self.rounds += other.rounds;
         self.wall_micros += other.wall_micros;
         self.timed_out |= other.timed_out;
@@ -165,8 +161,6 @@ impl RunMetrics {
             ("blocked_events", Json::Int(self.blocked_events as i64)),
             ("installed_steps", Json::Int(self.installed_steps as i64)),
             ("wasted_steps", Json::Int(self.wasted_steps as i64)),
-            ("read_only_txns", Json::Int(self.read_only_txns as i64)),
-            ("snapshot_reads", Json::Int(self.snapshot_reads as i64)),
             ("rounds", Json::Int(self.rounds as i64)),
             ("wall_micros", Json::Int(self.wall_micros as i64)),
             ("timed_out", Json::Bool(self.timed_out)),
@@ -201,6 +195,23 @@ mod tests {
         let ratio = |key| json.get(key).and_then(Json::as_float).unwrap();
         assert!((ratio("abort_ratio") - 0.3).abs() < 1e-9);
         assert!((ratio("blocking_ratio") - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn absorb_tells_a_changed_line_up_from_a_per_object_mixed_spec() {
+        let run = |scheduler: &str| RunMetrics {
+            scheduler: scheduler.to_owned(),
+            backend: "simulated".to_owned(),
+            ..Default::default()
+        };
+        let mut same = run("mixed");
+        same.absorb(&run("mixed"));
+        assert_eq!(same.scheduler, "mixed");
+        assert_eq!(same.backend, "simulated");
+        let mut changed = run("mixed");
+        changed.absorb(&run("n2pl-step"));
+        assert_eq!(changed.scheduler, VARIED_LABEL);
+        assert_eq!(changed.backend, "simulated");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Every failure the campaign shrinks is fingerprinted (a 64-bit FNV-1a
 //! hash over the case's *structure* — ADT kinds, distributions, class
-//! shapes, scheduler labels, the MVCC knob — and the failure's kind,
-//! backend and spec, but **not** the seed or detail text, so re-discoveries
-//! of the same bug under different seeds deduplicate) and written as
-//! pretty-greppable JSON to `bugbase/bug-<fingerprint>.json`.
+//! shapes, scheduler labels — and the failure's kind, backend and spec,
+//! but **not** the seed or detail text, so re-discoveries of the same bug
+//! under different seeds deduplicate) and written as pretty-greppable JSON
+//! to `bugbase/bug-<fingerprint>.json`.
 //!
 //! The corpus is a one-way ratchet: once a bug is fixed its entry stays,
 //! and [`replay_all`] re-runs every entry through the full differential
@@ -64,9 +64,10 @@ pub fn fingerprint(case: &FuzzCase, kind: FailureKind, backend: &str, spec: &str
     sig.push('|');
     sig.push_str(&specs.join(","));
     sig.push('|');
+    // `mvcc=false` is a constant: it keeps the fingerprints of entries
+    // stored while cases still carried a snapshot-read switch.
     sig.push_str(&format!(
-        "mvcc={}|txns={}|clients={}|doom={}|storm={}|stall={}|crash={}|{}|{}|{}",
-        case.mvcc,
+        "mvcc=false|txns={}|clients={}|doom={}|storm={}|stall={}|crash={}|{}|{}|{}",
         s.transactions,
         s.clients,
         s.faults.doom_rate > 0.0,

@@ -209,7 +209,6 @@ fn run_leg(
     scenario: &Scenario,
     spec: &SchedulerSpec,
     backend: ExecutionBackend,
-    mvcc: bool,
     saboteur: Option<SchedulerWrapper>,
 ) -> Result<RunReport, Failure> {
     let label = backend.label();
@@ -221,7 +220,6 @@ fn run_leg(
             .seed(scenario.seed)
             .retries(scenario.retries)
             .backend(backend)
-            .mvcc(mvcc)
             .verify(Verify::Full)
             .observe(Observe::Off);
         if let Some(ms) = scenario.faults.deadline_ms {
@@ -351,14 +349,12 @@ pub fn run_differential(case: &FuzzCase, cfg: &DiffConfig) -> Result<DiffStats, 
             scenario,
             spec,
             ExecutionBackend::Simulated,
-            case.mvcc,
             cfg.saboteur.clone(),
         )?;
         let sim_b = run_leg(
             scenario,
             spec,
             ExecutionBackend::Simulated,
-            case.mvcc,
             cfg.saboteur.clone(),
         )?;
         stats.runs += 2;
@@ -378,7 +374,6 @@ pub fn run_differential(case: &FuzzCase, cfg: &DiffConfig) -> Result<DiffStats, 
                 scenario,
                 spec,
                 ExecutionBackend::Parallel { workers },
-                case.mvcc,
                 cfg.saboteur.clone(),
             )?;
             stats.runs += 1;
@@ -406,7 +401,6 @@ pub fn run_differential(case: &FuzzCase, cfg: &DiffConfig) -> Result<DiffStats, 
                         dir: dir.clone(),
                         group_commit: 4,
                     },
-                    case.mvcc,
                     cfg.saboteur.clone(),
                 )?;
                 stats.runs += 1;
@@ -480,10 +474,7 @@ mod tests {
             fraction: 0.6,
             corrupt: true,
         });
-        let case = FuzzCase {
-            scenario: s,
-            mvcc: false,
-        };
+        let case = FuzzCase { scenario: s };
         let cfg = DiffConfig {
             workers: vec![2],
             ..Default::default()
@@ -518,7 +509,7 @@ mod tests {
             dir: dir.clone(),
             group_commit: 4,
         };
-        run_leg(&scenario, &scenario.specs[0], backend, false, None).expect("clean durable run");
+        run_leg(&scenario, &scenario.specs[0], backend, None).expect("clean durable run");
         let mut recovered = WalBackend::new(scenario.compile().def.base().clone())
             .recover(&dir)
             .expect("recovers");

@@ -5,12 +5,11 @@
 //! (including `BTreeDict`, whose range scans carry interval conflicts), all
 //! three [`KeyDist`]s, nesting depth/width with and without `Par`
 //! parallelism, multi-spec scheduler line-ups, [`FaultPlan`] chaos (doom
-//! rates, abort storms, worker stalls, deadline pressure), WAL
-//! [`CrashPlan`] cut points, and the MVCC snapshot-read knob. Generated
-//! cases are *always* structurally valid ([`Scenario::validate`] holds by
-//! construction — a test sweeps hundreds of seeds to prove it), and the
-//! whole stream is a pure function of the campaign RNG: same seed, same
-//! cases, forever.
+//! rates, abort storms, worker stalls, deadline pressure) and WAL
+//! [`CrashPlan`] cut points. Generated cases are *always* structurally
+//! valid ([`Scenario::validate`] holds by construction — a test sweeps
+//! hundreds of seeds to prove it), and the whole stream is a pure function
+//! of the campaign RNG: same seed, same cases, forever.
 //!
 //! Sizes are deliberately small (a handful of groups, classes and clients,
 //! tens of transactions): the differential executor runs every case on
@@ -51,8 +50,6 @@ pub struct GenConfig {
     pub fault_probability: f64,
     /// Probability that a case carries a WAL crash plan.
     pub crash_probability: f64,
-    /// Probability that a case runs with the MVCC snapshot read path on.
-    pub mvcc_probability: f64,
     /// Probability that a chaotic case also gets deadline pressure. Kept low
     /// and paired with generous deadlines: a deadline that fires on a
     /// healthy engine would be a false positive, not a bug.
@@ -72,7 +69,6 @@ impl Default for GenConfig {
             max_specs: 2,
             fault_probability: 0.5,
             crash_probability: 0.4,
-            mvcc_probability: 0.25,
             deadline_probability: 0.1,
         }
     }
@@ -222,10 +218,7 @@ pub fn generate(rng: &mut ChaCha8Rng, cfg: &GenConfig) -> FuzzCase {
         scenario.validate().is_ok(),
         "generator produced an invalid scenario"
     );
-    FuzzCase {
-        scenario,
-        mvcc: rng.gen_bool(cfg.mvcc_probability.clamp(0.0, 1.0)),
-    }
+    FuzzCase { scenario }
 }
 
 /// Spec-space coverage counters: which corners of the scenario space a
@@ -255,8 +248,6 @@ pub struct Coverage {
     pub deadlines: u64,
     /// Cases with a WAL crash plan.
     pub crashes: u64,
-    /// Cases with the MVCC snapshot read path on.
-    pub mvcc_on: u64,
 }
 
 impl Coverage {
@@ -297,9 +288,6 @@ impl Coverage {
         if s.faults.crash.is_some() {
             self.crashes += 1;
         }
-        if case.mvcc {
-            self.mvcc_on += 1;
-        }
     }
 
     /// How many distinct coverage buckets are non-zero — a one-number
@@ -313,7 +301,6 @@ impl Coverage {
             self.stalls,
             self.deadlines,
             self.crashes,
-            self.mvcc_on,
         ]
         .iter()
         .filter(|&&n| n > 0)
@@ -342,7 +329,6 @@ impl Coverage {
             ("stalls", Json::Int(self.stalls as i64)),
             ("deadlines", Json::Int(self.deadlines as i64)),
             ("crashes", Json::Int(self.crashes as i64)),
-            ("mvcc_on", Json::Int(self.mvcc_on as i64)),
         ])
     }
 }
@@ -382,7 +368,7 @@ mod tests {
         assert_eq!(coverage.specs.len(), spec_pool().len());
         assert!(coverage.par_nesting > 0);
         assert!(coverage.dooms > 0 && coverage.storms > 0 && coverage.stalls > 0);
-        assert!(coverage.deadlines > 0 && coverage.crashes > 0 && coverage.mvcc_on > 0);
+        assert!(coverage.deadlines > 0 && coverage.crashes > 0);
         assert!(
             coverage.depth.len() >= 3,
             "depth spread: {:?}",

@@ -8,8 +8,7 @@
 //! * [`gen`] — a seeded generator random-walking the full
 //!   [`Scenario`] space: ADT mixes (including
 //!   `BTreeDict` ranges), key distributions, nesting depth/width/`Par`,
-//!   scheduler line-ups, `FaultPlan` chaos and WAL `CrashPlan` cut points,
-//!   plus the MVCC snapshot-read knob;
+//!   scheduler line-ups, `FaultPlan` chaos and WAL `CrashPlan` cut points;
 //! * [`diff`] — the differential executor: each generated case runs on the
 //!   simulator (twice — determinism is part of the contract), the parallel
 //!   backend and the durable backend, under `check_serialisable()` plus
@@ -73,41 +72,40 @@ pub use gen::{generate, Coverage, GenConfig};
 pub use planted::edge_dropper;
 pub use shrink::{shrink, ShrinkOutcome};
 
+use obase_runtime::ConfigError;
 use obase_scenario::{Scenario, ScenarioError};
 use obase_ser::Json;
 
-/// One fuzzed case: a scenario plus the runtime knobs that live outside the
-/// scenario DSL (today just the MVCC snapshot-read switch).
+/// One fuzzed case: the scenario it runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FuzzCase {
     /// The generated scenario (always passes [`Scenario::validate`]).
     pub scenario: Scenario,
-    /// Run with the MVCC snapshot read path on.
-    pub mvcc: bool,
 }
 
 impl FuzzCase {
     /// Renders the case as a JSON value (the bugbase storage format embeds
     /// this under `"case"`).
     pub fn to_json(&self) -> Json {
-        Json::object([
-            ("scenario", self.scenario.to_json()),
-            ("mvcc", Json::Bool(self.mvcc)),
-        ])
+        Json::object([("scenario", self.scenario.to_json())])
     }
 
     /// Parses a case back from its JSON rendering, validating the embedded
-    /// scenario.
+    /// scenario. Stored cases may carry `"mvcc": false`, which is ignored;
+    /// a case with `"mvcc": true` needs the removed snapshot read path and
+    /// is refused.
     pub fn from_json(json: &Json) -> Result<FuzzCase, ScenarioError> {
+        if json.get("mvcc").and_then(Json::as_bool) == Some(true) {
+            return Err(ScenarioError::BadJson(
+                ConfigError::SnapshotReadsRemoved.to_string(),
+            ));
+        }
         let scenario_json = json
             .get("scenario")
             .ok_or_else(|| ScenarioError::BadJson("case needs a \"scenario\"".into()))?;
         let scenario = Scenario::from_json(scenario_json)?;
         scenario.validate()?;
-        Ok(FuzzCase {
-            scenario,
-            mvcc: json.get("mvcc").and_then(Json::as_bool).unwrap_or(false),
-        })
+        Ok(FuzzCase { scenario })
     }
 }
 
@@ -118,10 +116,7 @@ mod tests {
     #[test]
     fn cases_round_trip_through_json() {
         let scenario = obase_scenario::by_name("hot-queue").expect("library scenario");
-        let case = FuzzCase {
-            scenario,
-            mvcc: true,
-        };
+        let case = FuzzCase { scenario };
         let back = FuzzCase::from_json(&case.to_json()).expect("round trip");
         assert_eq!(case, back);
     }
@@ -131,5 +126,26 @@ mod tests {
         assert!(FuzzCase::from_json(&Json::object([])).is_err());
         let bad = Json::object([("scenario", Json::object([])), ("mvcc", Json::Bool(false))]);
         assert!(FuzzCase::from_json(&bad).is_err());
+        // A stored case that needs the removed snapshot read path.
+        let scenario = obase_scenario::by_name("hot-queue").expect("library scenario");
+        let mut json = FuzzCase { scenario }.to_json();
+        assert!(FuzzCase::from_json(&json).is_ok());
+        if let Json::Object(fields) = &mut json {
+            fields.insert("mvcc".into(), Json::Bool(true));
+        }
+        let err = FuzzCase::from_json(&json).expect_err("mvcc=true is refused");
+        let removed = ConfigError::SnapshotReadsRemoved.to_string();
+        assert!(err.to_string().contains(&removed), "{err}");
+        // The same case stored as a bugbase entry: a shipped entry loads,
+        // and fails once its case asks for snapshot reads.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bugbase/bug-3438c9d43e3cd1a9.json"
+        );
+        let text = std::fs::read_to_string(path).expect("shipped bugbase entry");
+        assert!(BugEntry::from_json(&Json::parse(&text).expect("JSON")).is_ok());
+        let text = text.replace("\"mvcc\":false", "\"mvcc\":true");
+        let err = BugEntry::from_json(&Json::parse(&text).expect("JSON")).expect_err("refused");
+        assert!(err.contains(&removed), "{err}");
     }
 }

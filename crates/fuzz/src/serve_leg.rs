@@ -69,8 +69,8 @@ pub fn run_serve_leg(
         batch_max: BATCH_MAX,
         retries: scenario.retries,
         store_shards: 0,
-        mvcc: case.mvcc,
         keep_history: true,
+        ..ServeConfig::default()
     };
     let server = Server::bind(workload.def.clone(), config, "127.0.0.1:0")
         .map_err(|e| fail(FailureKind::EngineError, &spec_label, e.to_string()))?;

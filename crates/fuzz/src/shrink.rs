@@ -41,9 +41,9 @@ fn half(n: usize, floor: usize) -> Option<usize> {
 fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     let s = &case.scenario;
     let mut out: Vec<FuzzCase> = Vec::new();
-    let mut push = |scenario: Scenario, mvcc: bool| {
+    let mut push = |scenario: Scenario| {
         if scenario.validate().is_ok() {
-            out.push(FuzzCase { scenario, mvcc });
+            out.push(FuzzCase { scenario });
         }
     };
 
@@ -52,7 +52,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         for i in 0..s.specs.len() {
             let mut c = s.clone();
             c.specs.remove(i);
-            push(c, case.mvcc);
+            push(c);
         }
     }
 
@@ -61,7 +61,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         for i in 0..s.mix.len() {
             let mut c = s.clone();
             c.mix.remove(i);
-            push(c, case.mvcc);
+            push(c);
         }
     }
 
@@ -73,7 +73,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
             }
             let mut c = s.clone();
             c.groups.remove(i);
-            push(c, case.mvcc);
+            push(c);
         }
     }
 
@@ -81,12 +81,12 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     if let Some(t) = half(s.transactions, 1) {
         let mut c = s.clone();
         c.transactions = t;
-        push(c, case.mvcc);
+        push(c);
     }
     if let Some(n) = half(s.clients, 1) {
         let mut c = s.clone();
         c.clients = n;
-        push(c, case.mvcc);
+        push(c);
     }
 
     // Flatten per-class shape: nesting depth, fan-out, parallelism, ops.
@@ -95,22 +95,22 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         if let Some(d) = half(class.nesting.depth, 1) {
             let mut c = s.clone();
             c.mix[i].nesting.depth = d;
-            push(c, case.mvcc);
+            push(c);
         }
         if let Some(w) = half(class.nesting.width, 1) {
             let mut c = s.clone();
             c.mix[i].nesting.width = w;
-            push(c, case.mvcc);
+            push(c);
         }
         if class.nesting.parallel {
             let mut c = s.clone();
             c.mix[i].nesting.parallel = false;
-            push(c, case.mvcc);
+            push(c);
         }
         if let Some(o) = half(class.ops, 1) {
             let mut c = s.clone();
             c.mix[i].ops = o;
-            push(c, case.mvcc);
+            push(c);
         }
     }
 
@@ -120,12 +120,12 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         if let Some(o) = half(group.objects, 1) {
             let mut c = s.clone();
             c.groups[i].objects = o;
-            push(c, case.mvcc);
+            push(c);
         }
         if let Some(k) = half(group.keys, 1) {
             let mut c = s.clone();
             c.groups[i].keys = k;
-            push(c, case.mvcc);
+            push(c);
         }
     }
 
@@ -133,41 +133,36 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     if s.faults.doom_rate > 0.0 {
         let mut c = s.clone();
         c.faults.doom_rate = 0.0;
-        push(c, case.mvcc);
+        push(c);
     }
     if let Some(storm) = &s.faults.storm {
         let mut c = s.clone();
         c.faults.storm = None;
-        push(c, case.mvcc);
+        push(c);
         let span = storm.until.saturating_sub(storm.from);
         if span > 1 {
             let mut c = s.clone();
             if let Some(narrowed) = &mut c.faults.storm {
                 narrowed.until = narrowed.from + span / 2;
             }
-            push(c, case.mvcc);
+            push(c);
         }
     }
     if s.faults.stall_rate > 0.0 {
         let mut c = s.clone();
         c.faults.stall_rate = 0.0;
         c.faults.stall_ticks = 0;
-        push(c, case.mvcc);
+        push(c);
     }
     if s.faults.deadline_ms.is_some() {
         let mut c = s.clone();
         c.faults.deadline_ms = None;
-        push(c, case.mvcc);
+        push(c);
     }
     if s.faults.crash.is_some() {
         let mut c = s.clone();
         c.faults.crash = None;
-        push(c, case.mvcc);
-    }
-
-    // Finally, turn the MVCC read path off.
-    if case.mvcc {
-        push(s.clone(), false);
+        push(c);
     }
 
     out
@@ -264,7 +259,6 @@ mod tests {
         // The minimum is genuinely small: one class, one effective group.
         assert_eq!(outcome.case.scenario.mix.len(), 1);
         assert_eq!(outcome.case.scenario.specs.len(), 1);
-        assert!(!outcome.case.mvcc);
         assert!(outcome.case.scenario.faults.is_noop());
         assert!(outcome.case.scenario.faults.crash.is_none());
     }

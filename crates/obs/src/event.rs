@@ -95,19 +95,6 @@ pub enum ObsEvent {
         /// The aborted top-level execution.
         top: ExecId,
     },
-    /// The transaction was served entirely from the MVCC snapshot read path:
-    /// it pinned a commit watermark, read committed versions and settled with
-    /// no scheduler interaction. Such transactions get no
-    /// [`ObsEvent::Admit`] — submit → commit is their whole life, reported
-    /// as the `snapshot_read` phase.
-    SnapshotRead {
-        /// The top-level execution.
-        top: ExecId,
-        /// Index of the transaction in the workload.
-        spec: usize,
-        /// Zero-based attempt number.
-        attempt: u32,
-    },
     /// An aborted attempt was requeued: this stamps the *next* attempt's
     /// submission time.
     Retry {

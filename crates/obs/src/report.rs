@@ -13,9 +13,6 @@
 //!   certified top-level transaction;
 //! * `certify` — certify-start → commit settle;
 //! * `fsync` — each WAL fsync span (durable backend only);
-//! * `snapshot_read` — submit → commit settle of transactions served by the
-//!   MVCC snapshot read path (they are never admitted by a scheduler, so
-//!   they appear in no other phase);
 //! * `e2e` — submit of the committing attempt → commit settle.
 //!
 //! A report is built to be folded into a long-lived aggregate (the serving
@@ -61,13 +58,12 @@ pub struct LatencyReport {
 }
 
 /// The phase names [`LatencyReport::phase`] answers to, in report order.
-pub const PHASES: [&str; 7] = [
+pub const PHASES: [&str; 6] = [
     "queue_wait",
     "blocked",
     "execute",
     "certify",
     "fsync",
-    "snapshot_read",
     "e2e",
 ];
 
@@ -77,8 +73,7 @@ const BLOCKED: usize = 1;
 const EXECUTE: usize = 2;
 const CERTIFY: usize = 3;
 const FSYNC: usize = 4;
-const SNAPSHOT_READ: usize = 5;
-const E2E: usize = 6;
+const E2E: usize = 5;
 
 /// Adds every total of `from` into `into`, key by key.
 fn fold<K: Copy + Ord>(into: &mut BTreeMap<K, BlockedTotal>, from: &BTreeMap<K, BlockedTotal>) {
@@ -114,7 +109,6 @@ impl LatencyReport {
 
         let mut submit: BTreeMap<(usize, u32), u64> = BTreeMap::new();
         let mut admit: BTreeMap<ExecId, (usize, u32, u64)> = BTreeMap::new();
-        let mut snapshot: BTreeMap<ExecId, (usize, u32)> = BTreeMap::new();
         let mut certify: BTreeMap<ExecId, u64> = BTreeMap::new();
         let mut commit: BTreeMap<ExecId, u64> = BTreeMap::new();
         let mut abort: BTreeMap<ExecId, u64> = BTreeMap::new();
@@ -141,9 +135,6 @@ impl LatencyReport {
                 }
                 ObsEvent::Abort { top } => {
                     abort.entry(top).or_insert(s.at_micros);
-                }
-                ObsEvent::SnapshotRead { top, spec, attempt } => {
-                    snapshot.entry(top).or_insert((spec, attempt));
                 }
                 ObsEvent::BlockBegin { top, object, shard } => {
                     open_blocks
@@ -210,14 +201,6 @@ impl LatencyReport {
                 }
                 let born = submit.get(&(spec, attempt)).copied().unwrap_or(admit_at);
                 phases[E2E].record(commit_at.saturating_sub(born));
-            }
-        }
-        // Snapshot-served transactions are never admitted: their whole life
-        // is submit → commit settle.
-        for (&top, &(spec, attempt)) in &snapshot {
-            if let Some(&commit_at) = commit.get(&top) {
-                let born = submit.get(&(spec, attempt)).copied().unwrap_or(commit_at);
-                phases[SNAPSHOT_READ].record(commit_at.saturating_sub(born));
             }
         }
         report
@@ -491,8 +474,8 @@ mod tests {
     /// One run's lane batches, drawn from `rng`: workload transactions whose
     /// attempts are admitted, blocked (some spans twice over the same key,
     /// some left dangling, to be closed at settle or at run end), certified
-    /// and committed, or aborted and retried, or left unsettled; snapshot
-    /// reads; fsync pairs, some unmatched; and noise events the report
+    /// and committed, or aborted and retried, or left unsettled; fsync
+    /// pairs, some unmatched; and noise events the report
     /// ignores. Durations come from a small set and objects from a small
     /// range, so the hot lists have ties.
     fn random_run(rng: &mut ChaCha8Rng) -> Vec<(String, Vec<ObsStamped>)> {
@@ -515,12 +498,6 @@ mod tests {
                 t += short(rng);
                 let top = ExecId(next_top);
                 next_top += 1;
-                if rng.gen_bool(0.15) {
-                    lane.push(at(t, ObsEvent::SnapshotRead { top, spec, attempt }));
-                    t += short(rng);
-                    lane.push(at(t, ObsEvent::Commit { top }));
-                    break;
-                }
                 lane.push(at(t, ObsEvent::Admit { top, spec, attempt }));
                 if rng.gen_bool(0.5) {
                     lane.push(at(t, ObsEvent::FirstGrant { top }));

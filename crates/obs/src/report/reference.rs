@@ -35,7 +35,6 @@ impl Reference {
 
         let mut submit: BTreeMap<(usize, u32), u64> = BTreeMap::new();
         let mut admit: BTreeMap<ExecId, (usize, u32, u64)> = BTreeMap::new();
-        let mut snapshot: BTreeMap<ExecId, (usize, u32)> = BTreeMap::new();
         let mut certify: BTreeMap<ExecId, u64> = BTreeMap::new();
         let mut commit: BTreeMap<ExecId, u64> = BTreeMap::new();
         let mut abort: BTreeMap<ExecId, u64> = BTreeMap::new();
@@ -62,9 +61,6 @@ impl Reference {
                 }
                 ObsEvent::Abort { top } => {
                     abort.entry(top).or_insert(s.at_micros);
-                }
-                ObsEvent::SnapshotRead { top, spec, attempt } => {
-                    snapshot.entry(top).or_insert((spec, attempt));
                 }
                 ObsEvent::BlockBegin { top, object, shard } => {
                     open_blocks
@@ -107,7 +103,6 @@ impl Reference {
         let mut blocked = Histogram::new();
         let mut execute = Histogram::new();
         let mut certify_h = Histogram::new();
-        let mut snapshot_h = Histogram::new();
         let mut e2e = Histogram::new();
         let mut blocked_by_top: BTreeMap<ExecId, u64> = BTreeMap::new();
         let mut by_object: BTreeMap<ObjectId, BlockedTotal> = BTreeMap::new();
@@ -142,14 +137,6 @@ impl Reference {
                 e2e.record(commit_at.saturating_sub(born));
             }
         }
-        // Snapshot-served transactions are never admitted: their whole life
-        // is submit → commit settle.
-        for (&top, &(spec, attempt)) in &snapshot {
-            if let Some(&commit_at) = commit.get(&top) {
-                let born = submit.get(&(spec, attempt)).copied().unwrap_or(commit_at);
-                snapshot_h.record(commit_at.saturating_sub(born));
-            }
-        }
 
         let mut hot_objects: Vec<(ObjectId, BlockedTotal)> = by_object.into_iter().collect();
         hot_objects.sort_by(|a, b| {
@@ -171,7 +158,6 @@ impl Reference {
             ("execute", execute),
             ("certify", certify_h),
             ("fsync", fsync),
-            ("snapshot_read", snapshot_h),
             ("e2e", e2e),
         ] {
             phases.insert(name.to_owned(), h);

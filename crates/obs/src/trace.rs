@@ -241,14 +241,6 @@ impl ChromeTraceObserver {
                             "doom",
                         ));
                     }
-                    ObsEvent::SnapshotRead { top, spec, attempt } => {
-                        instants.push((
-                            lane.clone(),
-                            s.at_micros,
-                            format!("snapshot t{spec}.{attempt} e{}", top.0),
-                            "snapshot",
-                        ));
-                    }
                 }
             }
         }

@@ -43,7 +43,6 @@ use obase_core::record::{stitch, BufferedRecorder, EventBuffer, HistoryRecorder,
 use obase_core::sched::{AbortReason, Decision, Scheduler};
 use obase_core::value::Value;
 use obase_exec::kernel::{LifecycleKernel, Pending};
-use obase_exec::mvcc::{self, SnapshotPlan, VersionedStore};
 use obase_exec::{ExecParams, Program, RunResult, TxnSpec, WorkloadSpec};
 use obase_obs::{LaneId, ObsEvent, ObsHandle, ObsLane};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,6 +50,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// How long a parked activity or an idle worker waits before it looks again
+/// (the re-poll backstop; a re-park re-runs deadlock detection).
+const MONITOR_TICK: Duration = Duration::from_millis(1);
 
 /// Parameters of a parallel run.
 #[derive(Clone, Debug)]
@@ -64,18 +67,9 @@ pub struct ParParams {
     /// Wall-clock bound on the whole run (guards against livelock; the run
     /// is flagged `timed_out` if it trips).
     pub deadline: Duration,
-    /// How long a parked activity or an idle worker waits before it looks
-    /// again (the re-poll backstop; a re-park re-runs deadlock detection).
-    pub monitor_tick: Duration,
     /// Number of store (and scheduler-plane) shards; `0` applies the
     /// default — the next power of two at least twice the worker count.
     pub shards: usize,
-    /// Enables the MVCC snapshot read path: transactions whose every
-    /// operation is read-only execute against the newest committed versions,
-    /// read under the version store's lock, with no scheduler-plane
-    /// interaction and no lifecycle-lock traffic on the read hot path. Off
-    /// by default; writers are unaffected either way.
-    pub mvcc: bool,
 }
 
 impl Default for ParParams {
@@ -84,23 +78,20 @@ impl Default for ParParams {
             workers: 4,
             max_retries: 16,
             deadline: Duration::from_secs(10),
-            monitor_tick: Duration::from_millis(1),
             shards: 0,
-            mvcc: false,
         }
     }
 }
 
 impl ParParams {
-    /// Derives parallel parameters from the simulator's knob set: the retry
-    /// budget carries over, `workers` replaces `clients` as the concurrency
-    /// cap, and the round bound is replaced by this struct's wall-clock
-    /// deadline.
+    /// Derives parallel parameters from the simulator's knob set: only the
+    /// retry budget carries over. `workers` replaces `clients` as the
+    /// concurrency cap, and this struct's wall-clock deadline replaces the
+    /// round bound.
     pub fn from_exec(params: &ExecParams, workers: usize) -> Self {
         ParParams {
             workers,
             max_retries: params.max_retries,
-            mvcc: params.mvcc,
             ..Default::default()
         }
     }
@@ -217,15 +208,6 @@ struct Shared {
     workload: WorkloadSpec,
     params: ParParams,
     obs: ObsHandle,
-    /// The multi-version mirror of committed object states (present iff
-    /// [`ParParams::mvcc`] is on). Its mutex is taken briefly inside a store
-    /// slot's critical section (to mirror an install) and at lifecycle
-    /// transitions; it is never held across a scheduler-plane or parking
-    /// call. Lock order: `life` → `vs` and slot → `vs`, never the reverse.
-    vs: Option<Mutex<VersionedStore>>,
-    /// Pre-classified snapshot plans, one per workload transaction; `None`
-    /// entries take the normal scheduled path.
-    plans: Vec<Option<SnapshotPlan>>,
 }
 
 /// The transaction currently being executed must stop: it was doomed (a
@@ -272,13 +254,6 @@ fn control<'a>(shared: &'a Shared) -> MutexGuard<'a, Control> {
         .control
         .lock()
         .expect("a worker panicked while holding the bookkeeping lock")
-}
-
-fn vs<'a>(shared: &'a Shared) -> Option<MutexGuard<'a, VersionedStore>> {
-    shared.vs.as_ref().map(|m| {
-        m.lock()
-            .expect("a worker panicked while holding the version store")
-    })
 }
 
 impl Shared {
@@ -386,14 +361,6 @@ pub(crate) fn execute_on(
         started: Instant::now(),
         workload: workload.clone(),
         obs: obs.clone(),
-        vs: params
-            .mvcc
-            .then(|| Mutex::new(VersionedStore::new(Arc::clone(&base)))),
-        plans: if params.mvcc {
-            mvcc::plan_specs(workload)
-        } else {
-            Vec::new()
-        },
         params,
     });
     if shared.obs.is_on() {
@@ -470,7 +437,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
                 }
                 l = shared
                     .work_cv
-                    .wait_timeout(l, shared.params.monitor_tick)
+                    .wait_timeout(l, MONITOR_TICK)
                     .expect("a worker panicked while holding the lifecycle lock")
                     .0;
             }
@@ -504,10 +471,6 @@ fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
         olane: shared.obs.lane(LaneId::worker(widx)),
         granted: false,
     };
-    if try_snapshot(shared, &mut actx, p) {
-        shared.flush(&mut actx.buf);
-        return;
-    }
     let top = {
         let mut l = life(shared);
         let mut rec = BufferedRecorder::new(&shared.clock, &mut actx.buf);
@@ -546,52 +509,6 @@ fn run_top_level(shared: &Shared, p: Pending, widx: usize) {
         Err(Interrupt) => handle_interrupt(shared, &mut actx, top),
     }
     shared.flush(&mut actx.buf);
-}
-
-/// The MVCC snapshot fast path: if this attempt's transaction is
-/// snapshot-eligible (statically read-only), execute it against the
-/// newest committed versions and settle it committed
-/// — no scheduler-plane request, no parking, no certification. The only
-/// lifecycle-lock acquisition is the final settle (registering the finished
-/// execution tree and its history is inherently a lifecycle transition);
-/// the read itself touches nothing but the version store. Returns `false`
-/// (and touches nothing) when the transaction must take the scheduled path,
-/// including when a read-only plan trips a `TypeError` on committed state.
-fn try_snapshot(shared: &Shared, actx: &mut ActCtx, p: Pending) -> bool {
-    let Some(plan) = shared.plans.get(p.spec).and_then(Option::as_ref) else {
-        return false;
-    };
-    // The read holds the store lock, so no publication lands mid-plan.
-    let Some(outcome) = vs(shared).and_then(|vs| mvcc::execute_plan(plan, &vs).ok()) else {
-        return false;
-    };
-    let top = {
-        let mut l = life(shared);
-        let mut rec = BufferedRecorder::new(&shared.clock, &mut actx.buf);
-        let before = l.kernel.execs.len();
-        let top = l.kernel.settle_snapshot(&mut rec, &outcome, p);
-        // Mirror the settled subtree into the lock-free index, in push
-        // order (the index asserts lockstep with the registry). The whole
-        // tree is born settled: never live, already committed.
-        for i in before..l.kernel.execs.len() {
-            let e = ExecId(i as u32);
-            let r = l.kernel.execs.record(e);
-            shared.index.push(e, r.parent, r.object);
-            shared.index.clear_flags(e, LIVE);
-            shared.index.set_flags(e, COMMITTED);
-        }
-        top
-    };
-    shared.bump();
-    if actx.olane.is_on() {
-        actx.olane.emit(ObsEvent::SnapshotRead {
-            top,
-            spec: p.spec,
-            attempt: p.attempt,
-        });
-        actx.olane.emit(ObsEvent::Commit { top });
-    }
-    true
 }
 
 fn alloc_activity(c: &mut Control, root: ExecId) -> usize {
@@ -757,7 +674,6 @@ fn do_local(
                     .sched()
                     .on_step_installed(ctx.exec, object, &step, &view);
                 let out = ret.clone();
-                let mirror = shared.vs.is_some().then(|| (op.clone(), ret.clone()));
                 slot.install(ctx.exec, op, ret, new_state);
                 let mut rec = BufferedRecorder::new(&shared.clock, &mut actx.buf);
                 let sid = rec.record_local(ctx.exec, step.op, step.ret);
@@ -765,15 +681,6 @@ fn do_local(
                     rec.record_program_order(ctx.exec, prev, sid);
                 }
                 ctx.prev_step = Some(sid);
-                if let Some((mop, mret)) = mirror {
-                    // Mirrored inside the slot critical section, so the
-                    // version store's pending queue per object is ordered
-                    // exactly like the installed log (the prefix rule
-                    // depends on it).
-                    vs(shared)
-                        .expect("mirror captured only when the store exists")
-                        .note_install(ctx.top, object, sid, mop, mret);
-                }
                 shared.installed_steps.fetch_add(1, Ordering::Relaxed);
                 drop(shard);
                 drop(slot);
@@ -962,14 +869,6 @@ fn commit_top_level(shared: &Shared, actx: &mut ActCtx, top: ExecId) {
         } else {
             let mut rec = BufferedRecorder::new(&shared.clock, &mut actx.buf);
             l.kernel.settle_commit_top(&mut rec, top);
-            if let Some(mut vs) = vs(shared) {
-                // Inside the lifecycle section, so the commit's publication
-                // attempt serialises with doom decisions: a cascade that
-                // condemns this transaction either sees it committed here
-                // (and note_aborts it under its publication freeze) or wins
-                // outright above.
-                vs.note_commit(top);
-            }
             Some(l.kernel.execs.subtree_of(top))
         }
     };
@@ -1026,7 +925,7 @@ fn park(
     if closes || shared.started.elapsed() >= shared.params.deadline {
         detect(shared, actx.act);
     }
-    actx.signal.wait_timeout(shared.params.monitor_tick);
+    actx.signal.wait_timeout(MONITOR_TICK);
     shared.waiters.deregister(token);
     control(shared).activities[actx.act].blocked_on.clear();
     if actx.olane.is_on() {
@@ -1123,14 +1022,6 @@ impl ExecutionDriver for ParDriver<'_, '_> {
         invalidated: BTreeSet<ExecId>,
     ) -> Vec<ExecId> {
         let shared = self.shared;
-        if let Some(mut vs) = vs(shared) {
-            // Drop the victim's unpublished mirror entries. The publication
-            // freeze around `resolve_abort` suppresses the retry this
-            // triggers until the whole cascade has been marked, so a
-            // committed-but-doomed victim can never look publishable
-            // mid-cascade.
-            vs.note_abort(top);
-        }
         // Scheduler resources are released strictly after the store undo
         // (the shared loop's phase order), children before parents, on the
         // touched shards only.
@@ -1200,19 +1091,7 @@ fn process_abort(
     reason: AbortReason,
     cascade: bool,
 ) {
-    // Freeze version publication across the whole abort loop (all cascade
-    // iterations included): dropping a writer's mirror entries can make a
-    // committed victim's entries transiently form a publishable log prefix
-    // before that victim is marked aborted, and publishing that cut would
-    // expose dirty state to snapshot readers. Thawing retries publication
-    // once every victim is settled.
-    if let Some(mut vs) = vs(shared) {
-        vs.freeze();
-    }
     resolve_abort(&mut ParDriver { shared, actx }, top, reason, cascade);
-    if let Some(mut vs) = vs(shared) {
-        vs.thaw();
-    }
 }
 
 // ----- deadlocks and the deadline -------------------------------------------

@@ -54,6 +54,10 @@ pub enum ConfigError {
     /// A serving front end with an ingress batch bound of zero: no admitted
     /// transaction could ever be executed.
     ZeroBatch,
+    /// The snapshot read path (`mvcc`) was asked for. It has been removed:
+    /// every transaction now runs under its scheduler, and `mvcc: false` is
+    /// the only accepted setting.
+    SnapshotReadsRemoved,
     /// A serialised spec names a kind that does not exist.
     UnknownKind(String),
     /// A serialised spec did not parse or had the wrong shape.
@@ -104,6 +108,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroBatch => {
                 write!(f, "ingress batches need room for at least 1 transaction")
+            }
+            ConfigError::SnapshotReadsRemoved => {
+                write!(f, "snapshot reads (mvcc) were removed; mvcc must be false")
             }
             ConfigError::UnknownKind(kind) => {
                 write!(f, "unknown scheduler kind {kind:?}")

@@ -359,6 +359,7 @@ pub struct RuntimeBuilder {
     wrapper: Wrapper,
     verify: Verify,
     observe: Observe,
+    mvcc: bool,
 }
 
 impl RuntimeBuilder {
@@ -396,15 +397,13 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables the MVCC snapshot read path (default off). With it on,
-    /// transactions whose every operation is statically read-only execute
-    /// against the newest committed versions of the objects they read —
-    /// no scheduler interaction, no certification, no aborts — while
-    /// writers go through the scheduler unchanged. Applies to all three
-    /// backends; with it off, runs are bit-for-bit what they were before
-    /// the knob existed.
+    /// The switch of the removed snapshot read path. `false` is the only
+    /// value [`build`](Self::build) accepts; `true` fails with
+    /// [`ConfigError::SnapshotReadsRemoved`]. Kept only because servebench
+    /// (`servebench/src/traced.rs`) still calls it; it goes once that call
+    /// is dropped.
     pub fn mvcc(mut self, mvcc: bool) -> Self {
-        self.params.mvcc = mvcc;
+        self.mvcc = mvcc;
         self
     }
 
@@ -480,6 +479,9 @@ impl RuntimeBuilder {
     /// empty or nested `Mixed`).
     pub fn build(self) -> Result<Runtime, ConfigError> {
         let spec = self.spec.ok_or(ConfigError::MissingScheduler)?;
+        if self.mvcc {
+            return Err(ConfigError::SnapshotReadsRemoved);
+        }
         if self.params.clients == 0 {
             return Err(ConfigError::ZeroClients);
         }
@@ -583,6 +585,17 @@ mod tests {
                 .unwrap_err(),
             ConfigError::EmptyMixedSpec
         );
+    }
+
+    #[test]
+    fn the_removed_snapshot_switch_is_refused() {
+        let builder = || Runtime::builder().scheduler(SchedulerSpec::n2pl_operation());
+        assert_eq!(
+            builder().mvcc(true).build().unwrap_err(),
+            ConfigError::SnapshotReadsRemoved
+        );
+        let report = builder().mvcc(false).build().unwrap().run(&tiny_workload());
+        assert_eq!(report.unwrap().metrics.committed, 1);
     }
 
     #[test]

@@ -63,9 +63,7 @@ impl Scenario {
     /// one) and [`Observe::Latency`] — every scenario run carries a
     /// per-phase latency report. Chain [`RuntimeBuilder::observe`] for
     /// another observation plan (e.g. [`Observe::Trace`] to export a
-    /// Perfetto timeline) and [`RuntimeBuilder::mvcc`] to switch the
-    /// snapshot read path on; the read-mix scenarios (`read-mostly-dict`,
-    /// `read-only-rush`) are built to be run both ways.
+    /// Perfetto timeline).
     pub fn builder(
         &self,
         spec: SchedulerSpec,

@@ -1,8 +1,8 @@
 //! The built-in scenario library.
 //!
 //! Twelve named scenarios spanning every `obase-adt` type, the nesting
-//! shapes of Section 3, the read-mix extremes of the MVCC snapshot path and
-//! the fault plans of the chaos engine. Each is small
+//! shapes of Section 3, two read-heavy dictionary mixes and the fault
+//! plans of the chaos engine. Each is small
 //! enough for the equivalence oracle to sweep on every CI push yet shaped
 //! to stress one specific mechanism — see `docs/SCENARIOS.md` for the
 //! intent of each.
@@ -232,8 +232,8 @@ pub fn library() -> Vec<Scenario> {
     out.push(rush);
 
     // A 95/5 read/write mix over dictionaries: most compiled transactions
-    // are entirely `Lookup`/`Size` and thus eligible for the MVCC snapshot
-    // read path, while the writer minority keeps the version chains moving.
+    // are entirely `Lookup`/`Size`, whose steps commute with one another,
+    // while a writer minority keeps conflicting writes in the mix.
     out.push(scenario(
         "read-mostly-dict",
         111,
@@ -243,10 +243,8 @@ pub fn library() -> Vec<Scenario> {
         vec![SchedulerSpec::n2pl_operation()],
     ));
 
-    // A 99/1 mix, the snapshot-read showcase: with MVCC on, almost the
-    // whole workload bypasses the scheduler; with it off, every reader
-    // still queues through admission — the e13 scaling guard compares the
-    // two.
+    // A 99/1 mix: almost every transaction is a reader, and each still
+    // goes through scheduler admission like a writer does.
     out.push(scenario(
         "read-only-rush",
         112,
@@ -285,10 +283,8 @@ pub fn intent(name: &str) -> Option<&'static str> {
             "steady doom injection on a register hotspot: the abort/undo/retry path"
         }
         "deadline-rush" => "wall-clock deadline pressure on the parallel backend",
-        "read-mostly-dict" => {
-            "a 95/5 dictionary mix: the MVCC snapshot read path with live writers"
-        }
-        "read-only-rush" => "a 99/1 dictionary mix: the snapshot-read scaling showcase (e13 guard)",
+        "read-mostly-dict" => "a 95/5 dictionary mix: commuting readers among a few writers",
+        "read-only-rush" => "a 99/1 dictionary mix: near-pure readers through the scheduler",
         _ => return None,
     })
 }

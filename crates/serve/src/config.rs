@@ -38,7 +38,12 @@ pub struct ServeConfig {
     pub retries: u32,
     /// Store shards of the parallel backend; `0` keeps the backend default.
     pub store_shards: usize,
-    /// Settle read-only transactions through the MVCC snapshot read path.
+    /// The switch of the removed snapshot read path. `false` is the only
+    /// value [`validate`](Self::validate) accepts; `true` fails with
+    /// [`ConfigError::SnapshotReadsRemoved`]. It is not part of
+    /// [`diff`](Self::diff) or [`to_json`](Self::to_json). Kept only because
+    /// servebench (`servebench/src/traced.rs`) still reads it; it goes once
+    /// that read is dropped.
     pub mvcc: bool,
     /// Retain each batch's committed history so
     /// [`Server::shutdown`](crate::Server::shutdown) can hand back the
@@ -67,6 +72,9 @@ impl ServeConfig {
     /// Validates the config with the runtime's typed errors.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.scheduler.validate()?;
+        if self.mvcc {
+            return Err(ConfigError::SnapshotReadsRemoved);
+        }
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
@@ -80,7 +88,7 @@ impl ServeConfig {
     }
 
     /// The runtime an ingress batch runs on: the parallel backend with this
-    /// config's scheduler, workers, retries, MVCC setting and store shards,
+    /// config's scheduler, workers, retries and store shards,
     /// `Verify::Quick` and `Observe::Latency`.
     pub fn runtime(&self) -> Result<Runtime, ConfigError> {
         let mut builder = Runtime::builder()
@@ -120,9 +128,6 @@ impl ServeConfig {
         if self.store_shards != desired.store_shards {
             changed.push("store_shards");
         }
-        if self.mvcc != desired.mvcc {
-            changed.push("mvcc");
-        }
         if self.keep_history != desired.keep_history {
             changed.push("keep_history");
         }
@@ -139,7 +144,6 @@ impl ServeConfig {
             ("batch_max", Json::Int(self.batch_max as i64)),
             ("retries", Json::Int(i64::from(self.retries))),
             ("store_shards", Json::Int(self.store_shards as i64)),
-            ("mvcc", Json::Bool(self.mvcc)),
             ("keep_history", Json::Bool(self.keep_history)),
         ])
     }
@@ -149,7 +153,9 @@ impl ServeConfig {
     /// their current value, so a frame may carry only what it wants to
     /// change while still being declarative (the result is a full desired
     /// state, not a delta applied blindly). Unknown fields are ignored,
-    /// including the `linger_ms` of older servers' configs.
+    /// including the `linger_ms` of older servers' configs. An `mvcc` of
+    /// `false` is accepted and changes nothing; `true` is refused with
+    /// [`ConfigError::SnapshotReadsRemoved`]'s message.
     pub fn apply_json(&self, json: &Json) -> Result<ServeConfig, String> {
         let mut next = self.clone();
         if let Some(spec) = json.get("scheduler") {
@@ -182,9 +188,11 @@ impl ServeConfig {
             next.store_shards = v;
         }
         if let Some(v) = json.get("mvcc") {
-            next.mvcc = v
-                .as_bool()
-                .ok_or_else(|| "mvcc must be a boolean".to_owned())?;
+            if v.as_bool()
+                .ok_or_else(|| "mvcc must be a boolean".to_owned())?
+            {
+                return Err(ConfigError::SnapshotReadsRemoved.to_string());
+            }
         }
         if let Some(v) = json.get("keep_history") {
             next.keep_history = v
@@ -192,5 +200,32 @@ impl ServeConfig {
                 .ok_or_else(|| "keep_history must be a boolean".to_owned())?;
         }
         Ok(next)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_removed_snapshot_switch_is_refused() {
+        let on = ServeConfig {
+            mvcc: true,
+            ..ServeConfig::default()
+        };
+        assert_eq!(on.validate(), Err(ConfigError::SnapshotReadsRemoved));
+        assert_eq!(on.runtime().err(), Some(ConfigError::SnapshotReadsRemoved));
+        let current = ServeConfig::default();
+        assert!(
+            current.diff(&on).is_empty(),
+            "mvcc is not a reconciled field"
+        );
+        assert!(current.to_json().get("mvcc").is_none());
+        let ask = |mvcc: bool| current.apply_json(&Json::object([("mvcc", Json::Bool(mvcc))]));
+        assert_eq!(ask(false), Ok(current.clone()));
+        assert_eq!(
+            ask(true),
+            Err(ConfigError::SnapshotReadsRemoved.to_string())
+        );
     }
 }

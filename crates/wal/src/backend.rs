@@ -230,54 +230,6 @@ impl WalBackend {
                         true
                     }
                 }
-                WalRecord::SnapshotInvoke {
-                    step,
-                    parent: p,
-                    child,
-                    target,
-                    method,
-                    args,
-                } => {
-                    child.0 == next_exec
-                        && step.0 == next_step
-                        && p.0 < next_exec
-                        && self.base.contains(target)
-                        && {
-                            builder.snapshot_invoke(p, target, method, args);
-                            next_exec += 1;
-                            next_step += 1;
-                            parent.push(Some(p));
-                            children.push(Vec::new());
-                            children[p.index()].push(child);
-                            exec_object.push(target);
-                            true
-                        }
-                }
-                WalRecord::SnapshotLocal {
-                    step,
-                    exec,
-                    op,
-                    ret,
-                    anchor,
-                } => {
-                    // Snapshot reads install nothing: they never enter the
-                    // per-object logs the cascade replay consumes.
-                    exec.0 < next_exec
-                        && step.0 == next_step
-                        && anchor.is_none_or(|a| a.0 < next_step)
-                        && !exec_object[exec.index()].is_environment()
-                        && {
-                            builder.snapshot_local(exec, op, ret, anchor);
-                            next_step += 1;
-                            true
-                        }
-                }
-                WalRecord::SnapshotComplete { step, ret } => {
-                    step.0 < next_step && {
-                        builder.snapshot_complete(step, ret);
-                        true
-                    }
-                }
             };
             if !consistent {
                 torn = true;

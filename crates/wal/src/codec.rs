@@ -94,49 +94,11 @@ pub enum WalRecord {
         /// The committed top-level execution.
         exec: ExecId,
     },
-    /// A message step of a snapshot-read transaction (MVCC read path):
-    /// replayed through the builder's deferred-interval snapshot path, so
-    /// recovery reproduces the fabricated read timeline exactly.
-    SnapshotInvoke {
-        /// Final id of the message step.
-        step: StepId,
-        /// The invoking execution.
-        parent: ExecId,
-        /// The created child execution.
-        child: ExecId,
-        /// The target object.
-        target: ObjectId,
-        /// The invoked method.
-        method: String,
-        /// The invocation arguments.
-        args: Vec<Value>,
-    },
-    /// A snapshot read, anchored to the last step of the committed version
-    /// it observed.
-    SnapshotLocal {
-        /// Final id of the step.
-        step: StepId,
-        /// The issuing execution.
-        exec: ExecId,
-        /// The (read-only) operation.
-        op: Operation,
-        /// The observed return value.
-        ret: Value,
-        /// Final id of the observed version's last step, if any.
-        anchor: Option<StepId>,
-    },
-    /// A snapshot message step's return value.
-    SnapshotComplete {
-        /// Final id of the message step.
-        step: StepId,
-        /// The value returned to the sender.
-        ret: Value,
-    },
 }
 
 /// The record keys [`WalRecord::decode`] reads.
-const KEYS: [&str; 15] = [
-    "t", "v", "objects", "e", "n", "s", "p", "c", "o", "m", "a", "op", "r", "b", "an",
+const KEYS: [&str; 14] = [
+    "t", "v", "objects", "e", "n", "s", "p", "c", "o", "m", "a", "op", "r", "b",
 ];
 
 fn write_op(w: &mut Writer<'_>, op: &Operation) {
@@ -156,23 +118,6 @@ fn read_op(r: &mut Reader<'_>) -> Result<Operation, ParseError> {
     };
     let name = at(name, "n")?.str()?;
     Ok(Operation::new(name, at(args, "a")?.list(read_value)?))
-}
-
-/// Writes the keys an invocation record has besides `"t"`.
-fn write_invoke(
-    w: &mut Writer<'_>,
-    [step, parent, child, target]: [u32; 4],
-    method: &str,
-    args: &[Value],
-) {
-    w.key("a").array();
-    for arg in args {
-        write_value(w, arg);
-    }
-    w.end_array();
-    w.key("c").int(child.into()).key("m").str(method);
-    w.key("o").int(target.into()).key("p").int(parent.into());
-    w.key("s").int(step.into());
 }
 
 impl WalRecord {
@@ -203,19 +148,18 @@ impl WalRecord {
                 method,
                 args,
             } => {
-                write_invoke(w, [step.0, parent.0, child.0, target.0], method, args);
+                w.key("a").array();
+                for arg in args {
+                    write_value(w, arg);
+                }
+                w.end_array();
+                w.key("c").int(child.0.into()).key("m").str(method);
+                w.key("o")
+                    .int(target.0.into())
+                    .key("p")
+                    .int(parent.0.into());
+                w.key("s").int(step.0.into());
                 "I"
-            }
-            WalRecord::SnapshotInvoke {
-                step,
-                parent,
-                child,
-                target,
-                method,
-                args,
-            } => {
-                write_invoke(w, [step.0, parent.0, child.0, target.0], method, args);
-                "V"
             }
             WalRecord::Local {
                 step,
@@ -229,22 +173,6 @@ impl WalRecord {
                 w.key("s").int(step.0.into());
                 "L"
             }
-            WalRecord::SnapshotLocal {
-                step,
-                exec,
-                op,
-                ret,
-                anchor,
-            } => {
-                if let Some(a) = anchor {
-                    w.key("an").int(a.0.into());
-                }
-                w.key("e").int(exec.0.into());
-                write_op(w, op);
-                write_value(w.key("r"), ret);
-                w.key("s").int(step.0.into());
-                "R"
-            }
             WalRecord::ProgramOrder { exec, a, b } => {
                 w.key("a").int(a.0.into()).key("b").int(b.0.into());
                 w.key("e").int(exec.0.into());
@@ -254,11 +182,6 @@ impl WalRecord {
                 write_value(w.key("r"), ret);
                 w.key("s").int(step.0.into());
                 "C"
-            }
-            WalRecord::SnapshotComplete { step, ret } => {
-                write_value(w.key("r"), ret);
-                w.key("s").int(step.0.into());
-                "S"
             }
             WalRecord::Abort { exec } => {
                 w.key("e").int(exec.0.into());
@@ -333,28 +256,6 @@ impl WalRecord {
             "K" => WalRecord::CommitTop {
                 exec: ExecId(id("e")?),
             },
-            "V" => WalRecord::SnapshotInvoke {
-                step: StepId(id("s")?),
-                parent: ExecId(id("p")?),
-                child: ExecId(id("c")?),
-                target: ObjectId(id("o")?),
-                method: text("m")?,
-                args: values("a")?,
-            },
-            "R" => WalRecord::SnapshotLocal {
-                step: StepId(id("s")?),
-                exec: ExecId(id("e")?),
-                op: op()?,
-                ret: value("r")?,
-                anchor: match field("an") {
-                    Ok(_) => Some(StepId(id("an")?)),
-                    Err(_) => None,
-                },
-            },
-            "S" => WalRecord::SnapshotComplete {
-                step: StepId(id("s")?),
-                ret: value("r")?,
-            },
             other => return Err(format!("unknown record tag {other:?}")),
         })
     }
@@ -411,32 +312,6 @@ mod tests {
         });
         round_trip(WalRecord::Abort { exec: ExecId(1) });
         round_trip(WalRecord::CommitTop { exec: ExecId(0) });
-        round_trip(WalRecord::SnapshotInvoke {
-            step: StepId(5),
-            parent: ExecId(2),
-            child: ExecId(3),
-            target: ObjectId(1),
-            method: "lookup".into(),
-            args: vec![Value::Int(4)],
-        });
-        round_trip(WalRecord::SnapshotLocal {
-            step: StepId(6),
-            exec: ExecId(3),
-            op: Operation::new("Lookup", [Value::Int(4)]),
-            ret: Value::Str("v".into()),
-            anchor: Some(StepId(2)),
-        });
-        round_trip(WalRecord::SnapshotLocal {
-            step: StepId(7),
-            exec: ExecId(3),
-            op: Operation::nullary("Size"),
-            ret: Value::Int(0),
-            anchor: None,
-        });
-        round_trip(WalRecord::SnapshotComplete {
-            step: StepId(5),
-            ret: Value::Str("v".into()),
-        });
     }
 
     #[test]
@@ -444,6 +319,7 @@ mod tests {
         for text in [
             "{}",
             "{\"t\":\"Z\"}",
+            "{\"t\":\"S\",\"s\":0,\"r\":\"u\"}",
             "{\"t\":\"B\",\"e\":-1,\"n\":\"T\"}",
             "{\"t\":\"B\",\"e\":0}",
             "{\"t\":\"L\",\"s\":0,\"e\":0,\"op\":{\"n\":\"R\"},\"r\":[\"i\",1]}",

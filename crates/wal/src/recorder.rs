@@ -136,51 +136,4 @@ impl HistoryRecorder for WalRecorder {
         // window counts.
         self.append(WalRecord::CommitTop { exec });
     }
-
-    fn record_snapshot_invoke(
-        &mut self,
-        parent: ExecId,
-        child: ExecId,
-        target: ObjectId,
-        method: &str,
-        args: Vec<Value>,
-    ) -> StepId {
-        let step = self
-            .builder
-            .record_snapshot_invoke(parent, child, target, method, args.clone());
-        self.append(WalRecord::SnapshotInvoke {
-            step,
-            parent,
-            child,
-            target,
-            method: method.to_owned(),
-            args,
-        });
-        step
-    }
-
-    fn record_snapshot_local(
-        &mut self,
-        exec: ExecId,
-        op: Operation,
-        ret: Value,
-        anchor: Option<StepId>,
-    ) -> StepId {
-        let step = self
-            .builder
-            .record_snapshot_local(exec, op.clone(), ret.clone(), anchor);
-        self.append(WalRecord::SnapshotLocal {
-            step,
-            exec,
-            op,
-            ret,
-            anchor,
-        });
-        step
-    }
-
-    fn record_snapshot_complete(&mut self, step: StepId, ret: Value) {
-        self.builder.record_snapshot_complete(step, ret.clone());
-        self.append(WalRecord::SnapshotComplete { step, ret });
-    }
 }

@@ -4,10 +4,9 @@
 //! nothing on the way between bytes and frames.
 //!
 //! One two-operation transaction goes through `Runtime::run` configured as
-//! the server runs a batch (the serve default scheduler, workers, retries
-//! and MVCC setting, `Verify::Quick`, `Observe::Latency`), over a base of 8
-//! and of 2,048 accounts, once as served and once with the MVCC snapshot
-//! read path on. A counting global allocator around [`System`] counts the
+//! the server runs a batch (the serve default scheduler, workers and
+//! retries, `Verify::Quick`, `Observe::Latency`), over a base of 8 and of
+//! 2,048 accounts. A counting global allocator around [`System`] counts the
 //! allocations the run makes; the minimum of 10 runs at 2,048 accounts may
 //! exceed the one at 8 by at most 5% plus 16. A `BTreeDict` `Lookup` and
 //! `Range` on a 4,096-pair state may allocate at most 4 more than the same
@@ -188,43 +187,36 @@ fn sorted_pairs(pairs: i64) -> Value {
 fn a_run_allocates_for_what_it_touches_not_for_the_base() {
     let serve = ServeConfig::default();
     let (small, large) = (accounts(8), accounts(2_048));
-    for mvcc in [serve.mvcc, true] {
-        let mut builder = Runtime::builder()
-            .scheduler(serve.scheduler.clone())
-            .backend(ExecutionBackend::Parallel {
-                workers: serve.workers,
-            })
-            .retries(serve.retries)
-            .mvcc(mvcc)
-            .verify(Verify::Quick)
-            .observe(Observe::Latency);
-        if serve.store_shards > 0 {
-            builder = builder.store_shards(serve.store_shards);
-        }
-        let runtime = builder
-            .build()
-            .expect("the serve defaults are a valid runtime");
-        let at_8 = min_allocations(&runtime, &small);
-        let at_2048 = min_allocations(&runtime, &large);
-        println!(
-            "allocations per run (mvcc {mvcc}): {at_8} at 8 accounts, {at_2048} at 2048 accounts"
-        );
-        if !mvcc {
-            const RECORDED: u64 = 174;
-            let absolute = RECORDED + RECORDED * 5 / 100 + 4;
-            assert!(
-                at_8 <= absolute,
-                "a served run over 8 accounts made {at_8} allocations, more than the \
-                 {absolute} allowed over the {RECORDED} recorded"
-            );
-        }
-        let bound = at_8 + at_8 / 20 + 16;
-        assert!(
-            at_2048 <= bound,
-            "a run over 2048 accounts (mvcc {mvcc}) made {at_2048} allocations against \
-             {at_8} over 8 (bound {bound}): the run is paying for the size of the object base"
-        );
+    let mut builder = Runtime::builder()
+        .scheduler(serve.scheduler.clone())
+        .backend(ExecutionBackend::Parallel {
+            workers: serve.workers,
+        })
+        .retries(serve.retries)
+        .verify(Verify::Quick)
+        .observe(Observe::Latency);
+    if serve.store_shards > 0 {
+        builder = builder.store_shards(serve.store_shards);
     }
+    let runtime = builder
+        .build()
+        .expect("the serve defaults are a valid runtime");
+    let at_8 = min_allocations(&runtime, &small);
+    let at_2048 = min_allocations(&runtime, &large);
+    println!("allocations per run: {at_8} at 8 accounts, {at_2048} at 2048 accounts");
+    const RECORDED: u64 = 174;
+    let absolute = RECORDED + RECORDED * 5 / 100 + 4;
+    assert!(
+        at_8 <= absolute,
+        "a served run over 8 accounts made {at_8} allocations, more than the \
+         {absolute} allowed over the {RECORDED} recorded"
+    );
+    let bound = at_8 + at_8 / 20 + 16;
+    assert!(
+        at_2048 <= bound,
+        "a run over 2048 accounts made {at_2048} allocations against \
+         {at_8} over 8 (bound {bound}): the run is paying for the size of the object base"
+    );
 
     let result = Frame::Result {
         id: 4_096,

@@ -213,60 +213,32 @@ fn record(rng: &mut R, kind: usize) -> WalRecord {
             exec,
             name: text(rng),
         },
-        2 | 3 => {
-            let (parent, child, target) = (exec, ExecId(id(rng)), ObjectId(id(rng)));
-            let (method, args) = (
-                text(rng),
-                (0..rng.gen_range(0..3usize))
-                    .map(|_| value(rng, 2))
-                    .collect(),
-            );
-            match kind {
-                2 => WalRecord::Invoke {
-                    step,
-                    parent,
-                    child,
-                    target,
-                    method,
-                    args,
-                },
-                _ => WalRecord::SnapshotInvoke {
-                    step,
-                    parent,
-                    child,
-                    target,
-                    method,
-                    args,
-                },
-            }
-        }
-        4 => WalRecord::Local {
+        2 => WalRecord::Invoke {
+            step,
+            parent: exec,
+            child: ExecId(id(rng)),
+            target: ObjectId(id(rng)),
+            method: text(rng),
+            args: (0..rng.gen_range(0..3usize))
+                .map(|_| value(rng, 2))
+                .collect(),
+        },
+        3 => WalRecord::Local {
             step,
             exec,
             op: op(rng),
             ret: value(rng, 2),
         },
-        5 => WalRecord::SnapshotLocal {
-            step,
-            exec,
-            op: op(rng),
-            ret: value(rng, 2),
-            anchor: rng.gen_bool(0.5).then(|| StepId(id(rng))),
-        },
-        6 => WalRecord::ProgramOrder {
+        4 => WalRecord::ProgramOrder {
             exec,
             a: step,
             b: StepId(id(rng)),
         },
-        7 => WalRecord::Complete {
+        5 => WalRecord::Complete {
             step,
             ret: value(rng, 2),
         },
-        8 => WalRecord::SnapshotComplete {
-            step,
-            ret: value(rng, 2),
-        },
-        9 => WalRecord::Abort { exec },
+        6 => WalRecord::Abort { exec },
         _ => WalRecord::CommitTop { exec },
     }
 }
@@ -414,7 +386,7 @@ fn direct_codecs_match_the_tree_codecs() {
                 }
             }
         }
-        for kind in 0..11 {
+        for kind in 0..8 {
             let rec = record(&mut rng, kind);
             let mut bytes = Vec::new();
             rec.encode(&mut bytes);

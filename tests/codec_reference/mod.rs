@@ -516,46 +516,6 @@ pub fn record_to_json(record: &WalRecord) -> Json {
         WalRecord::CommitTop { exec } => {
             Json::object([("t", Json::str("K")), ("e", Json::Int(exec.0 as i64))])
         }
-        WalRecord::SnapshotInvoke {
-            step,
-            parent,
-            child,
-            target,
-            method,
-            args,
-        } => Json::object([
-            ("t", Json::str("V")),
-            ("s", Json::Int(step.0 as i64)),
-            ("p", Json::Int(parent.0 as i64)),
-            ("c", Json::Int(child.0 as i64)),
-            ("o", Json::Int(target.0 as i64)),
-            ("m", Json::str(method.clone())),
-            ("a", values_to_json(args)),
-        ]),
-        WalRecord::SnapshotLocal {
-            step,
-            exec,
-            op,
-            ret,
-            anchor,
-        } => {
-            let mut fields = vec![
-                ("t", Json::str("R")),
-                ("s", Json::Int(step.0 as i64)),
-                ("e", Json::Int(exec.0 as i64)),
-                ("op", op_to_json(op)),
-                ("r", value_to_json(ret)),
-            ];
-            if let Some(a) = anchor {
-                fields.push(("an", Json::Int(a.0 as i64)));
-            }
-            Json::object(fields)
-        }
-        WalRecord::SnapshotComplete { step, ret } => Json::object([
-            ("t", Json::str("S")),
-            ("s", Json::Int(step.0 as i64)),
-            ("r", value_to_json(ret)),
-        ]),
     }
 }
 
@@ -617,34 +577,6 @@ pub fn record_from_json(j: &Json) -> Result<WalRecord, String> {
         }),
         "K" => Ok(WalRecord::CommitTop {
             exec: ExecId(get_u32(j, "e")?),
-        }),
-        "V" => Ok(WalRecord::SnapshotInvoke {
-            step: StepId(get_u32(j, "s")?),
-            parent: ExecId(get_u32(j, "p")?),
-            child: ExecId(get_u32(j, "c")?),
-            target: ObjectId(get_u32(j, "o")?),
-            method: get_str(j, "m")?.to_owned(),
-            args: j
-                .get("a")
-                .and_then(Json::as_array)
-                .ok_or("snapshot invoke has no args array")?
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        "R" => Ok(WalRecord::SnapshotLocal {
-            step: StepId(get_u32(j, "s")?),
-            exec: ExecId(get_u32(j, "e")?),
-            op: op_from_json(j.get("op").ok_or("snapshot local has no op")?)?,
-            ret: value_from_json(j.get("r").ok_or("snapshot local has no ret")?)?,
-            anchor: match j.get("an") {
-                Some(_) => Some(StepId(get_u32(j, "an")?)),
-                None => None,
-            },
-        }),
-        "S" => Ok(WalRecord::SnapshotComplete {
-            step: StepId(get_u32(j, "s")?),
-            ret: value_from_json(j.get("r").ok_or("snapshot complete has no ret")?)?,
         }),
         other => Err(format!("unknown record tag {other:?}")),
     }

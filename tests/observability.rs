@@ -175,36 +175,3 @@ fn latency_reports_expose_stable_phases_and_json() {
         .unwrap();
     assert!(bare.latency().is_none());
 }
-
-#[test]
-fn snapshot_reads_surface_in_latency_and_trace() {
-    let s = obase::scenario::by_name("read-mostly-dict").expect("built-in");
-    let tracer = Arc::new(ChromeTraceObserver::new());
-    let report = s
-        .builder(s.specs[0].clone(), ExecutionBackend::Simulated)
-        .and_then(|b| b.observe(Observe::Trace(tracer.clone())).mvcc(true).build())
-        .expect("a library scenario builds")
-        .run(&s.compile())
-        .expect("observed MVCC run completes");
-    report.assert_serialisable();
-    assert!(
-        report.metrics.snapshot_reads > 0,
-        "the read-mostly mix produced no snapshot reads"
-    );
-    // Snapshot transactions get no Admit and skip the scheduler phases, so
-    // they land in their own `snapshot_read` histogram: submit → commit.
-    let latency = report.latency().expect("Trace plan derives latency");
-    let snap = latency.phase("snapshot_read").expect("snapshot_read phase");
-    assert!(
-        snap.count() >= report.metrics.read_only_txns as u64,
-        "snapshot_read histogram has {} samples for {} snapshot commits",
-        snap.count(),
-        report.metrics.read_only_txns
-    );
-    // And they leave an instant marker on the timeline.
-    let text = tracer.trace_json().to_string();
-    assert!(
-        text.contains("snapshot"),
-        "no snapshot instants in the exported trace"
-    );
-}

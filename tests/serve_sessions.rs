@@ -8,6 +8,7 @@ use obase::core::object::SemanticType;
 use obase::core::op::Operation;
 use obase::core::oracle;
 use obase::core::value::Value;
+use obase::exec::metrics::VARIED_LABEL;
 use obase::runtime::SchedulerSpec;
 use obase::scenario::by_name;
 use obase::serve::{
@@ -430,9 +431,31 @@ fn batches_after_a_reconcile_run_under_the_new_scheduler() {
     );
     let desired = Json::object([("scheduler", SchedulerSpec::nto_conservative().to_json())]);
     assert_eq!(client.reconcile(desired).expect("reconcile"), ["scheduler"]);
-    // The merged label turns "mixed" only if the next batch really ran on
-    // the runtime the reconcile built.
-    assert_eq!(merged_scheduler_label(&mut client), "mixed");
+    // The merged label turns into the marker for a changed line-up only if
+    // the next batch really ran on the runtime the reconcile built.
+    assert_eq!(merged_scheduler_label(&mut client), VARIED_LABEL);
+    client.goodbye();
+    assert_eq!(server.shutdown().oracle_failures, 0);
+}
+
+#[test]
+fn a_reconcile_asking_for_snapshot_reads_is_refused() {
+    let server = Server::for_scenario(&scenario(), quick_config(), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.addr(), "mvcc").expect("connect");
+    let config = |client: &mut ServeClient| {
+        let status = client.status().expect("status");
+        status.get("config").expect("config block").to_string()
+    };
+    let before = config(&mut client);
+    let desired = Json::object([("workers", Json::Int(1)), ("mvcc", Json::Bool(true))]);
+    let err = client.reconcile(desired).expect_err("mvcc=true is refused");
+    let removed = obase::runtime::ConfigError::SnapshotReadsRemoved.to_string();
+    assert!(err.to_string().contains(&removed), "{err}");
+    assert_eq!(
+        config(&mut client),
+        before,
+        "a refused reconcile changes nothing"
+    );
     client.goodbye();
     assert_eq!(server.shutdown().oracle_failures, 0);
 }

@@ -241,9 +241,9 @@ fn adt_conflict_specifications_are_sound() {
     }
 }
 
-/// The MVCC classifier trusts `op_is_readonly` to admit operations to the
-/// scheduler-free snapshot path, so the declaration must agree with the
-/// Definition-3 ground truth on every ADT. Soundness (hard): a declared
+/// The flat read/write baseline (`flat-rw`) trusts `op_is_readonly` to take
+/// a shared lock instead of an exclusive one, so the declaration must agree
+/// with the Definition-3 ground truth on every ADT. Soundness (hard): a declared
 /// read-only operation must be an identity on every reachable state it
 /// applies to, and must commute with itself under the state-based conflict
 /// checker. Completeness (per operation family): an operation *name* whose
@@ -251,8 +251,8 @@ fn adt_conflict_specifications_are_sound() {
 /// read-only — a mutator family may contain degenerate identities (`Add 0`)
 /// without earning the declaration, but a genuine observer may not be
 /// under-declared. The distinguished abort operation is "read-only" by
-/// convention (it never mutates) but the classifier excludes it separately —
-/// asserted here so the convention cannot silently drift.
+/// convention (it never mutates) but stays distinguishable through
+/// `is_abort` — asserted here so the convention cannot silently drift.
 #[test]
 fn readonly_declarations_match_the_definition3_checker() {
     use obase::core::conflict::{achievable_steps, reachable_states, steps_commute_on_state};
@@ -280,7 +280,7 @@ fn readonly_declarations_match_the_definition3_checker() {
             assert!(
                 !declared || identity_everywhere,
                 "{name}: op_is_readonly({op:?}) but the op mutates some \
-                 reachable state — the snapshot path would serve stale data"
+                 reachable state — a shared lock would admit a lost update"
             );
             families
                 .entry(op.name.clone())
@@ -309,14 +309,13 @@ fn readonly_declarations_match_the_definition3_checker() {
                     instances.iter().all(|&(_, declared)| declared),
                     "{name}: every sampled {op_name:?} is an identity on \
                      every reachable state, yet op_is_readonly denies it — \
-                     an observer family is being kept off the snapshot path"
+                     an observer family is being kept off shared locks"
                 );
             }
         }
         // The abort pseudo-operation is reported read-only by every ADT
-        // (it mutates nothing), yet it signals failure: the snapshot
-        // classifier must reject it regardless, which it can only do if
-        // `is_abort` stays distinguishable.
+        // (it mutates nothing), yet it signals failure, so `is_abort` must
+        // keep it distinguishable from a real observer.
         let abort = obase::core::op::Operation::abort();
         assert!(
             ty.op_is_readonly(&abort),
