@@ -1,239 +1,226 @@
-//! The experiment harness binary: regenerates every table in EXPERIMENTS.md
-//! and records the measurements in `BENCH_results.json`.
+//! The experiment harness binary: prints the experiment tables, records
+//! their rows in `BENCH_results.json`, and with `--assert` runs the guard
+//! of every selected experiment that has one.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p obase-bench --release --bin experiments            # all experiments
-//! cargo run -p obase-bench --release --bin experiments -- e2 e4   # a subset
+//! cargo run -p obase-bench --release --bin experiments                 # every experiment
+//! cargo run -p obase-bench --release --bin experiments -- e2 e4        # a subset
+//! cargo run -p obase-bench --release --bin experiments -- claims --assert   # e1-e4, e6, e7
 //! cargo run -p obase-bench --release --bin experiments -- --scale 2
 //! cargo run -p obase-bench --release --bin experiments -- --out results.json
 //! ```
 //!
-//! Markdown tables go to stdout; the same rows are written as JSON (keyed by
-//! experiment id, with per-row throughput/makespan/abort-rate and — for the
-//! e9 backend face-off and e11 durability sweep — wall-clock milliseconds
-//! and transactions/second) to `BENCH_results.json` in the working directory
-//! unless `--out` says otherwise. The results are *merged* into the existing
-//! document: entries written by other runs (e.g. the `scenarios` binary's
-//! `"scenarios"` key, or experiment families a subset run did not touch)
-//! survive.
+//! Markdown tables go to stdout; the same rows are *merged* as JSON, keyed
+//! by experiment, into `BENCH_results.json` in the working directory unless
+//! `--out` says otherwise, so entries written by other runs survive. The
+//! selected experiments run once each, in table order; the key `claims`
+//! selects every experiment that states claims. An unknown
+//! flag or key prints the usage and exits with status 2 before anything
+//! runs; a failed guard exits with status 1.
 
 use obase_bench as xp;
+use xp::Row;
 
-/// An experiment entry: key, title, and the row-producing function.
-type Experiment = (
-    &'static str,
-    &'static str,
-    Box<dyn Fn(usize) -> Vec<xp::Row>>,
-);
+/// A guard over an experiment's rows, and what it holds when it passes.
+type Guard = (fn(&[Row]) -> Result<(), String>, &'static str);
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1usize;
-    let mut out_path: Option<String> = None;
-    let mut assert_scaling = false;
-    let mut assert_durability = false;
-    let mut assert_overhead = false;
-    let mut assert_flat = false;
-    let mut selected: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+/// One experiment: key, title, the rows it produces at a scale, and the
+/// guard `--assert` runs on them.
+struct Experiment {
+    key: &'static str,
+    title: &'static str,
+    run: fn(usize) -> Vec<Row>,
+    guard: Option<Guard>,
+}
+
+/// The guard of every claim experiment.
+const CLAIMS: Guard = (xp::check_claims, "A wins on ≥ 90% of the seeds");
+
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        key: "e1",
+        title: "E1 — nested step locks vs the flat object-granularity baseline (banking, 64 seeds)",
+        run: |scale| xp::claim_rows("e1", xp::SEEDS * scale as u64),
+        guard: Some(CLAIMS),
+    },
+    Experiment {
+        key: "e2",
+        title: "E2 — step-level vs operation-level locks on a FIFO queue (64 seeds)",
+        run: |scale| xp::claim_rows("e2", xp::SEEDS * scale as u64),
+        guard: Some(CLAIMS),
+    },
+    Experiment {
+        key: "e3",
+        title: "E3 — semantic (commutativity) conflicts vs read/write conflicts (64 seeds)",
+        run: |scale| xp::claim_rows("e3", xp::SEEDS * scale as u64),
+        guard: Some(CLAIMS),
+    },
+    Experiment {
+        key: "e4",
+        title: "E4 — N2PL blocks where NTO aborts, under a hot key (64 seeds)",
+        run: |scale| xp::claim_rows("e4", xp::SEEDS * scale as u64),
+        guard: Some(CLAIMS),
+    },
+    Experiment {
+        key: "e5",
+        title: "E5 — acceptance and soundness of the Theorem 2 / Theorem 5 tests",
+        run: |scale| xp::e5_sg_checkers(60 * scale),
+        guard: None,
+    },
+    Experiment {
+        key: "e6",
+        title: "E6 — per-object step locks + the inter-object certifier vs flat locks (64 seeds)",
+        run: |scale| xp::claim_rows("e6", xp::SEEDS * scale as u64),
+        guard: Some(CLAIMS),
+    },
+    Experiment {
+        key: "e7",
+        title: "E7 — internal parallelism of methods: Par vs Seq line items (64 seeds)",
+        run: |scale| xp::claim_rows("e7", xp::SEEDS * scale as u64),
+        guard: Some(CLAIMS),
+    },
+    Experiment {
+        key: "e8",
+        title: "E8 — cost of the core-model analyses as histories grow",
+        run: xp::e8_core_scaling,
+        guard: None,
+    },
+    Experiment {
+        key: "e9",
+        title: "E9 — backend face-off: simulator vs multi-threaded engine (wall clock)",
+        run: xp::e9_backend_faceoff,
+        guard: None,
+    },
+    Experiment {
+        key: "e10",
+        title: "E10 — worker-scaling curves of the parallel backend (wall clock)",
+        run: xp::e10_worker_scaling,
+        guard: Some((
+            xp::check_scaling_guard,
+            "8 workers ≥ 0.6 × 1 worker on low contention",
+        )),
+    },
+    Experiment {
+        key: "e11",
+        title: "E11 — durability: throughput vs group-commit window of the WAL backend",
+        run: xp::e11_durability,
+        guard: Some((
+            xp::check_durability_guard,
+            "group commit 8 ≥ 3× fsync-per-record",
+        )),
+    },
+    Experiment {
+        key: "e12",
+        title: "E12 — observability overhead: observation plans vs the no-observer baseline",
+        run: xp::e12_observer_overhead,
+        guard: Some((
+            xp::check_observer_guard,
+            "NullObserver ≥ 97% of the no-observer baseline",
+        )),
+    },
+    Experiment {
+        key: "e14",
+        title: "E14 — op cost vs object size: one Insert on a shared dictionary state",
+        run: xp::e14_op_cost_vs_object_size,
+        guard: Some((
+            xp::check_flat_guard,
+            "Insert on 65536 keys ≤ 4× on 64 keys",
+        )),
+    },
+    Experiment {
+        key: "e15",
+        title: "E15 — batch-of-one cost: one transaction through Runtime::run as the server runs a batch",
+        run: xp::e15_batch_of_one,
+        guard: Some((
+            xp::check_run_flat_guard,
+            "a run over 2048 accounts ≤ 2× over 256",
+        )),
+    },
+];
+
+/// What the command line asks for.
+struct Args {
+    selected: Vec<&'static Experiment>,
+    scale: usize,
+    out: String,
+    assert: bool,
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        selected: Vec::new(),
+        scale: 1,
+        out: "BENCH_results.json".to_owned(),
+        assert: false,
+    };
+    // Selected keys; the experiments run once each, in table order.
+    let mut keys: Vec<String> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
-                scale = it
+                parsed.scale = args
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .expect("--scale takes an integer");
+                    .filter(|&s| s > 0)
+                    .ok_or("--scale takes a positive integer")?;
             }
-            "--out" => {
-                out_path = Some(it.next().expect("--out takes a path"));
+            "--out" => parsed.out = args.next().ok_or("--out takes a path")?,
+            "--assert" => parsed.assert = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            "claims" => keys.extend(xp::claims().iter().map(|c| c.experiment().to_owned())),
+            key => {
+                let key = key.to_lowercase();
+                if !EXPERIMENTS.iter().any(|e| e.key == key) {
+                    return Err(format!("unknown experiment {key}"));
+                }
+                keys.push(key);
             }
-            // CI guard: fail the process if the e10 low-contention sweep
-            // shows 8 workers regressing below the 1-worker point.
-            "--assert-scaling" => assert_scaling = true,
-            // Durability guard: fail the process if the e11 sweep shows a
-            // group-commit window of 8 recovering less than 3× the
-            // throughput of fsync-per-record.
-            "--assert-durability" => assert_durability = true,
-            // Observability guard: fail the process if the e12 sweep shows
-            // the NullObserver plan below 97% of the no-observer baseline.
-            "--assert-overhead" => assert_overhead = true,
-            // Flat-cost guards: fail the process if the e14 sweep shows an
-            // Insert on 65,536 keys costing more than 4× one on 64 keys, or
-            // e15 shows a run over 2,048 accounts costing more than 2× one
-            // over 256.
-            "--assert-flat" => assert_flat = true,
-            other => selected.push(other.to_lowercase()),
         }
     }
-    let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
+    parsed.selected = EXPERIMENTS
+        .iter()
+        .filter(|e| keys.is_empty() || keys.iter().any(|k| k == e.key))
+        .collect();
+    if parsed.assert && parsed.selected.iter().all(|e| e.guard.is_none()) {
+        return Err("--assert: none of the selected experiments has a guard".into());
+    }
+    Ok(parsed)
+}
 
-    let experiments: Vec<Experiment> = vec![
-        (
-            "e1",
-            "E1 — flat object-granularity baseline vs nested schedulers (banking)",
-            Box::new(xp::e1_flat_vs_nested),
-        ),
-        (
-            "e2",
-            "E2 — operation-level vs step-level locks on a FIFO queue",
-            Box::new(xp::e2_queue_locks),
-        ),
-        (
-            "e3",
-            "E3 — semantic (commutativity) conflicts vs read/write conflicts",
-            Box::new(xp::e3_semantic_conflict),
-        ),
-        (
-            "e4",
-            "E4 — N2PL (blocking) vs NTO (aborting) under rising contention",
-            Box::new(xp::e4_n2pl_vs_nto),
-        ),
-        (
-            "e5",
-            "E5 — acceptance and soundness of the Theorem 2 / Theorem 5 tests",
-            Box::new(|s| xp::e5_sg_checkers(60 * s)),
-        ),
-        (
-            "e6",
-            "E6 — mixed per-object intra-object policies + inter-object certifier",
-            Box::new(xp::e6_mixed_cc),
-        ),
-        (
-            "e7",
-            "E7 — internal parallelism of methods (Par fan-out)",
-            Box::new(xp::e7_internal_parallelism),
-        ),
-        (
-            "e8",
-            "E8 — cost of the core-model analyses as histories grow",
-            Box::new(xp::e8_core_scaling),
-        ),
-        (
-            "e9",
-            "E9 — backend face-off: simulator vs multi-threaded engine (wall clock)",
-            Box::new(xp::e9_backend_faceoff),
-        ),
-        (
-            "e10",
-            "E10 — worker-scaling curves of the parallel backend (wall clock)",
-            Box::new(xp::e10_worker_scaling),
-        ),
-        (
-            "e11",
-            "E11 — durability: throughput vs group-commit window of the WAL backend",
-            Box::new(xp::e11_durability),
-        ),
-        (
-            "e12",
-            "E12 — observability overhead: observation plans vs the no-observer baseline",
-            Box::new(xp::e12_observer_overhead),
-        ),
-        (
-            "e14",
-            "E14 — op cost vs object size: one Insert on a shared dictionary state",
-            Box::new(xp::e14_op_cost_vs_object_size),
-        ),
-        (
-            "e15",
-            "E15 — batch-of-one cost: one transaction through Runtime::run as the server runs a batch",
-            Box::new(xp::e15_batch_of_one),
-        ),
-    ];
-
-    let mut results: Vec<(&str, &str, Vec<xp::Row>)> = Vec::new();
-    for (key, title, f) in experiments {
-        if !want(key) {
-            continue;
-        }
-        eprintln!("running {key}...");
-        let rows = f(scale);
-        println!("{}", xp::render_table(title, &rows));
-        results.push((key, title, rows));
-    }
-    if assert_scaling {
-        let e10 = results
-            .iter()
-            .find(|(key, _, _)| *key == "e10")
-            .map(|(_, _, rows)| rows.as_slice())
-            .expect("--assert-scaling requires the e10 experiment to run");
-        match xp::check_scaling_guard(e10) {
-            Ok(()) => eprintln!("scaling guard: ok (8 workers ≥ 1 worker on low contention)"),
-            Err(msg) => {
-                eprintln!("scaling guard FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if assert_durability {
-        let e11 = results
-            .iter()
-            .find(|(key, _, _)| *key == "e11")
-            .map(|(_, _, rows)| rows.as_slice())
-            .expect("--assert-durability requires the e11 experiment to run");
-        match xp::check_durability_guard(e11) {
-            Ok(()) => eprintln!("durability guard: ok (group commit 8 ≥ 3× fsync-per-record)"),
-            Err(msg) => {
-                eprintln!("durability guard FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if assert_overhead {
-        let e12 = results
-            .iter()
-            .find(|(key, _, _)| *key == "e12")
-            .map(|(_, _, rows)| rows.as_slice())
-            .expect("--assert-overhead requires the e12 experiment to run");
-        match xp::check_observer_guard(e12) {
-            Ok(()) => eprintln!("observer guard: ok (NullObserver ≥ 97% of no-observer baseline)"),
-            Err(msg) => {
-                eprintln!("observer guard FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if assert_flat {
-        type Guard = fn(&[xp::Row]) -> Result<(), String>;
-        let guards: [(&str, Guard, &str); 2] = [
-            (
-                "e14",
-                xp::check_flat_guard,
-                "Insert on 65536 keys ≤ 4× on 64 keys",
-            ),
-            (
-                "e15",
-                xp::check_run_flat_guard,
-                "a run over 2048 accounts ≤ 2× over 256",
-            ),
-        ];
-        let mut checked = 0;
-        for (key, guard, claim) in guards {
-            let Some((_, _, rows)) = results.iter().find(|(k, _, _)| *k == key) else {
-                continue;
-            };
-            checked += 1;
-            match guard(rows) {
-                Ok(()) => eprintln!("flat-cost guard ({key}): ok ({claim})"),
+fn main() {
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let keys: Vec<&str> = EXPERIMENTS.iter().map(|e| e.key).collect();
+        eprintln!(
+            "experiments: {e}\nusage: experiments [KEY ...] [--scale N] [--out PATH] [--assert]\n  \
+             keys: {} claims (= every claim experiment)\n  \
+             --assert runs the guard of every selected experiment that has one",
+            keys.join(" ")
+        );
+        std::process::exit(2);
+    });
+    let mut results: Vec<(&str, &str, Vec<Row>)> = Vec::new();
+    let mut failed = false;
+    for experiment in args.selected {
+        eprintln!("running {}...", experiment.key);
+        let rows = (experiment.run)(args.scale);
+        println!("{}", xp::render_table(experiment.title, &rows));
+        if let (true, Some((guard, holds))) = (args.assert, experiment.guard) {
+            match guard(&rows) {
+                Ok(()) => eprintln!("{} guard: ok ({holds})", experiment.key),
                 Err(msg) => {
-                    eprintln!("flat-cost guard ({key}) FAILED: {msg}");
-                    std::process::exit(1);
+                    eprintln!("{} guard FAILED: {msg}", experiment.key);
+                    failed = true;
                 }
             }
         }
-        assert!(
-            checked > 0,
-            "--assert-flat requires the e14 or e15 experiment to run"
-        );
+        results.push((experiment.key, experiment.title, rows));
     }
-    // Since the write below merges, a subset run refreshes only the entries
-    // it ran — so BENCH_results.json is a safe default --out even for
-    // subsets (a typo'd key simply merges nothing).
-    let out_path = out_path.unwrap_or_else(|| "BENCH_results.json".to_owned());
-    // Merge into the existing results document so entries produced by other
-    // runs — the `scenarios` binary's `"scenarios"` key, or families this
-    // run skipped — survive.
-    xp::merge_results(&out_path, xp::results_json(&results)).unwrap_or_else(|e| panic!("{e}"));
-    eprintln!("wrote {out_path} ({} experiments merged)", results.len());
+    xp::merge_results(&args.out, xp::results_json(&results)).unwrap_or_else(|e| panic!("{e}"));
+    eprintln!("wrote {} ({} experiments merged)", args.out, results.len());
+    if failed {
+        std::process::exit(1);
+    }
 }

@@ -1,12 +1,13 @@
-//! Experiment implementations (see DESIGN.md §5 for the index).
+//! Experiment implementations: each `eN` function returns the rows of one
+//! table (the README indexes them).
 
 use obase_exec::{RunMetrics, WorkloadSpec};
 use obase_runtime::{
     ChromeTraceObserver, ExecutionBackend, LatencyReport, NullObserver, Observe, RunReport,
-    Runtime, SchedulerSpec, Verify,
+    RuntimeBuilder, SchedulerSpec, Verify,
 };
+use obase_scenario::{shapes, AdtKind, ClientClass, KeyDist, ObjectGroup, Scenario};
 use obase_ser::Json;
-use obase_workload as wl;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -180,27 +181,65 @@ pub fn render_table(title: &str, rows: &[Row]) -> String {
     out
 }
 
-fn run_and_check(
+/// `s` at `seed`: its compile seed and the runtime seed are both `seed`.
+fn seeded(mut s: Scenario, seed: u64) -> Scenario {
+    s.seed = seed;
+    s
+}
+
+/// A runtime for `s` under `spec` on `backend`, unobserved and with
+/// `Verify::Quick`; chain more settings before `build`.
+fn runtime(s: &Scenario, spec: SchedulerSpec, backend: ExecutionBackend) -> RuntimeBuilder {
+    s.builder(spec, backend)
+        .expect("valid experiment configuration")
+        .verify(Verify::Quick)
+        .observe(Observe::Off)
+}
+
+/// One run of `workload`, compiled from `s`, held to the quick oracle.
+pub(crate) fn checked_run(
+    s: &Scenario,
     workload: &WorkloadSpec,
     spec: SchedulerSpec,
-    seed: u64,
-    clients: usize,
-) -> RunMetrics {
-    let report = Runtime::builder()
-        .scheduler(spec)
-        .seed(seed)
-        .clients(clients)
-        .verify(Verify::Quick)
+    backend: ExecutionBackend,
+    observe: Observe,
+) -> RunReport {
+    let on = backend.label();
+    let report = runtime(s, spec, backend)
+        .observe(observe)
         .build()
         .expect("valid experiment configuration")
         .run(workload)
-        .expect("well-formed generated workload");
+        .expect("well-formed scenario");
     assert!(
         report.checks.all_passed(),
-        "{} produced a non-serialisable history",
-        report.scheduler
+        "{} on {on} ({} at seed {}) produced a non-serialisable history",
+        report.scheduler,
+        s.name,
+        s.seed
     );
-    report.metrics
+    report
+}
+
+/// `x / base`, or 0 without a base.
+fn ratio(x: f64, base: f64) -> f64 {
+    if base > 0.0 {
+        x / base
+    } else {
+        0.0
+    }
+}
+
+/// The best of `runs` runs by wall-clock throughput: on a loaded machine
+/// the max is the honest capability estimate.
+fn best_of(runs: usize, run: impl Fn() -> RunReport) -> RunReport {
+    (0..runs)
+        .map(|_| run())
+        .max_by(|a, b| {
+            let tps = |r: &RunReport| r.metrics.wall_throughput();
+            tps(a).total_cmp(&tps(b))
+        })
+        .expect("at least one run")
 }
 
 /// The histogram entry every metrics-carrying row records: abort counts
@@ -225,120 +264,6 @@ pub fn with_latency_columns(row: Row, report: &RunReport) -> Row {
         }
         None => row,
     }
-}
-
-fn metrics_row(label: &str, m: &RunMetrics) -> Row {
-    Row::new(label)
-        .with("committed", m.committed as f64)
-        .with("aborts", m.aborts as f64)
-        .with("abort_rate", m.abort_ratio())
-        .with("blocked", m.blocked_events as f64)
-        .with("rounds", m.rounds as f64)
-        .with("throughput", m.throughput())
-        .with("wall_ms", m.wall_micros as f64 / 1000.0)
-        .with_histogram("aborts_by_reason", abort_reasons(m))
-}
-
-/// E1 — flat (object-as-data-item) baseline vs nested schedulers across
-/// object-base sizes (Section 1's Gemstone discussion).
-pub fn e1_flat_vs_nested(scale: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &accounts in &[4usize, 16, 64] {
-        let workload = wl::banking(&wl::BankingParams {
-            accounts,
-            transactions: 24 * scale,
-            skew: 0.6,
-            ..Default::default()
-        });
-        for spec in SchedulerSpec::all_basic() {
-            let m = run_and_check(&workload, spec, 1001, 8);
-            rows.push(metrics_row(
-                &format!("{} / {accounts} accounts", m.scheduler),
-                &m,
-            ));
-        }
-    }
-    rows
-}
-
-/// E2 — operation-level vs step-level locks on the producer/consumer queue
-/// (the Enqueue/Dequeue example of Section 5.1), sweeping the initial queue
-/// length.
-pub fn e2_queue_locks(scale: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &preload in &[0usize, 4, 16, 64] {
-        let workload = wl::queues(&wl::QueueParams {
-            queues: 1,
-            producers: 10 * scale,
-            consumers: 10 * scale,
-            preload,
-            seed: 1002,
-        });
-        for spec in [SchedulerSpec::n2pl_operation(), SchedulerSpec::n2pl_step()] {
-            let m = run_and_check(&workload, spec, 1002, 6);
-            rows.push(metrics_row(
-                &format!("{} / preload {preload}", m.scheduler),
-                &m,
-            ));
-        }
-    }
-    rows
-}
-
-/// E3 — semantic (commutativity-based) conflicts vs read/write conflicts on a
-/// counter hotspot (Definition 3's payoff).
-pub fn e3_semantic_conflict(scale: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &counters in &[1usize, 2, 8] {
-        let workload = wl::counters(&wl::CounterParams {
-            counters,
-            transactions: 24 * scale,
-            touches_per_txn: 3,
-            read_fraction: 0.1,
-            skew: 1.0,
-            seed: 1003,
-        });
-        for (label, spec) in [
-            ("flat-rw (read/write)", SchedulerSpec::flat_read_write()),
-            ("n2pl-op (semantic)", SchedulerSpec::n2pl_operation()),
-        ] {
-            let m = run_and_check(&workload, spec, 1003, 8);
-            rows.push(metrics_row(
-                &format!("{label} / {counters} hot counters"),
-                &m,
-            ));
-        }
-    }
-    rows
-}
-
-/// E4 — N2PL blocks, NTO aborts: behaviour under rising contention
-/// (Section 5.1 vs 5.2), sweeping the Zipf skew of a dictionary mix.
-pub fn e4_n2pl_vs_nto(scale: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &skew in &[0.0f64, 0.8, 1.4] {
-        let workload = wl::dictionary(&wl::DictionaryParams {
-            dictionaries: 2,
-            keys: 16,
-            transactions: 24 * scale,
-            ops_per_txn: 3,
-            lookup_fraction: 0.4,
-            key_skew: skew,
-            seed: 1004,
-        });
-        for spec in [
-            SchedulerSpec::n2pl_operation(),
-            SchedulerSpec::nto_conservative(),
-            SchedulerSpec::nto_provisional(),
-        ] {
-            let m = run_and_check(&workload, spec, 1004, 8);
-            rows.push(metrics_row(
-                &format!("{} / skew {skew:.1}", m.scheduler),
-                &m,
-            ));
-        }
-    }
-    rows
 }
 
 /// E5 — soundness and tightness of the graph tests: fraction of random legal
@@ -409,89 +334,20 @@ pub fn e5_sg_checkers(samples: usize) -> Vec<Row> {
     ]
 }
 
-/// E6 — mixed per-object intra-object policies plus the inter-object
-/// certifier, against uniform policies, on a dictionary-heavy mix
-/// (Section 2 / 5.3).
-pub fn e6_mixed_cc(scale: usize) -> Vec<Row> {
-    let workload = wl::dictionary(&wl::DictionaryParams {
-        dictionaries: 3,
-        keys: 32,
-        transactions: 30 * scale,
-        ops_per_txn: 4,
-        lookup_fraction: 0.5,
-        key_skew: 0.8,
-        seed: 1006,
-    });
-    let mut rows = Vec::new();
-    // Note: the pre-0.2 "mixed, certifier only" configuration is exactly the
-    // SGT certifier (an empty mixed spec is now a validation error), so it
-    // appears here once under its honest label.
-    let configs: Vec<(&str, SchedulerSpec)> = vec![
-        ("uniform flat-excl", SchedulerSpec::flat_exclusive()),
-        ("uniform n2pl-op", SchedulerSpec::n2pl_operation()),
-        (
-            "certifier only (max intra freedom)",
-            SchedulerSpec::SgtCertifier,
-        ),
-        (
-            "mixed: per-object step locks + certifier",
-            SchedulerSpec::mixed_with_default(SchedulerSpec::n2pl_step()),
-        ),
-    ];
-    for (label, spec) in configs {
-        let m = run_and_check(&workload, spec, 1006, 8);
-        rows.push(metrics_row(label, &m));
-    }
-    rows
-}
-
-/// E7 — internal parallelism of methods (Par fan-out), Section 3(c).
-pub fn e7_internal_parallelism(scale: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &(parallel, items) in &[(false, 4usize), (true, 4), (false, 8), (true, 8)] {
-        let workload = wl::orders(&wl::OrdersParams {
-            desks: 2,
-            inventories: 8,
-            accounts: 8,
-            transactions: 16 * scale,
-            items_per_order: items,
-            parallel_items: parallel,
-            seed: 1007,
-        });
-        let m = run_and_check(&workload, SchedulerSpec::n2pl_operation(), 1007, 4);
-        let label = format!(
-            "{} line items, {}",
-            items,
-            if parallel {
-                "parallel (Par)"
-            } else {
-                "sequential (Seq)"
-            }
-        );
-        rows.push(metrics_row(&label, &m));
-    }
-    rows
-}
-
 /// E8 — cost of the core-model analyses (legality, replay, SG construction)
 /// as the history grows.
 pub fn e8_core_scaling(scale: usize) -> Vec<Row> {
     use std::time::Instant;
     let mut rows = Vec::new();
     for &txns in &[8usize, 32, 64] {
-        let workload = wl::banking(&wl::BankingParams {
-            accounts: 8,
-            transactions: txns * scale,
-            ..Default::default()
-        });
-        let report = Runtime::builder()
-            .scheduler(SchedulerSpec::n2pl_operation())
-            .seed(1008)
-            .clients(8)
-            .build()
-            .expect("valid experiment configuration")
-            .run(&workload)
-            .expect("well-formed generated workload");
+        let s = seeded(shapes::banking(8, txns * scale, 0.0), 1008);
+        let report = checked_run(
+            &s,
+            &s.compile(),
+            SchedulerSpec::n2pl_operation(),
+            ExecutionBackend::Simulated,
+            Observe::Off,
+        );
         let h = &report.history;
         let t0 = Instant::now();
         assert!(obase_core::legality::is_legal(h));
@@ -526,13 +382,9 @@ pub fn e8_core_scaling(scale: usize) -> Vec<Row> {
 /// backend is tracked run over run.
 pub fn e9_backend_faceoff(scale: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-    let workload = wl::banking(&wl::BankingParams {
-        accounts: 16,
-        transactions: 32 * scale,
-        skew: 0.6,
-        seed: 1009,
-        ..Default::default()
-    });
+    let mut s = seeded(shapes::banking(16, 32 * scale, 0.6), 1009);
+    s.retries = 64;
+    let workload = s.compile();
     let backends = [
         ExecutionBackend::Simulated,
         ExecutionBackend::Parallel { workers: 2 },
@@ -545,23 +397,12 @@ pub fn e9_backend_faceoff(scale: usize) -> Vec<Row> {
         SchedulerSpec::SgtCertifier,
     ] {
         for backend in &backends {
-            let report = Runtime::builder()
-                .scheduler(spec.clone())
-                .backend(backend.clone())
-                .clients(8)
-                .seed(1009)
-                .retries(64)
-                .verify(Verify::Quick)
-                .observe(Observe::Latency)
-                .build()
-                .expect("valid experiment configuration")
-                .run(&workload)
-                .expect("well-formed generated workload");
-            assert!(
-                report.checks.all_passed(),
-                "{} on {} produced a non-serialisable history",
-                report.scheduler,
-                backend.label()
+            let report = checked_run(
+                &s,
+                &workload,
+                spec.clone(),
+                backend.clone(),
+                Observe::Latency,
             );
             let m = &report.metrics;
             let row = Row::new(format!("{} / {}", m.scheduler, backend.label()))
@@ -577,6 +418,29 @@ pub fn e9_backend_faceoff(scale: usize) -> Vec<Row> {
     rows
 }
 
+/// The worker-scaling shape of e10 and e12: each transaction calls a
+/// `width`-wide batch method on counters, each batch `ops` operations of
+/// which a `read_fraction` read.
+fn scaling(
+    objects: usize,
+    transactions: usize,
+    width: usize,
+    ops: usize,
+    read_fraction: f64,
+    dist: KeyDist,
+) -> Scenario {
+    let mut s = Scenario::new(
+        "scaling",
+        1,
+        transactions,
+        vec![ObjectGroup::new("cell", AdtKind::Counter, objects, 0)],
+        vec![ClientClass::new("work", "cell", ops, read_fraction, dist).nesting(1, width, false)],
+        vec![SchedulerSpec::n2pl_operation()],
+    );
+    s.clients = 8;
+    s
+}
+
 /// E10 — worker-scaling curves of the parallel backend (the decomposed
 /// control plane's headline measurement): a worker sweep over a
 /// low-contention uniform workload (transactions rarely conflict, so
@@ -585,72 +449,39 @@ pub fn e9_backend_faceoff(scale: usize) -> Vec<Row> {
 /// object). Each point records `wall_throughput` so `BENCH_results.json`
 /// carries a scaling trajectory for this and every future perf PR.
 ///
-/// Each point is the best of three runs (wall-clock measurements on loaded
-/// machines are noisy; the max is the honest capability estimate).
+/// Each point is the best of three runs.
 pub fn e10_worker_scaling(scale: usize) -> Vec<Row> {
-    let workers = [1usize, 2, 4, 8, 16];
-    let cases: Vec<(&str, WorkloadSpec)> = vec![
+    let cases = [
         (
             "low-contention uniform",
-            wl::scaling(&wl::ScalingParams {
-                objects: 64,
-                transactions: 192 * scale,
-                invokes_per_txn: 4,
-                ops_per_invoke: 8,
-                read_fraction: 0.2,
-                skew: 0.0,
-                seed: 1010,
-            }),
+            scaling(64, 192 * scale, 4, 8, 0.2, KeyDist::Uniform),
         ),
         (
             "high-contention hot-key",
-            wl::scaling(&wl::ScalingParams {
-                objects: 4,
-                transactions: 96 * scale,
-                invokes_per_txn: 3,
-                ops_per_invoke: 6,
-                read_fraction: 0.35,
-                skew: 2.5,
-                seed: 1010,
-            }),
+            scaling(4, 96 * scale, 3, 6, 0.35, KeyDist::HotKey { theta: 2.5 }),
         ),
     ];
     let mut rows = Vec::new();
-    for (label, workload) in &cases {
+    for (label, mut s) in cases {
+        s.seed = 1010;
+        s.retries = 256;
+        let workload = s.compile();
         let mut base_throughput = 0.0f64;
-        for &w in &workers {
-            let mut best: Option<RunMetrics> = None;
-            for _ in 0..3 {
-                let report = Runtime::builder()
-                    .scheduler(SchedulerSpec::n2pl_operation())
-                    .backend(ExecutionBackend::Parallel { workers: w })
-                    .retries(256)
-                    .verify(Verify::Quick)
-                    .build()
-                    .expect("valid experiment configuration")
-                    .run(workload)
-                    .expect("well-formed generated workload");
-                assert!(
-                    report.checks.all_passed(),
-                    "{} at {w} workers produced a non-serialisable history",
-                    report.scheduler
-                );
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| report.metrics.wall_throughput() > b.wall_throughput());
-                if better {
-                    best = Some(report.metrics);
-                }
-            }
-            let m = best.expect("two runs happened");
+        for w in [1usize, 2, 4, 8, 16] {
+            let report = best_of(3, || {
+                checked_run(
+                    &s,
+                    &workload,
+                    SchedulerSpec::n2pl_operation(),
+                    ExecutionBackend::Parallel { workers: w },
+                    Observe::Off,
+                )
+            });
+            let m = report.metrics;
             if w == 1 {
                 base_throughput = m.wall_throughput();
             }
-            let speedup = if base_throughput > 0.0 {
-                m.wall_throughput() / base_throughput
-            } else {
-                0.0
-            };
+            let speedup = ratio(m.wall_throughput(), base_throughput);
             rows.push(
                 Row::new(format!("{label} / {w} workers"))
                     .with("workers", w as f64)
@@ -677,40 +508,21 @@ pub fn e10_worker_scaling(scale: usize) -> Vec<Row> {
 /// numbers are for logs that demonstrably replay.
 ///
 /// Each point is the best of three runs (fsync latency on shared machines
-/// is noisy; the max is the honest capability estimate).
+/// is noisy).
 pub fn e11_durability(scale: usize) -> Vec<Row> {
-    let workload = wl::queues(&wl::QueueParams {
-        queues: 4,
-        producers: 60 * scale,
-        consumers: 60 * scale,
-        preload: 16,
-        seed: 1011,
-    });
-    let windows = [0usize, 1, 8, 64, 256];
+    let mut s = seeded(shapes::queues(4, 120 * scale, 16), 1011);
+    s.retries = 64;
+    let workload = s.compile();
     let mut points: Vec<(usize, RunReport)> = Vec::new();
-    for &gc in &windows {
-        let mut best: Option<RunReport> = None;
-        for attempt in 0..3 {
-            let dir = obase_wal::scratch_dir(&format!("e11-gc{gc}-{attempt}"));
-            let report = Runtime::builder()
-                .scheduler(SchedulerSpec::n2pl_operation())
-                .backend(ExecutionBackend::Durable {
-                    dir: dir.clone(),
-                    group_commit: gc,
-                })
-                .clients(8)
-                .seed(1011)
-                .retries(64)
-                .verify(Verify::Quick)
-                .observe(Observe::Latency)
-                .build()
-                .expect("valid experiment configuration")
-                .run(&workload)
-                .expect("well-formed generated workload");
-            assert!(
-                report.checks.all_passed(),
-                "durable backend at group_commit={gc} produced a non-serialisable history"
-            );
+    for gc in [0usize, 1, 8, 64, 256] {
+        let report = best_of(3, || {
+            let dir = obase_wal::scratch_dir(&format!("e11-gc{gc}"));
+            let backend = ExecutionBackend::Durable {
+                dir: dir.clone(),
+                group_commit: gc,
+            };
+            let spec = SchedulerSpec::n2pl_operation();
+            let report = checked_run(&s, &workload, spec, backend, Observe::Latency);
             // The log each run left behind must recover to the same set of
             // committed transactions and pass the oracle.
             let recovered = obase_wal::WalBackend::new(workload.def.base().clone())
@@ -719,14 +531,9 @@ pub fn e11_durability(scale: usize) -> Vec<Row> {
             recovered.assert_serialisable();
             assert_eq!(recovered.committed.len(), report.metrics.committed);
             std::fs::remove_dir_all(&dir).ok();
-            let better = best
-                .as_ref()
-                .is_none_or(|b| report.metrics.wall_throughput() > b.metrics.wall_throughput());
-            if better {
-                best = Some(report);
-            }
-        }
-        points.push((gc, best.expect("three runs happened")));
+            report
+        });
+        points.push((gc, report));
     }
     let per_record = points
         .iter()
@@ -748,14 +555,7 @@ pub fn e11_durability(scale: usize) -> Vec<Row> {
                 .with("aborts", m.aborts as f64)
                 .with("wall_ms", m.wall_micros as f64 / 1000.0)
                 .with("txn_per_sec", m.wall_throughput())
-                .with(
-                    "speedup_vs_gc1",
-                    if per_record > 0.0 {
-                        m.wall_throughput() / per_record
-                    } else {
-                        0.0
-                    },
-                )
+                .with("speedup_vs_gc1", ratio(m.wall_throughput(), per_record))
                 .with_histogram("aborts_by_reason", abort_reasons(m));
             with_latency_columns(row, &report)
         })
@@ -820,15 +620,12 @@ pub fn check_scaling_guard(rows: &[Row]) -> Result<(), String> {
 /// measurements, so noise must be squeezed out before a 3% band means
 /// anything).
 pub fn e12_observer_overhead(scale: usize) -> Vec<Row> {
-    let workload = wl::scaling(&wl::ScalingParams {
-        objects: 32,
-        transactions: 96 * scale,
-        invokes_per_txn: 4,
-        ops_per_invoke: 6,
-        read_fraction: 0.3,
-        skew: 0.4,
-        seed: 1012,
-    });
+    let mut s = seeded(
+        scaling(32, 96 * scale, 4, 6, 0.3, KeyDist::HotKey { theta: 0.4 }),
+        1012,
+    );
+    s.retries = 64;
+    let workload = s.compile();
     let plans: Vec<(&str, Observe)> = vec![
         ("no-observer baseline", Observe::Off),
         (
@@ -844,37 +641,25 @@ pub fn e12_observer_overhead(scale: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut baseline = 0.0f64;
     for (label, plan) in plans {
-        let mut best: Option<RunReport> = None;
-        for _ in 0..5 {
-            let report = Runtime::builder()
-                .scheduler(SchedulerSpec::n2pl_operation())
-                .clients(8)
-                .seed(1012)
-                .retries(64)
-                .verify(Verify::None)
-                .observe(plan.clone())
-                .build()
-                .expect("valid experiment configuration")
-                .run(&workload)
-                .expect("well-formed generated workload");
-            let better = best
-                .as_ref()
-                .is_none_or(|b| report.metrics.wall_throughput() > b.metrics.wall_throughput());
-            if better {
-                best = Some(report);
-            }
-        }
-        let report = best.expect("five runs happened");
+        let report = best_of(5, || {
+            runtime(
+                &s,
+                SchedulerSpec::n2pl_operation(),
+                ExecutionBackend::Simulated,
+            )
+            .verify(Verify::None)
+            .observe(plan.clone())
+            .build()
+            .expect("valid experiment configuration")
+            .run(&workload)
+            .expect("well-formed scenario")
+        });
         let m = &report.metrics;
         let tps = m.wall_throughput();
         if baseline == 0.0 {
             baseline = tps; // first plan is the Off baseline
         }
-        let overhead_pct = if baseline > 0.0 {
-            (1.0 - tps / baseline) * 100.0
-        } else {
-            0.0
-        };
+        let overhead_pct = (1.0 - ratio(tps, baseline)) * 100.0;
         let row = Row::new(label)
             .with("committed", m.committed as f64)
             .with("wall_ms", m.wall_micros as f64 / 1000.0)
@@ -1313,6 +1098,33 @@ pub fn check_run_flat_guard(rows: &[Row]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// One simulator run of `s` under `spec`, held to the quick oracle.
+    fn run_and_check(s: &Scenario, spec: SchedulerSpec) -> RunMetrics {
+        checked_run(
+            s,
+            &s.compile(),
+            spec,
+            ExecutionBackend::Simulated,
+            Observe::Off,
+        )
+        .metrics
+    }
+
+    /// The claim rows of `experiment` over a 4-seed sweep carry both
+    /// medians, both committed totals and a win share.
+    fn claim_rows_have_their_columns(experiment: &str, claims: usize) -> Vec<Row> {
+        let rows = crate::claims::claim_rows(experiment, 4);
+        assert_eq!(rows.len(), claims);
+        for row in &rows {
+            assert_eq!(row.values["seeds"], 4.0);
+            for column in ["median_a", "median_b", "committed_a", "committed_b"] {
+                assert!(row.values[column] > 0.0, "{column}: {row:?}");
+            }
+            assert!((0.0..=1.0).contains(&row.values["win_share"]));
+        }
+        rows
+    }
+
     #[test]
     fn tables_render() {
         let rows = vec![
@@ -1336,18 +1148,22 @@ mod tests {
 
     #[test]
     fn e2_small_scale_runs() {
-        let rows = e2_queue_locks(1);
-        assert_eq!(rows.len(), 8);
+        claim_rows_have_their_columns("e2", 1);
     }
 
     #[test]
     fn e7_small_scale_runs() {
-        let rows = e7_internal_parallelism(1);
-        assert_eq!(rows.len(), 4);
-        // Parallel line items never take more rounds than sequential ones.
-        let seq = rows[0].values["rounds"];
-        let par = rows[1].values["rounds"];
-        assert!(par <= seq);
+        claim_rows_have_their_columns("e7", 1);
+    }
+
+    #[test]
+    fn scaling_scenario_runs_and_commits() {
+        let s = seeded(scaling(4, 6, 2, 3, 0.2, KeyDist::Uniform), 10);
+        let m = run_and_check(&s, SchedulerSpec::n2pl_operation());
+        assert_eq!(m.committed, 6);
+        // 2 calls × 3 local operations per transaction, plus any aborted
+        // attempts' steps.
+        assert!(m.installed_steps >= 6 * 2 * 3);
     }
 
     #[test]
@@ -1506,16 +1322,8 @@ mod tests {
         // A dictionary hotspot under N2PL deadlocks; every abort must land
         // in a stable variant bucket and the histogram must sum to the
         // abort count.
-        let workload = wl::dictionary(&wl::DictionaryParams {
-            dictionaries: 1,
-            keys: 2,
-            transactions: 12,
-            ops_per_txn: 3,
-            lookup_fraction: 0.0,
-            key_skew: 1.5,
-            seed: 9,
-        });
-        let m = run_and_check(&workload, SchedulerSpec::n2pl_operation(), 9, 8);
+        let s = seeded(shapes::dictionary(1, 2, 12, 3, 0.0, 1.5), 9);
+        let m = run_and_check(&s, SchedulerSpec::n2pl_operation());
         let total: usize = m.aborts_by_reason.values().sum();
         assert_eq!(total, m.aborts);
         let known = [

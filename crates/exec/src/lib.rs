@@ -21,17 +21,24 @@
 //! history, metrics and theory checks:
 //!
 //! ```
+//! use obase_core::object::ObjectBase;
+//! use obase_core::value::Value;
+//! use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
 //! use obase_runtime::{Runtime, SchedulerSpec, Verify};
+//! use std::sync::Arc;
 //!
-//! let workload = obase_workload::queues(&obase_workload::QueueParams {
-//!     queues: 1,
-//!     producers: 4,
-//!     consumers: 4,
-//!     preload: 4,
-//!     seed: 17,
-//! });
+//! // One counter with an `add` method, and eight transactions calling it.
+//! let mut base = ObjectBase::new();
+//! let c = base.add_object("c", Arc::new(obase_adt::Counter::default()));
+//! let mut def = ObjectBaseDef::new(Arc::new(base));
+//! let body = Program::local("Add", [Value::Int(1)]);
+//! def.define_method(c, MethodDef { name: "add".into(), params: 0, body });
+//! let transactions = (0..8)
+//!     .map(|i| TxnSpec { name: format!("T{i}"), body: Program::invoke(c, "add", []) })
+//!     .collect();
+//! let workload = WorkloadSpec { def, transactions };
 //! let report = Runtime::builder()
-//!     .scheduler(SchedulerSpec::n2pl_step())
+//!     .scheduler(SchedulerSpec::n2pl_operation())
 //!     .clients(4)
 //!     .seed(17)
 //!     .verify(Verify::Full)

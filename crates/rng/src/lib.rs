@@ -1,6 +1,6 @@
 //! # obase-rng — a small deterministic random number generator
 //!
-//! The interleaving engine and the workload generators need *reproducible*
+//! The interleaving engine and the scenario compiler need *reproducible*
 //! pseudo-randomness: given a seed, a run must replay identically on every
 //! machine and toolchain. This crate provides exactly that and nothing more —
 //! a ChaCha8-based generator with the handful of sampling helpers the

@@ -2,8 +2,8 @@
 //! [`WorkloadSpec`].
 //!
 //! Compilation is fully seeded: the object base, the per-class method
-//! bodies (the read/write mix is baked into a small set of body variants,
-//! like `obase-workload::scaling` does) and the transaction stream all draw
+//! bodies (the read/write mix is baked into a small set of body variants)
+//! and the transaction stream all draw
 //! from one ChaCha8 stream, so the same scenario always compiles to the
 //! same workload.
 //!
@@ -39,8 +39,10 @@ fn chain_name(class: usize, depth: usize) -> String {
 
 /// One local operation for a leaf body: an observer with probability
 /// `read_fraction`, a mutator otherwise. Keyed types address `Param(0)`;
-/// value-ish arguments come from `Param(1)`.
-fn leaf_op(adt: AdtKind, read_fraction: f64, rng: &mut ChaCha8Rng) -> Program {
+/// value-ish arguments come from `Param(1)`. An account mutator withdraws
+/// when `slot` is odd and deposits when it is even, so every account class
+/// both withdraws and deposits, in the same proportion on every seed.
+fn leaf_op(adt: AdtKind, read_fraction: f64, slot: usize, rng: &mut ChaCha8Rng) -> Program {
     let read = rng.gen_bool(read_fraction.clamp(0.0, 1.0));
     let p0 = || vec![Expr::Param(0)];
     let p01 = || vec![Expr::Param(0), Expr::Param(1)];
@@ -66,6 +68,8 @@ fn leaf_op(adt: AdtKind, read_fraction: f64, rng: &mut ChaCha8Rng) -> Program {
         AdtKind::Account => {
             if read {
                 local("Balance", vec![])
+            } else if slot % 2 == 1 {
+                local("Withdraw", vec![Expr::Param(1)])
             } else {
                 local("Deposit", vec![Expr::Param(1)])
             }
@@ -216,7 +220,7 @@ impl Scenario {
             for (oi, &o) in objs.iter().enumerate() {
                 for variant in 0..VARIANTS {
                     let body: Vec<Program> = (0..class.ops)
-                        .map(|_| leaf_op(g.adt, class.read_fraction, &mut rng))
+                        .map(|op| leaf_op(g.adt, class.read_fraction, variant + op, &mut rng))
                         .collect();
                     def.define_method(
                         o,
@@ -240,7 +244,7 @@ impl Scenario {
                             name: chain_name(ci, d),
                             params: 2,
                             body: Program::Seq(vec![
-                                leaf_op(g.adt, class.read_fraction, &mut rng),
+                                leaf_op(g.adt, class.read_fraction, d, &mut rng),
                                 Program::Invoke {
                                     object: ObjRef::Const(next),
                                     method: callee,

@@ -21,7 +21,10 @@
 //! * [`library`](mod@library) — twelve built-in scenarios (`hot-queue`, `deep-nesting`,
 //!   `abort-storm`, `btree-range-contention`, `read-only-rush`, ...), each
 //!   stressing one mechanism; the backend-equivalence oracle sweeps all of
-//!   them.
+//!   them;
+//! * [`shapes`] — parametric scenarios behind the paper's comparisons
+//!   (banking, counters, queues, dictionaries, nested orders), which the
+//!   experiments sweep over seeds.
 //!
 //! ```
 //! use obase_scenario as scenario;
@@ -41,6 +44,7 @@
 pub mod compile;
 pub mod faults;
 pub mod library;
+pub mod shapes;
 pub mod spec;
 
 pub use faults::FaultInjector;

@@ -7,52 +7,8 @@
 //! to stress one specific mechanism — see `docs/SCENARIOS.md` for the
 //! intent of each.
 
-use crate::spec::{
-    AdtKind, ClientClass, FaultPlan, KeyDist, NestingShape, ObjectGroup, Scenario, Storm,
-};
+use crate::spec::{AdtKind, ClientClass, KeyDist, ObjectGroup, Scenario, Storm};
 use obase_runtime::SchedulerSpec;
-
-fn group(name: &str, adt: AdtKind, objects: usize, keys: usize) -> ObjectGroup {
-    ObjectGroup {
-        name: name.into(),
-        adt,
-        objects,
-        keys,
-    }
-}
-
-fn class(name: &str, group: &str, ops: usize, read_fraction: f64, dist: KeyDist) -> ClientClass {
-    ClientClass {
-        name: name.into(),
-        weight: 1,
-        group: group.into(),
-        ops,
-        read_fraction,
-        dist,
-        nesting: NestingShape::default(),
-    }
-}
-
-fn scenario(
-    name: &str,
-    seed: u64,
-    transactions: usize,
-    groups: Vec<ObjectGroup>,
-    mix: Vec<ClientClass>,
-    specs: Vec<SchedulerSpec>,
-) -> Scenario {
-    Scenario {
-        name: name.into(),
-        seed,
-        transactions,
-        clients: 4,
-        retries: 16,
-        groups,
-        mix,
-        faults: FaultPlan::default(),
-        specs,
-    }
-}
 
 /// Every built-in scenario (all valid by construction; a test asserts it).
 pub fn library() -> Vec<Scenario> {
@@ -60,60 +16,60 @@ pub fn library() -> Vec<Scenario> {
 
     // Producers and consumers fighting over two hot queues: the paper's
     // step-level locking example under skewed queue choice.
-    out.push(scenario(
+    out.push(Scenario::new(
         "hot-queue",
         101,
         28,
-        vec![group("q", AdtKind::Queue, 2, 12)],
-        vec![class("pc", "q", 2, 0.5, KeyDist::HotKey { theta: 1.4 })],
+        vec![ObjectGroup::new("q", AdtKind::Queue, 2, 12)],
+        vec![ClientClass::new(
+            "pc",
+            "q",
+            2,
+            0.5,
+            KeyDist::HotKey { theta: 1.4 },
+        )],
         vec![SchedulerSpec::n2pl_step(), SchedulerSpec::n2pl_operation()],
     ));
 
     // Four-deep invocation chains over a small counter ring: lock
     // inheritance and commit certification at depth.
-    let mut deep = scenario(
+    out.push(Scenario::new(
         "deep-nesting",
         102,
         24,
-        vec![group("ring", AdtKind::Counter, 6, 0)],
-        vec![class("chain", "ring", 2, 0.2, KeyDist::Uniform)],
+        vec![ObjectGroup::new("ring", AdtKind::Counter, 6, 0)],
+        vec![ClientClass::new("chain", "ring", 2, 0.2, KeyDist::Uniform).nesting(4, 1, false)],
         vec![
             SchedulerSpec::n2pl_operation(),
             SchedulerSpec::nto_conservative(),
         ],
-    );
-    deep.mix[0].nesting = NestingShape {
-        depth: 4,
-        width: 1,
-        parallel: false,
-    };
-    out.push(deep);
+    ));
 
     // Wide Par fan-out over dictionaries: sibling sub-transactions of one
     // transaction competing with each other and with other transactions.
-    let mut fanout = scenario(
+    out.push(Scenario::new(
         "wide-fanout",
         103,
         20,
-        vec![group("d", AdtKind::Dictionary, 4, 24)],
-        vec![class("fan", "d", 2, 0.4, KeyDist::Uniform)],
+        vec![ObjectGroup::new("d", AdtKind::Dictionary, 4, 24)],
+        vec![ClientClass::new("fan", "d", 2, 0.4, KeyDist::Uniform).nesting(1, 4, true)],
         vec![SchedulerSpec::n2pl_operation()],
-    );
-    fanout.mix[0].nesting = NestingShape {
-        depth: 1,
-        width: 4,
-        parallel: true,
-    };
-    out.push(fanout);
+    ));
 
     // A certification-abort storm over a counter hotspot: a burst window in
     // which half of all commits are doomed, then recovery via retries.
-    let mut storm = scenario(
+    let mut storm = Scenario::new(
         "abort-storm",
         104,
         24,
-        vec![group("hot", AdtKind::Counter, 3, 0)],
-        vec![class("bump", "hot", 2, 0.1, KeyDist::HotKey { theta: 1.2 })],
+        vec![ObjectGroup::new("hot", AdtKind::Counter, 3, 0)],
+        vec![ClientClass::new(
+            "bump",
+            "hot",
+            2,
+            0.1,
+            KeyDist::HotKey { theta: 1.2 },
+        )],
         vec![SchedulerSpec::n2pl_operation()],
     );
     storm.retries = 48;
@@ -126,12 +82,12 @@ pub fn library() -> Vec<Scenario> {
 
     // Random worker stalls over accounts: slow clients holding locks while
     // the rest of the mix keeps moving.
-    let mut stalls = scenario(
+    let mut stalls = Scenario::new(
         "stall-recover",
         105,
         24,
-        vec![group("acct", AdtKind::Account, 8, 0)],
-        vec![class("pay", "acct", 2, 0.3, KeyDist::Uniform)],
+        vec![ObjectGroup::new("acct", AdtKind::Account, 8, 0)],
+        vec![ClientClass::new("pay", "acct", 2, 0.3, KeyDist::Uniform)],
         vec![SchedulerSpec::n2pl_operation()],
     );
     stalls.faults.stall_rate = 0.06;
@@ -140,12 +96,12 @@ pub fn library() -> Vec<Scenario> {
 
     // Range scans vs point mutations on the B-tree dictionary, hot-keyed so
     // the scanned intervals and the mutated keys keep colliding.
-    out.push(scenario(
+    out.push(Scenario::new(
         "btree-range-contention",
         106,
         24,
-        vec![group("tree", AdtKind::BTreeDict, 2, 48)],
-        vec![class(
+        vec![ObjectGroup::new("tree", AdtKind::BTreeDict, 2, 48)],
+        vec![ClientClass::new(
             "scan",
             "tree",
             3,
@@ -157,33 +113,33 @@ pub fn library() -> Vec<Scenario> {
 
     // One class per semantic type, uniform access: the cross-ADT smoke
     // every scheduler must take in stride.
-    out.push(scenario(
+    out.push(Scenario::new(
         "mixed-adt-uniform",
         107,
         30,
         vec![
-            group("regs", AdtKind::Register, 3, 0),
-            group("sets", AdtKind::Set, 2, 12),
-            group("dicts", AdtKind::Dictionary, 2, 12),
-            group("queues", AdtKind::Queue, 2, 8),
+            ObjectGroup::new("regs", AdtKind::Register, 3, 0),
+            ObjectGroup::new("sets", AdtKind::Set, 2, 12),
+            ObjectGroup::new("dicts", AdtKind::Dictionary, 2, 12),
+            ObjectGroup::new("queues", AdtKind::Queue, 2, 8),
         ],
         vec![
-            class("rw", "regs", 2, 0.4, KeyDist::Uniform),
-            class("members", "sets", 2, 0.4, KeyDist::Uniform),
-            class("kv", "dicts", 2, 0.4, KeyDist::Uniform),
-            class("pc", "queues", 1, 0.5, KeyDist::Uniform),
+            ClientClass::new("rw", "regs", 2, 0.4, KeyDist::Uniform),
+            ClientClass::new("members", "sets", 2, 0.4, KeyDist::Uniform),
+            ClientClass::new("kv", "dicts", 2, 0.4, KeyDist::Uniform),
+            ClientClass::new("pc", "queues", 1, 0.5, KeyDist::Uniform),
         ],
         vec![SchedulerSpec::n2pl_operation()],
     ));
 
     // Partitioned tenants over accounts: zero cross-partition conflicts by
     // construction — the embarrassingly parallel base case.
-    out.push(scenario(
+    out.push(Scenario::new(
         "partitioned-accounts",
         108,
         32,
-        vec![group("acct", AdtKind::Account, 16, 0)],
-        vec![class(
+        vec![ObjectGroup::new("acct", AdtKind::Account, 16, 0)],
+        vec![ClientClass::new(
             "tenant",
             "acct",
             3,
@@ -199,12 +155,12 @@ pub fn library() -> Vec<Scenario> {
     // Steady doom injection on a register hotspot: every certification may
     // be condemned, so the abort/undo/retry path runs constantly while the
     // hot key maximises the damage of each undo.
-    let mut dooms = scenario(
+    let mut dooms = Scenario::new(
         "injected-dooms",
         109,
         24,
-        vec![group("hot", AdtKind::Register, 3, 0)],
-        vec![class(
+        vec![ObjectGroup::new("hot", AdtKind::Register, 3, 0)],
+        vec![ClientClass::new(
             "write",
             "hot",
             2,
@@ -219,12 +175,12 @@ pub fn library() -> Vec<Scenario> {
 
     // Deadline pressure: a parallel-backend wall-clock budget tight enough
     // to matter, generous enough that a healthy engine always settles.
-    let mut rush = scenario(
+    let mut rush = Scenario::new(
         "deadline-rush",
         110,
         28,
-        vec![group("cells", AdtKind::Counter, 8, 0)],
-        vec![class("burst", "cells", 4, 0.2, KeyDist::Uniform)],
+        vec![ObjectGroup::new("cells", AdtKind::Counter, 8, 0)],
+        vec![ClientClass::new("burst", "cells", 4, 0.2, KeyDist::Uniform)],
         vec![SchedulerSpec::n2pl_operation()],
     );
     rush.clients = 8;
@@ -234,23 +190,23 @@ pub fn library() -> Vec<Scenario> {
     // A 95/5 read/write mix over dictionaries: most compiled transactions
     // are entirely `Lookup`/`Size`, whose steps commute with one another,
     // while a writer minority keeps conflicting writes in the mix.
-    out.push(scenario(
+    out.push(Scenario::new(
         "read-mostly-dict",
         111,
         32,
-        vec![group("d", AdtKind::Dictionary, 4, 24)],
-        vec![class("readers", "d", 2, 0.95, KeyDist::Uniform)],
+        vec![ObjectGroup::new("d", AdtKind::Dictionary, 4, 24)],
+        vec![ClientClass::new("readers", "d", 2, 0.95, KeyDist::Uniform)],
         vec![SchedulerSpec::n2pl_operation()],
     ));
 
     // A 99/1 mix: almost every transaction is a reader, and each still
     // goes through scheduler admission like a writer does.
-    out.push(scenario(
+    out.push(Scenario::new(
         "read-only-rush",
         112,
         32,
-        vec![group("d", AdtKind::Dictionary, 4, 24)],
-        vec![class("rush", "d", 2, 0.99, KeyDist::Uniform)],
+        vec![ObjectGroup::new("d", AdtKind::Dictionary, 4, 24)],
+        vec![ClientClass::new("rush", "d", 2, 0.99, KeyDist::Uniform)],
         vec![SchedulerSpec::n2pl_operation()],
     ));
 

@@ -1,11 +1,10 @@
 //! The scenario data model and its JSON round trip.
 //!
-//! A [`Scenario`] is the declarative counterpart of the hand-coded
-//! generators in `obase-workload`: an object population (groups of objects,
-//! each group one [`AdtKind`]), a client mix (weighted [`ClientClass`]es,
-//! each with its own key distribution and nested-transaction shape), a
-//! [`FaultPlan`] of seeded chaos, and the scheduler line-up the scenario is
-//! meant to stress. Everything serialises through `obase-ser` JSON, so a
+//! A [`Scenario`] is a workload written as data: an object population
+//! (groups of objects, each group one [`AdtKind`]), a client mix (weighted
+//! [`ClientClass`]es, each with its own key distribution and
+//! nested-transaction shape), a [`FaultPlan`] of seeded chaos, and the
+//! scheduler line-up the scenario is meant to stress. Everything serialises through `obase-ser` JSON, so a
 //! scenario is a config file, not a Rust function.
 
 use obase_core::object::TypeHandle;
@@ -83,8 +82,9 @@ impl AdtKind {
 
     /// The initial state a scenario object of this kind gets, or `None` for
     /// the type's own default. `keys` is the group's key-space size (doubles
-    /// as the queue preload length); `obj` disambiguates queue preloads so
-    /// items are globally unique.
+    /// as the queue preload length and, when non-zero, an account's opening
+    /// balance); `obj` disambiguates queue preloads so items are globally
+    /// unique.
     pub(crate) fn initial_state(&self, keys: usize, obj: usize) -> Option<Value> {
         match self {
             AdtKind::Dictionary if keys > 0 => Some(Value::map(
@@ -99,6 +99,7 @@ impl AdtKind {
             AdtKind::Queue if keys > 0 => Some(Value::list(
                 (0..keys).map(|j| Value::Int((obj * 10_000 + j) as i64)),
             )),
+            AdtKind::Account if keys > 0 => Some(Value::Int(keys as i64)),
             _ => None,
         }
     }
@@ -160,8 +161,22 @@ pub struct ObjectGroup {
     /// Number of objects.
     pub objects: usize,
     /// Key-space size for keyed types (set/dictionary/btree — also the
-    /// preloaded population), preload length for queues, ignored otherwise.
+    /// preloaded population), preload length for queues, opening balance
+    /// for accounts (0 keeps the default of 1,000), ignored otherwise.
     pub keys: usize,
+}
+
+impl ObjectGroup {
+    /// A group of `objects` objects of one type; `keys` as documented on
+    /// the field.
+    pub fn new(name: &str, adt: AdtKind, objects: usize, keys: usize) -> Self {
+        ObjectGroup {
+            name: name.into(),
+            adt,
+            objects,
+            keys,
+        }
+    }
 }
 
 /// One weighted class of transactions in the mix.
@@ -182,6 +197,37 @@ pub struct ClientClass {
     pub dist: KeyDist,
     /// The nested-transaction shape.
     pub nesting: NestingShape,
+}
+
+impl ClientClass {
+    /// A class of weight 1 with the default (flat, one-branch) nesting.
+    pub fn new(name: &str, group: &str, ops: usize, read_fraction: f64, dist: KeyDist) -> Self {
+        ClientClass {
+            name: name.into(),
+            weight: 1,
+            group: group.into(),
+            ops,
+            read_fraction,
+            dist,
+            nesting: NestingShape::default(),
+        }
+    }
+
+    /// The same class with another weight.
+    pub fn weight(mut self, weight: u32) -> Self {
+        self.weight = weight;
+        self
+    }
+
+    /// The same class with another nesting shape.
+    pub fn nesting(mut self, depth: usize, width: usize, parallel: bool) -> Self {
+        self.nesting = NestingShape {
+            depth,
+            width,
+            parallel,
+        };
+        self
+    }
 }
 
 /// A bounded storm of injected certification aborts.
@@ -311,6 +357,28 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 impl Scenario {
+    /// A fault-free scenario with 4 clients and 16 retries.
+    pub fn new(
+        name: &str,
+        seed: u64,
+        transactions: usize,
+        groups: Vec<ObjectGroup>,
+        mix: Vec<ClientClass>,
+        specs: Vec<SchedulerSpec>,
+    ) -> Self {
+        Scenario {
+            name: name.into(),
+            seed,
+            transactions,
+            clients: 4,
+            retries: 16,
+            groups,
+            mix,
+            faults: FaultPlan::default(),
+            specs,
+        }
+    }
+
     /// Checks the scenario's internal consistency: non-empty population, mix
     /// and scheduler line-up; every class targets an existing group; shapes
     /// and probabilities are in range.

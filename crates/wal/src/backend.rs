@@ -435,17 +435,52 @@ impl std::fmt::Display for RecoveryViolation {
 mod tests {
     use super::*;
     use crate::log::{encode_frame, scan};
-    use obase_exec::WorkloadSpec;
+    use obase_exec::{Expr, MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
     use std::path::PathBuf;
+    use std::sync::Arc;
+
+    /// One FIFO queue holding two items; two producers and two consumers,
+    /// alternating.
+    fn queue_workload() -> WorkloadSpec {
+        let mut base = ObjectBase::new();
+        let items = Value::list((0..2).map(Value::Int));
+        let q = base.add_object_with_state("q", Arc::new(obase_adt::FifoQueue), items);
+        let mut def = ObjectBaseDef::new(Arc::new(base));
+        let put = Program::Local {
+            op: "Enqueue".into(),
+            args: vec![Expr::Param(0)],
+        };
+        def.define_method(
+            q,
+            MethodDef {
+                name: "put".into(),
+                params: 1,
+                body: put,
+            },
+        );
+        def.define_method(
+            q,
+            MethodDef {
+                name: "take".into(),
+                params: 0,
+                body: Program::local("Dequeue", []),
+            },
+        );
+        let transactions = (0..4)
+            .map(|i| TxnSpec {
+                name: format!("T{i}"),
+                body: if i % 2 == 0 {
+                    Program::invoke(q, "put", [Value::Int(100 + i)])
+                } else {
+                    Program::invoke(q, "take", [])
+                },
+            })
+            .collect();
+        WorkloadSpec { def, transactions }
+    }
 
     fn run_sample(tag: &str) -> (WorkloadSpec, PathBuf) {
-        let workload = obase_workload::queues(&obase_workload::QueueParams {
-            queues: 1,
-            producers: 2,
-            consumers: 2,
-            preload: 2,
-            seed: 7,
-        });
+        let workload = queue_workload();
         let dir = crate::scratch_dir(tag);
         let mut sched = obase_sched::N2plScheduler::step_locks();
         execute_durable(

@@ -33,16 +33,23 @@
 //! ## Quickstart
 //!
 //! ```
+//! use obase_core::object::ObjectBase;
+//! use obase_core::value::Value;
+//! use obase_exec::{MethodDef, ObjectBaseDef, Program, TxnSpec, WorkloadSpec};
 //! use obase_wal::{execute_durable, scratch_dir, WalBackend};
+//! use std::sync::Arc;
 //!
-//! let workload = obase_workload::queues(&obase_workload::QueueParams {
-//!     queues: 1,
-//!     producers: 2,
-//!     consumers: 2,
-//!     preload: 2,
-//!     seed: 7,
-//! });
-//! let mut sched = obase_sched::N2plScheduler::step_locks();
+//! // One counter with an `add` method, and four transactions calling it.
+//! let mut base = ObjectBase::new();
+//! let c = base.add_object("c", Arc::new(obase_adt::Counter::default()));
+//! let mut def = ObjectBaseDef::new(Arc::new(base));
+//! let body = Program::local("Add", [Value::Int(1)]);
+//! def.define_method(c, MethodDef { name: "add".into(), params: 0, body });
+//! let transactions = (0..4)
+//!     .map(|i| TxnSpec { name: format!("T{i}"), body: Program::invoke(c, "add", []) })
+//!     .collect();
+//! let workload = WorkloadSpec { def, transactions };
+//! let mut sched = obase_sched::N2plScheduler::operation_locks();
 //! let dir = scratch_dir("doc");
 //! let result = execute_durable(
 //!     &workload,

@@ -1,26 +1,11 @@
-//! # obase-workload — workload generators for object-base experiments
+//! # obase-workload — the Zipf sampler
 //!
-//! Parameterised, seeded generators producing
-//! [`WorkloadSpec`](obase_exec::WorkloadSpec)s for the experiment harness:
-//!
-//! * [`generators::banking`] — transfers and audits over account objects;
-//! * [`generators::counters`] — hotspot increments over counter objects
-//!   (commutativity-friendly);
-//! * [`generators::queues`] — producers and consumers over FIFO queues (the
-//!   paper's step-level locking example);
-//! * [`generators::dictionary`] — lookup/insert/delete mixes over dictionary
-//!   objects with key skew;
-//! * [`generators::orders`] — nested order processing with configurable
-//!   fan-out and internal parallelism.
+//! Workloads are `obase-scenario` values; this crate keeps only the seeded
+//! [`Zipf`] sampler their compiler draws skewed picks from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod generators;
 pub mod skew;
 
-pub use generators::{
-    banking, counters, dictionary, orders, queues, scaling, BankingParams, CounterParams,
-    DictionaryParams, OrdersParams, QueueParams, ScalingParams,
-};
 pub use skew::Zipf;

@@ -8,16 +8,12 @@
 //! Run with `cargo run --example queue_semantics`.
 
 use obase::prelude::*;
-use obase::workload::{queues, QueueParams};
+use obase::scenario::shapes;
 
 fn run_with(spec: SchedulerSpec, preload: usize) -> Result<RunReport, RuntimeError> {
-    let wl = queues(&QueueParams {
-        queues: 1,
-        producers: 12,
-        consumers: 12,
-        preload,
-        seed: 17,
-    });
+    let mut scenario = shapes::queues(1, 24, preload);
+    scenario.seed = 17;
+    let wl = scenario.compile();
     let report = Runtime::builder()
         .scheduler(spec)
         .clients(6)
@@ -38,7 +34,7 @@ fn run_with(spec: SchedulerSpec, preload: usize) -> Result<RunReport, RuntimeErr
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("Producer/consumer queue, 12 producers + 12 consumers, 6 clients\n");
+    println!("Producer/consumer queue, 24 transactions (half producers), 6 clients\n");
     for preload in [0, 4, 16, 64] {
         let op = run_with(SchedulerSpec::n2pl_operation(), preload)?;
         let step = run_with(SchedulerSpec::n2pl_step(), preload)?;

@@ -7,7 +7,7 @@
 //! per-object refinement, and executable concurrency-control algorithms —
 //! nested two-phase locking, nested timestamp ordering, flat baselines and an
 //! optimistic inter-object certifier — driven by a deterministic interleaving
-//! simulator with workload generators and an experiment harness.
+//! simulator with declarative workload scenarios and an experiment harness.
 //!
 //! This facade crate re-exports the workspace crates:
 //!
@@ -33,11 +33,11 @@
 //!   backends, per-phase latency histograms, blocked-time attribution and
 //!   Chrome/Perfetto trace export, switched on with
 //!   [`Observe`](obase_runtime::Observe) on the [`Runtime`] builder;
-//! * [`workload`] — seeded workload generators;
 //! * [`scenario`] — the declarative scenario engine: a JSON workload DSL
 //!   (client mixes, key distributions, nesting shapes over every ADT) plus
 //!   seeded fault/chaos injection, with a library of named scenarios the
-//!   backend-equivalence oracle sweeps;
+//!   backend-equivalence oracle sweeps and the parametric shapes behind
+//!   the paper's comparisons;
 //! * [`fuzz`] — the differential scenario fuzzer: a seeded generator over
 //!   the whole scenario space, a sim/par/WAL cross-checking executor held
 //!   to the serialisability oracle, an auto-shrinker, and the `bugbase/`
@@ -57,12 +57,8 @@
 //! ```
 //! use obase::prelude::*;
 //!
-//! // Generate a small banking workload and run it under nested 2PL.
-//! let wl = obase::workload::banking(&obase::workload::BankingParams {
-//!     accounts: 4,
-//!     transactions: 8,
-//!     ..Default::default()
-//! });
+//! // Compile a small banking scenario and run it under nested 2PL.
+//! let wl = obase::scenario::shapes::banking(4, 8, 0.0).compile();
 //! let report = Runtime::builder()
 //!     .scheduler(SchedulerSpec::n2pl_operation())
 //!     .clients(4)
@@ -84,7 +80,7 @@
 //! ```
 //! use obase::prelude::*;
 //!
-//! let wl = obase::workload::counters(&Default::default());
+//! let wl = obase::scenario::shapes::counters(8, 32, 3, 0.1, 0.8).compile();
 //! let faceoff = Runtime::faceoff(&wl, &SchedulerSpec::all_basic())?;
 //! faceoff.assert_all_serialisable();
 //! println!("{}", faceoff.render_table());
@@ -105,7 +101,6 @@ pub use obase_scenario as scenario;
 pub use obase_sched as sched;
 pub use obase_serve as serve;
 pub use obase_wal as wal;
-pub use obase_workload as workload;
 
 #[doc(inline)]
 pub use obase_runtime::{ExecutionBackend, RunReport, Runtime, SchedulerSpec, Verify};

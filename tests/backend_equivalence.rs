@@ -15,42 +15,23 @@
 //! (crash-point recovery is exercised separately in `tests/durability.rs`).
 
 use obase::prelude::*;
-use obase::workload as wl;
+use obase::scenario::shapes;
 use std::sync::Arc;
 
 mod common;
 use common::worker_counts;
 
-/// Seeded workload variety: banking (nested transfers + audits), counters
+/// Seeded workload variety: banking (withdrawals, deposits + audits), counters
 /// (commuting hotspot) and dictionaries (reads/inserts/deletes), rotated by
 /// seed so the oracle sees different shapes and contention levels.
 fn workload_for(seed: u64) -> WorkloadSpec {
-    match seed % 3 {
-        0 => wl::banking(&wl::BankingParams {
-            accounts: 4,
-            transactions: 8,
-            skew: 0.8,
-            seed,
-            ..Default::default()
-        }),
-        1 => wl::counters(&wl::CounterParams {
-            counters: 2,
-            transactions: 8,
-            touches_per_txn: 2,
-            read_fraction: 0.3,
-            skew: 0.9,
-            seed,
-        }),
-        _ => wl::dictionary(&wl::DictionaryParams {
-            dictionaries: 2,
-            keys: 6,
-            transactions: 8,
-            ops_per_txn: 2,
-            lookup_fraction: 0.4,
-            key_skew: 0.7,
-            seed,
-        }),
-    }
+    let mut scenario = match seed % 3 {
+        0 => shapes::banking(4, 8, 0.8),
+        1 => shapes::counters(2, 8, 2, 0.3, 0.9),
+        _ => shapes::dictionary(2, 6, 8, 2, 0.4, 0.7),
+    };
+    scenario.seed = seed;
+    scenario.compile()
 }
 
 fn parallel_runtime(spec: SchedulerSpec, workers: usize) -> Runtime {
@@ -348,14 +329,10 @@ fn hot_key_parking_has_no_lost_wakeups() {
 #[test]
 fn strict_schedulers_commit_everything_with_equivalent_effects() {
     for seed in [3u64, 7, 11, 19] {
-        let workload = wl::counters(&wl::CounterParams {
-            counters: 3,
-            transactions: 10,
-            touches_per_txn: 2,
-            read_fraction: 0.0, // writes only: the final state is seed-determined
-            skew: 0.5,
-            seed,
-        });
+        // Adds only: the final state is seed-determined.
+        let mut scenario = shapes::counters(3, 10, 2, 0.0, 0.5);
+        scenario.seed = seed;
+        let workload = scenario.compile();
         let simulated = Runtime::builder()
             .scheduler(SchedulerSpec::n2pl_operation())
             .seed(seed)
@@ -397,15 +374,9 @@ fn worker_scaling_is_safe() {
 #[test]
 fn internal_parallelism_on_real_threads() {
     for seed in 0..8u64 {
-        let workload = wl::orders(&wl::OrdersParams {
-            desks: 2,
-            inventories: 4,
-            accounts: 4,
-            transactions: 6,
-            items_per_order: 4,
-            parallel_items: true,
-            seed,
-        });
+        let mut scenario = shapes::orders(6, 4, true);
+        scenario.seed = seed;
+        let workload = scenario.compile();
         let report = parallel_runtime(SchedulerSpec::n2pl_operation(), 4)
             .run(&workload)
             .unwrap();

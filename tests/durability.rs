@@ -18,47 +18,25 @@
 //!    prefix: recovery equals a run of the shorter log.
 
 use obase::prelude::*;
+use obase::scenario::{shapes, Scenario};
 use obase::wal::{self, WalBackend, WalRecord};
-use obase::workload as wl;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Three workload shapes with different nesting and conflict structure, so
-/// the crash points land in transfers (nested invokes), queue steps and
-/// keyed dictionary traffic.
+/// the crash points land in payments (withdrawals and deposits, some of
+/// them failing), queue steps and keyed dictionary traffic.
 fn workloads() -> Vec<(&'static str, WorkloadSpec)> {
+    let compiled = |mut scenario: Scenario, seed: u64| {
+        scenario.seed = seed;
+        scenario.compile()
+    };
     vec![
-        (
-            "banking",
-            wl::banking(&wl::BankingParams {
-                accounts: 4,
-                transactions: 10,
-                skew: 0.8,
-                seed: 41,
-                ..Default::default()
-            }),
-        ),
-        (
-            "queues",
-            wl::queues(&wl::QueueParams {
-                queues: 2,
-                producers: 6,
-                consumers: 6,
-                preload: 4,
-                seed: 42,
-            }),
-        ),
+        ("banking", compiled(shapes::banking(4, 10, 0.8), 41)),
+        ("queues", compiled(shapes::queues(2, 12, 4), 42)),
         (
             "dictionary",
-            wl::dictionary(&wl::DictionaryParams {
-                dictionaries: 2,
-                keys: 6,
-                transactions: 10,
-                ops_per_txn: 3,
-                lookup_fraction: 0.3,
-                key_skew: 0.9,
-                seed: 43,
-            }),
+            compiled(shapes::dictionary(2, 6, 10, 3, 0.3, 0.9), 43),
         ),
     ]
 }
@@ -200,14 +178,9 @@ fn kill_at_any_point_recovery_passes_the_oracle() {
 /// information.
 #[test]
 fn torn_tail_at_every_byte_offset_of_the_last_record() {
-    let workload = wl::counters(&wl::CounterParams {
-        counters: 2,
-        transactions: 6,
-        touches_per_txn: 2,
-        read_fraction: 0.2,
-        skew: 0.5,
-        seed: 11,
-    });
+    let mut scenario = shapes::counters(2, 6, 2, 0.2, 0.5);
+    scenario.seed = 11;
+    let workload = scenario.compile();
     let bytes = durable_log_bytes(&workload, 11);
     let full_dir = crashed_dir(&bytes, bytes.len());
     let scan = wal::log::scan(&wal::log_path(&full_dir)).unwrap();

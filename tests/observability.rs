@@ -15,19 +15,15 @@
 //!    covers the committed transactions, and the phase set is stable.
 
 use obase::prelude::*;
-use obase::workload as wl;
+use obase::scenario::shapes;
 use obase_runtime::{ChromeTraceObserver, Observe};
 use obase_ser::Json;
 use std::sync::Arc;
 
 fn workload() -> WorkloadSpec {
-    wl::banking(&wl::BankingParams {
-        accounts: 6,
-        transactions: 12,
-        skew: 0.7,
-        seed: 4242,
-        ..Default::default()
-    })
+    let mut scenario = shapes::banking(6, 12, 0.7);
+    scenario.seed = 4242;
+    scenario.compile()
 }
 
 fn observed_runtime(backend: ExecutionBackend, observe: Observe) -> Runtime {

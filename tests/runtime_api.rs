@@ -3,7 +3,7 @@
 //! `RunReport` across repeated runs with the same seed.
 
 use obase::prelude::*;
-use obase::workload as wl;
+use obase::scenario::shapes;
 
 fn every_spec() -> Vec<SchedulerSpec> {
     let mut specs = SchedulerSpec::all_basic();
@@ -32,14 +32,7 @@ fn every_spec_round_trips_through_json_and_instantiates() {
 
 #[test]
 fn every_spec_runs_a_workload_through_the_runtime() {
-    let workload = wl::counters(&wl::CounterParams {
-        counters: 2,
-        transactions: 6,
-        touches_per_txn: 2,
-        read_fraction: 0.0,
-        skew: 0.5,
-        seed: 11,
-    });
+    let workload = shapes::counters(2, 6, 2, 0.0, 0.5).compile();
     for spec in every_spec() {
         let report = Runtime::builder()
             .scheduler(spec.clone())
@@ -104,12 +97,7 @@ fn builder_rejects_bad_configurations_with_typed_errors() {
 
 #[test]
 fn reports_are_deterministic_for_a_seed() {
-    let workload = wl::banking(&wl::BankingParams {
-        accounts: 4,
-        transactions: 12,
-        skew: 0.8,
-        ..Default::default()
-    });
+    let workload = shapes::banking(4, 12, 0.8).compile();
     let run = |seed: u64| {
         Runtime::builder()
             .scheduler(SchedulerSpec::n2pl_step())

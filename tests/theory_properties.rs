@@ -147,12 +147,7 @@ fn random_interleavings_respect_the_theorems() {
 /// serialisable, whatever the interleaving seed (the executable Theorem 3).
 #[test]
 fn n2pl_runs_are_always_serialisable() {
-    let wl = obase::workload::banking(&obase::workload::BankingParams {
-        accounts: 3,
-        transactions: 8,
-        skew: 1.0,
-        ..Default::default()
-    });
+    let wl = obase::scenario::shapes::banking(3, 8, 1.0).compile();
     let mut rng = ChaCha8Rng::seed_from_u64(0x52D1);
     for _ in 0..24 {
         let seed = rng.next_u64();
@@ -176,12 +171,7 @@ fn n2pl_runs_are_always_serialisable() {
 /// from the OS scheduler instead of a seed.
 #[test]
 fn n2pl_parallel_runs_are_always_serialisable() {
-    let wl = obase::workload::banking(&obase::workload::BankingParams {
-        accounts: 3,
-        transactions: 8,
-        skew: 1.0,
-        ..Default::default()
-    });
+    let wl = obase::scenario::shapes::banking(3, 8, 1.0).compile();
     for round in 0..24 {
         let report = Runtime::builder()
             .scheduler(SchedulerSpec::n2pl_operation())
@@ -202,14 +192,9 @@ fn n2pl_parallel_runs_are_always_serialisable() {
 /// Same for nested timestamp ordering (the executable Theorem 4).
 #[test]
 fn nto_runs_are_always_serialisable() {
-    let wl = obase::workload::counters(&obase::workload::CounterParams {
-        counters: 2,
-        transactions: 8,
-        touches_per_txn: 2,
-        read_fraction: 0.4,
-        skew: 1.0,
-        seed: 5,
-    });
+    let mut scenario = obase::scenario::shapes::counters(2, 8, 2, 0.4, 1.0);
+    scenario.seed = 5;
+    let wl = scenario.compile();
     let mut rng = ChaCha8Rng::seed_from_u64(0x0470);
     for _ in 0..24 {
         let seed = rng.next_u64();
